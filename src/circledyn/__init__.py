@@ -7,6 +7,7 @@ from .circle_map import (
     CircleFamily,
     ComposedCircleMap,
     FamilyNorm,
+    StageStack,
     TPoly,
     TrigPoly,
     c3_norm,

@@ -8,7 +8,9 @@ where ``g_t`` is a finite trigonometric polynomial in ``theta`` whose
 coefficients are polynomials in ``t``.  This closed form gives exact
 derivatives of every order, so sup norms (and the certified margins
 attached to them) come from coefficient bounds instead of uncontrolled
-finite differences.
+finite differences.  Compositions of such lifts (the restricted maps of a
+skew product) are stacks of the same stages; :class:`StageStack` holds
+the evaluation and bounds both share.
 """
 
 from __future__ import annotations
@@ -132,9 +134,6 @@ class TrigPoly:
     def __add__(self, other: "TrigPoly") -> "TrigPoly":
         return TrigPoly(self.const + other.const, self.harmonics + other.harmonics)
 
-    def scaled(self, s: float) -> "TrigPoly":
-        return TrigPoly(s * self.const, tuple((j, s * a, s * b) for j, a, b in self.harmonics))
-
 
 def _grid_for(max_j: int, grid: int) -> int:
     # at least a few samples per oscillation of the highest harmonic
@@ -171,14 +170,130 @@ class FamilyNorm:
         return max(self.c3_g, self.c0_dt)
 
 
+def _dy_bound(harmonics, t=None) -> float:
+    """Coefficient bound for sup |d/dy| of one stage's periodic part: over
+    t in [0, 1], or at a single t when one is given."""
+    if t is None:
+        return sum(TAU * j * (a.abs_bound() + b.abs_bound()) for j, a, b in harmonics)
+    return sum(
+        TAU * j * (abs(float(a(t))) + abs(float(b(t)))) for j, a, b in harmonics
+    )
+
+
+class StageStack:
+    """A parameterized lift composed of stages, applied in order:
+
+        y -> y + w * t + c(t) + sum_j a_j(t) cos(2 pi j y) + b_j(t) sin(2 pi j y)
+
+    Subclasses expose them as ``stack``, a tuple of (winding w, const TPoly
+    c, harmonics (j, TPoly a_j, TPoly b_j)).  A :class:`CircleFamily` is one
+    stage; a restricted skew-product map is one winding-1 stage per fiber
+    along the periodic orbit.  Evaluation, bounds and the diffeomorphism
+    scan are written once, here, so both kinds share them.
+    """
+
+    degenerate = DegenerateFamily  # raised by check_diffeo
+
+    # -- evaluation ---------------------------------------------------------
+
+    def step_factory(self, t):
+        """Return a closure applying the lift once at fixed t (t may be an
+        array, in which case each component advances under its own
+        parameter)."""
+        t = np.asarray(t, dtype=float)
+        data = [
+            (w * t + const(t), [(TAU * j, a(t), b(t)) for j, a, b in harm])
+            for w, const, harm in self.stack
+        ]
+
+        def step(theta):
+            y = theta
+            for drift, coeff in data:
+                acc = y + drift
+                for w, a, b in coeff:
+                    acc = acc + a * np.cos(w * y) + b * np.sin(w * y)
+                y = acc
+            return y
+
+        return step
+
+    def lift(self, t, theta):
+        """Lift value at (t, theta); t and theta broadcast, no reduction mod 1."""
+        out = self.step_factory(t)(np.asarray(theta, dtype=float))
+        return out if np.ndim(out) else float(out)
+
+    def at(self, t: float) -> "ComposedCircleMap":
+        """Fixed-parameter snapshot as an explicit stage composition."""
+        return ComposedCircleMap(tuple(
+            (w * float(t), TrigPoly(const(t), tuple((j, a(t), b(t)) for j, a, b in harm)))
+            for w, const, harm in self.stack
+        ))
+
+    # -- certified bounds ---------------------------------------------------
+
+    def g_sup_bound(self) -> float:
+        """Bound for sup_{t, theta} |lift - theta - winding * t| from
+        coefficient sums."""
+        return sum(
+            const.abs_bound() + sum(a.abs_bound() + b.abs_bound() for _, a, b in harm)
+            for _, const, harm in self.stack
+        )
+
+    def dtheta_lift_bound(self, t=None) -> float:
+        """Bound for sup |d/dtheta lift|, the product of the stage ranges
+        1 + sup |p_i'|; tighter when a single t is given."""
+        out = 1.0
+        for _, _, harm in self.stack:
+            out *= 1.0 + _dy_bound(harm, t)
+        return out
+
+    def dt_sup_bound(self) -> float:
+        """Bound for sup |d/dt lift - winding|.
+
+        The t derivative w + d/dt p_i of stage i propagates through the
+        later stages' y derivatives, so each stage's contribution is
+        distorted by at most the product of their ranges; the last stage's
+        is its own coefficient bound.
+        """
+        dev = 0.0
+        for i, (w, const, harm) in enumerate(self.stack):
+            dtp = const.deriv().abs_bound() + sum(
+                a.deriv().abs_bound() + b.deriv().abs_bound() for _, a, b in harm
+            )
+            ub, lb = w + dtp, w - dtp
+            for _, _, later in self.stack[i + 1:]:
+                s = _dy_bound(later)
+                ub *= 1.0 + s
+                lb *= max(0.0, 1.0 - s)
+            dev += max(ub - w, w - lb) if i + 1 < len(self.stack) else dtp
+        return dev
+
+    # -- validity -----------------------------------------------------------
+
+    def check_diffeo(self, t_grid: int = DEFAULT_T_GRID, theta_grid: int = DEFAULT_THETA_GRID):
+        """Raise ``degenerate`` when 1 + d/dy p_i <= 0 is witnessed for a stage.
+
+        A coefficient bound < 1 certifies every stage outright; otherwise
+        the snapshot at each point of a t grid is scanned on a dense theta
+        grid (:meth:`ComposedCircleMap.check_diffeo`).
+        """
+        if all(_dy_bound(harm) < 1.0 for _, _, harm in self.stack):
+            return
+        for t in np.linspace(0.0, 1.0, t_grid):
+            self.at(float(t)).check_diffeo(
+                theta_grid, self.degenerate, f" at t={float(t):.6g} of {self.label!r}"
+            )
+
+
 @dataclass(frozen=True)
-class CircleFamily:
+class CircleFamily(StageStack):
     """Parameterized circle diffeomorphism t -> theta + winding * t + g_t(theta).
 
     ``g_t`` is stored as a trig polynomial in theta whose constant term and
     harmonic coefficients are :class:`TPoly` polynomials in t.  ``winding``
     is a positive integer for ordinary families; t-renormalized families
-    (see :meth:`renormalized`) may carry a non-integer winding.
+    (see :meth:`renormalized`) may carry a non-integer winding.  As a
+    :class:`StageStack` it is a single stage.
     """
 
     winding: float = 1
@@ -200,113 +315,9 @@ class CircleFamily:
         const = self.const if isinstance(self.const, TPoly) else TPoly(self.const)
         object.__setattr__(self, "const", const)
 
-    # -- evaluation ---------------------------------------------------------
-
-    def g(self, t, theta):
-        """Periodic part g_t(theta); t and theta broadcast."""
-        t = np.asarray(t, dtype=float)
-        theta = np.asarray(theta, dtype=float)
-        out = np.broadcast_arrays(self.const(t), theta)[0].copy()
-        for j, a, b in self.harmonics:
-            w = (TAU * j) * theta
-            out = out + a(t) * np.cos(w) + b(t) * np.sin(w)
-        return out if out.ndim else float(out)
-
-    def lift(self, t, theta):
-        """Lift value theta + winding * t + g_t(theta); no reduction mod 1."""
-        t = np.asarray(t, dtype=float)
-        theta = np.asarray(theta, dtype=float)
-        out = theta + self.winding * t + self.g(t, theta)
-        return out if out.ndim else float(out)
-
-    def step_factory(self, t):
-        """Return a closure iterating the lift at fixed t (t may be an array,
-        in which case each component advances under its own parameter)."""
-        t = np.asarray(t, dtype=float)
-        drift = self.winding * t + self.const(t)
-        coeff = [(TAU * j, a(t), b(t)) for j, a, b in self.harmonics]
-
-        def step(theta):
-            out = theta + drift
-            for w, a, b in coeff:
-                out = out + a * np.cos(w * theta) + b * np.sin(w * theta)
-            return out
-
-        return step
-
-    def periodic_part(self, t: float) -> TrigPoly:
-        return TrigPoly(self.const(t), tuple((j, a(t), b(t)) for j, a, b in self.harmonics))
-
-    def dt_part(self, t: float) -> TrigPoly:
-        """d/dt of the periodic part at fixed t, as a trig polynomial in theta."""
-        return TrigPoly(
-            self.const.deriv()(t),
-            tuple((j, a.deriv()(t), b.deriv()(t)) for j, a, b in self.harmonics),
-        )
-
-    # -- certified bounds ---------------------------------------------------
-
-    def g_sup_bound(self) -> float:
-        """Bound for sup_{t, theta} |g_t(theta)| from coefficient sums."""
-        return self.const.abs_bound() + sum(
-            a.abs_bound() + b.abs_bound() for _, a, b in self.harmonics
-        )
-
-    def dtheta_bound(self, t=None) -> float:
-        """Bound for sup |d/dtheta g_t|; tighter when a single t is given."""
-        if t is None:
-            return sum(
-                TAU * j * (a.abs_bound() + b.abs_bound()) for j, a, b in self.harmonics
-            )
-        return sum(
-            TAU * j * (abs(float(a(t))) + abs(float(b(t))))
-            for j, a, b in self.harmonics
-        )
-
-    def dtheta_lift_bound(self, t=None) -> float:
-        """Bound for sup |d/dtheta lift| = 1 + sup |g'|."""
-        return 1.0 + self.dtheta_bound(t)
-
-    def dt_sup_bound(self) -> float:
-        """Bound for sup_{t, theta} |d/dt g_t(theta)|."""
-        return self.const.deriv().abs_bound() + sum(
-            a.deriv().abs_bound() + b.deriv().abs_bound() for _, a, b in self.harmonics
-        )
-
-    def theta_deriv_bounds(self, t=None):
-        """Bounds (b1, b2, b3, b4) for sup |d^k/dtheta^k lift|, k = 1..4."""
-        def bk(k):
-            if t is None:
-                return sum(
-                    (TAU * j) ** k * (a.abs_bound() + b.abs_bound())
-                    for j, a, b in self.harmonics
-                )
-            return sum(
-                (TAU * j) ** k * (abs(float(a(t))) + abs(float(b(t))))
-                for j, a, b in self.harmonics
-            )
-
-        return (1.0 + bk(1), bk(2), bk(3), bk(4))
-
-    # -- validity -----------------------------------------------------------
-
-    def check_diffeo(self, t_grid: int = DEFAULT_T_GRID, theta_grid: int = DEFAULT_THETA_GRID):
-        """Raise DegenerateFamily when 1 + d/dtheta g_t <= 0 is witnessed.
-
-        A coefficient bound < 1 certifies the condition outright; otherwise a
-        dense (t, theta) grid is scanned for a violation.
-        """
-        if self.dtheta_bound() < 1.0:
-            return
-        theta_grid = _grid_for(max((j for j, _, _ in self.harmonics), default=0), theta_grid)
-        ts = np.linspace(0.0, 1.0, t_grid)
-        xs = np.arange(theta_grid) / theta_grid
-        for t in ts:
-            dp = self.periodic_part(float(t)).deriv()
-            if float(np.min(1.0 + dp(xs))) <= 0.0:
-                raise DegenerateFamily(
-                    f"1 + dg/dtheta <= 0 at t={float(t):.6g} for family {self.label!r}"
-                )
+    @property
+    def stack(self) -> tuple:
+        return ((self.winding, self.const, self.harmonics),)
 
     # -- derived families ---------------------------------------------------
 
@@ -373,7 +384,7 @@ def family_norm(
     if check:
         f.check_diffeo(t_grid=t_grid, theta_grid=grid)
     ts = np.linspace(0.0, 1.0, t_grid)
-    c3 = max(c3_norm(f.periodic_part(float(t)), grid) for t in ts)
+    c3 = max(c3_norm(p, grid) for t in ts for _, p in f.at(float(t)).stages)
     # |d/dt of any theta-derivative up to order 3| bound for the t margin
     dt_rate = 0.0
     for k in range(4):
@@ -392,8 +403,8 @@ def family_norm(
 class ComposedCircleMap:
     """Composition of single-variable circle-map lifts y -> y + c_i + p_i(y).
 
-    This is the fixed-parameter snapshot of a restricted skew-product map;
-    it is not itself a trig-polynomial lift, but every stage is.
+    This is the fixed-parameter snapshot of a :class:`StageStack` (see
+    ``at``); it is not itself a trig-polynomial lift, but every stage is.
     """
 
     stages: tuple  # tuple of (c_i, TrigPoly p_i)
@@ -402,10 +413,6 @@ class ComposedCircleMap:
         for c, p in self.stages:
             y = y + c + p(y)
         return y
-
-    # uniform signature with parameterized maps; the parameter is baked in
-    def lift(self, _t, y):
-        return self.lift1(y)
 
     def deriv_tuple(self, y):
         """(value, d1, d2, d3) of the composed lift at y, by exact chain rule."""
@@ -443,14 +450,18 @@ class ComposedCircleMap:
             )
         return h
 
-    def dtheta_lift_bound(self, _t=None) -> float:
-        return self.theta_deriv_bounds()[0]
+    def check_diffeo(self, theta_grid: int = DEFAULT_THETA_GRID,
+                     error=DegenerateFamily, where: str = ""):
+        """Raise ``error`` when 1 + p_i' <= 0 on a dense theta grid for some
+        stage; a stage whose coefficient bound is < 1 is certified outright.
 
-    def check_diffeo(self, theta_grid: int = DEFAULT_THETA_GRID):
-        for c, p in self.stages:
+        This is the one diffeomorphism scan: parameterized stacks run it on
+        the snapshot at each point of their t grid.
+        """
+        for i, (_, p) in enumerate(self.stages):
             if p.deriv_bound(1) < 1.0:
                 continue
             grid = _grid_for(p.max_harmonic(), theta_grid)
             xs = np.arange(grid) / grid
             if float(np.min(1.0 + p.deriv(1)(xs))) <= 0.0:
-                raise DegenerateFamily("composed stage is not a diffeomorphism")
+                raise error(f"stage {i + 1} is not a diffeomorphism{where}")

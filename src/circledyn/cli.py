@@ -16,6 +16,7 @@ import argparse
 import concurrent.futures as cf
 import functools
 import json
+import math
 import os
 import sys
 import time
@@ -45,6 +46,22 @@ _DEFAULTS = {
     "niter": 0,  # 0 = per-command default
     "out": "out",
     "label": "",
+}
+
+# per-subcommand defaults, merged over the common ones before any other
+# layer, so that an explicit 0 reaches the range check
+_COMMAND_DEFAULTS = {
+    "windows": {"samples": 2000},
+    "dio": {"nmax": 1000},
+    "skew": {"nmax": 4, "R": 0.5},
+    "theoremA": {"nmax": 6, "samples": 10_000, "eta_families": 8, "eta_samples": 2000},
+}
+
+# smallest allowed value of each integer option; 0 means "default" for
+# grid and niter and "all cores" for workers
+_AT_LEAST = {
+    "qmax": 1, "nmax": 1, "samples": 1, "eta_families": 1, "eta_samples": 1,
+    "niter": 0, "grid": 0, "workers": 0, "seed": 0,
 }
 
 _TYPES = {
@@ -79,30 +96,48 @@ class RunConfig:
         )
 
 
+def _coerce(key: str, value, where: str):
+    try:
+        return _TYPES.get(key, str)(value)
+    except (TypeError, ValueError):
+        raise InputError(f"{where}: bad value for {key!r}: {value!r}")
+
+
+def _check_ranges(values: dict):
+    for key, low in _AT_LEAST.items():
+        if key in values and values[key] < low:
+            raise InputError(f"--{key.replace('_', '-')} must be >= {low}, got {values[key]}")
+    if not (math.isfinite(values["tol"]) and values["tol"] > 0.0):
+        raise InputError(f"--tol must be finite and > 0, got {values['tol']}")
+    if "R" in values and not 0.0 < values["R"] < 1.0:
+        raise InputError(f"--R must lie in (0, 1), got {values['R']}")
+
+
 def _merge_config(sub: str, args: argparse.Namespace) -> RunConfig:
-    values = dict(_DEFAULTS)
+    values = {**_DEFAULTS, **_COMMAND_DEFAULTS.get(sub, {})}
     cfg_path = getattr(args, "config", None)
     if cfg_path:
-        for k, v in io.load_json(cfg_path).items():
+        raw = io.load_json(cfg_path)
+        if not isinstance(raw, dict):
+            raise InputError(f"{cfg_path}: a config file must hold one JSON object")
+        for k, v in raw.items():
             key = k.replace("-", "_")
-            values[key] = _TYPES.get(key, str)(v) if v is not None else v
-    for key, typ in _TYPES.items():
+            if v is not None:
+                values[key] = _coerce(key, v, cfg_path)
+    for key in _TYPES:
         env = os.environ.get(ENV_PREFIX + key.upper())
         if env is not None:
-            try:
-                values[key] = typ(env)
-            except ValueError:
-                raise InputError(f"bad value for {ENV_PREFIX}{key.upper()}: {env!r}")
+            values[key] = _coerce(key, env, ENV_PREFIX + key.upper())
     for key, val in vars(args).items():
         if key in ("config", "func") or val is None:
             continue
         values[key] = val
+    _check_ranges(values)
     return RunConfig(sub, values)
 
 
 def _workers(cfg: RunConfig) -> int:
-    w = int(cfg.values.get("workers", 0))
-    return w if w > 0 else (os.cpu_count() or 1)
+    return cfg.workers or os.cpu_count() or 1
 
 
 class _Pool:
@@ -128,18 +163,24 @@ class _Pool:
         return list(self._pool.map(fn, items, chunksize=max(1, len(items) // (4 * self.workers))))
 
 
+def _floats(raw: str, flag: str, sweep: bool = False) -> list:
+    """Floats from a comma list, or from a:b:n (n points from a to b)."""
+    try:
+        if sweep:
+            a, b, n = raw.split(":")
+            return np.linspace(float(a), float(b), int(n)).tolist()
+        return [float(v) for v in raw.split(",")]
+    except ValueError:
+        form = "a:b:n" if sweep else "a comma list of numbers"
+        raise InputError(f"{flag} expects {form}, got {raw!r}")
+
+
 def _parse_t_values(cfg: RunConfig):
     ts = []
-    raw = cfg.values.get("t")
-    if raw:
-        ts.extend(float(v) for v in str(raw).split(","))
-    rng = cfg.values.get("t_range")
-    if rng:
-        try:
-            a, b, n = str(rng).split(":")
-            ts.extend(np.linspace(float(a), float(b), int(n)).tolist())
-        except ValueError:
-            raise InputError(f"--t-range expects a:b:n, got {rng!r}")
+    if cfg.values.get("t"):
+        ts += _floats(str(cfg.t), "--t")
+    if cfg.values.get("t_range"):
+        ts += _floats(str(cfg.t_range), "--t-range", sweep=True)
     if not ts:
         raise InputError("no parameter values: pass --t and/or --t-range")
     return ts
@@ -168,36 +209,21 @@ def cmd_rho(cfg: RunConfig) -> int:
     return 0
 
 
-def _window_task(fam, tol, grid, pq):
-    return windows.window_for_rational(fam, pq[0], pq[1], tol=tol, grid=grid or None)
-
-
 def cmd_windows(cfg: RunConfig) -> int:
     fam = io.load_family(cfg.input)
-    pairs = windows.lift_rationals(cfg.qmax, fam.winding)
-    fam.check_diffeo()
     with _Pool(_workers(cfg)) as pool:
-        ws = pool.map(functools.partial(_window_task, fam, cfg.tol, cfg.grid), pairs)
-    seed = cfg.seed
-    samples = int(cfg.values.get("samples", 2000))
-    lm = windows.locked_measure(fam, cfg.qmax, samples, tol=cfg.tol, seed=seed, windows=ws)
+        ws = windows.enumerate_windows(fam, cfg.qmax, tol=cfg.tol, grid=cfg.grid or None,
+                                       map_fn=pool.map)
+    lm = windows.locked_measure(fam, cfg.qmax, cfg.samples, tol=cfg.tol, seed=cfg.seed,
+                                windows=ws)
     files = {
         "windows.csv": ("windows", [
             (w.p, w.q, w.t_lo, w.t_hi, w.width, w.bracket_radius) for w in ws
         ]),
-        "measure.csv": ("measure", [(cfg.qmax, lm.lower, lm.mc, lm.unresolved_frac, seed)]),
+        "measure.csv": ("measure", [(cfg.qmax, lm.lower, lm.mc, lm.unresolved_frac, cfg.seed)]),
     }
     _finish(cfg, files, inputs={"family": cfg.input})
     return 0
-
-
-def _tongue_task(profile, qmax, tol, grid, delta):
-    fam = profile.scaled(delta)
-    fam.check_diffeo()
-    return [
-        (delta, w.p, w.q, w.t_lo, w.t_hi)
-        for w in windows.enumerate_windows(fam, qmax, tol=tol, grid=grid or None)
-    ]
 
 
 def cmd_tongues(cfg: RunConfig) -> int:
@@ -205,16 +231,11 @@ def cmd_tongues(cfg: RunConfig) -> int:
     raw = cfg.values.get("deltas")
     if not raw:
         raise InputError("--deltas is required (comma list or a:b:n)")
-    if ":" in str(raw):
-        a, b, n = str(raw).split(":")
-        deltas = np.linspace(float(a), float(b), int(n)).tolist()
-    else:
-        deltas = [float(v) for v in str(raw).split(",")]
+    deltas = _floats(str(raw), "--deltas", sweep=":" in str(raw))
     with _Pool(_workers(cfg)) as pool:
-        per_delta = pool.map(
-            functools.partial(_tongue_task, profile, cfg.qmax, cfg.tol, cfg.grid), deltas
-        )
-    rows = [row for chunk in per_delta for row in chunk]
+        td = windows.tongue_diagram(profile, deltas, cfg.qmax, tol=cfg.tol,
+                                    grid=cfg.grid or None, map_fn=pool.map)
+    rows = [(d, w.p, w.q, w.t_lo, w.t_hi) for d, ws in zip(td.deltas, td.windows) for w in ws]
     _finish(cfg, {"tongues.csv": ("tongues", rows)}, inputs={"family": cfg.input})
     return 0
 
@@ -223,87 +244,67 @@ def cmd_dio(cfg: RunConfig) -> int:
     raw = cfg.values.get("C")
     if not raw:
         raise InputError("--C is required (one value or a comma list)")
-    cs = [float(v) for v in str(raw).split(",")]
-    n_max = cfg.values.get("nmax") or 1000
     grid = cfg.grid or 100_000
     rows = []
-    for c in cs:
-        m = dio_measure(DioParams(c, n_max, grid))
-        rows.append((c, n_max, m.estimate, m.analytic_lower, m.grid_error))
+    for c in _floats(str(raw), "--C"):
+        m = dio_measure(DioParams(c, cfg.nmax, grid))
+        rows.append((c, cfg.nmax, m.estimate, m.analytic_lower, m.grid_error))
     _finish(cfg, {"dio.csv": ("dio", rows)}, inputs={})
     return 0
 
 
-def _search_rows(eligible, q_max, n_iter, ts):
-    rows = []
-    for t in ts:
-        hit = None
-        for circle, rf, _ in eligible:
-            res = rotation.classify(rf, float(t), q_max=q_max, n_iter=n_iter)
-            if res.classification == rotation.IRRATIONAL_CANDIDATE:
-                hit = (circle, res)
-                break
-        if hit is None:
-            rows.append((float(t), False, None, None, None, "none"))
-        else:
-            circle, res = hit
-            rows.append((float(t), True, circle.k, circle.n, res.estimate,
-                         res.classification))
-    return rows
-
-
 def cmd_skew(cfg: RunConfig) -> int:
     F = io.load_skew(cfg.input)
-    n_max = cfg.values.get("nmax") or 4
-    R = cfg.values.get("R") or 0.5
+    ts = _parse_t_values(cfg)
     n_iter = cfg.niter or rotation.CLASSIFY_N_ITER
     circle_rows = []
     eligible = []
-    for circle in skew.periodic_circles(F.m, n_max):
+    for circle in skew.periodic_circles(F.m, cfg.nmax):
         rf = skew.restricted_family(F, circle)
-        sup_c3, ok = skew.a3_check(rf, R)
+        sup_c3, ok = skew.a3_check(rf, cfg.R)
         circle_rows.append(
             (circle.k, circle.n, circle.x0.numerator, circle.x0.denominator, sup_c3, ok)
         )
         if ok:
             eligible.append((circle, rf, sup_c3))
-    ts = _parse_t_values(cfg)
+    search = functools.partial(skew.quasi_search, F, n_max=cfg.nmax, q_max=cfg.qmax,
+                               R=cfg.R, n_iter=n_iter, candidates=eligible)
     with _Pool(_workers(cfg)) as pool:
-        chunks = [c for c in np.array_split(np.asarray(ts, dtype=float),
-                                            max(1, _workers(cfg))) if c.size]
-        task = functools.partial(_search_rows, eligible, cfg.qmax, n_iter)
-        search_rows = [row for chunk in pool.map(task, chunks) for row in chunk]
+        hits = pool.map(search, ts)
+    search_rows = [
+        (t, False, None, None, None, "none") if hit is None
+        else (t, True, hit[0].k, hit[0].n, hit[1].estimate, hit[1].classification)
+        for t, hit in zip(ts, hits)
+    ]
     files = {
         "circles.csv": ("circles", circle_rows),
         "search.csv": ("search", search_rows),
     }
     _finish(cfg, files, inputs={"skew": cfg.input},
-            hypotheses={"R": R, "n_max": n_max})
+            hypotheses={"R": cfg.R, "n_max": cfg.nmax})
     return 0
 
 
 def cmd_theoremA(cfg: RunConfig) -> int:
     F = io.load_skew(cfg.input)
-    n_max = cfg.values.get("nmax") or 6
-    samples = int(cfg.values.get("samples", 10_000))
     n_iter = cfg.niter or rotation.CLASSIFY_N_ITER
     fams = []
     seen = set()
-    for circle in skew.periodic_circles(F.m, n_max):
+    for circle in skew.periodic_circles(F.m, cfg.nmax):
         if circle.n in seen:
             continue
         seen.add(circle.n)
         fams.append(skew.restricted_family(F, circle))
     with _Pool(_workers(cfg)) as pool:
-        res = intersection_measure(fams, samples, q_max=cfg.qmax, seed=cfg.seed,
+        res = intersection_measure(fams, cfg.samples, q_max=cfg.qmax, seed=cfg.seed,
                                    n_iter=n_iter, map_fn=pool.map)
         r_star = max(res.norms)
         ec = eta_curve(
             [r_star * k / 4.0 for k in range(1, 5)],
-            int(cfg.values.get("eta_families", 8)),
+            cfg.eta_families,
             q_max=cfg.qmax,
             seed=cfg.seed,
-            mc_samples=int(cfg.values.get("eta_samples", 2000)),
+            mc_samples=cfg.eta_samples,
             n_iter=n_iter,
             map_fn=pool.map,
         )

@@ -149,9 +149,7 @@ def sample_family(rng: np.random.Generator, r: float,
 
 
 def _eta_task(args):
-    fam, ts, q_max, n_iter = args
-    results = rotation.classify_batch(fam, ts, q_max=q_max, n_iter=n_iter)
-    return float(np.mean([r.classification == rotation.LOCKED for r in results]))
+    return float(np.mean(_classify_family(args)[0]))
 
 
 def eta_curve(r_grid, sample_families_per_r: int, q_max: int = 30, seed: int = 0,

@@ -165,6 +165,23 @@ def _normalize_pq(p: int, q: int):
     return (p % q, q) if q > 1 else (0, 1)
 
 
+def _decide(fam, t, disp: float, n_iter: int, q_max: int, grid) -> RotationResult:
+    """Try every candidate p/q within the 1/n_iter error bar of the mean
+    displacement ``disp``, cheapest denominator first."""
+    err = 1.0 / n_iter
+    unresolved = False
+    for p, q in _candidates(disp, err, q_max):
+        chk = is_locked(fam, t, p, q, grid=grid)
+        if chk.status == LOCKED:
+            pr, qr = _normalize_pq(p, q)
+            return RotationResult(disp % 1.0, err, n_iter, LOCKED, pr, qr,
+                                  chk.witness, disp)
+        if chk.status == UNRESOLVED:
+            unresolved = True
+    cls = UNRESOLVED if unresolved else IRRATIONAL_CANDIDATE
+    return RotationResult(disp % 1.0, err, n_iter, cls, displacement=disp)
+
+
 def classify(fam, t, q_max: int = 30, n_iter: int = CLASSIFY_N_ITER,
              theta0: float = 0.0, grid: int | None = None) -> RotationResult:
     """Classify f_t as locked at some p/q (q <= q_max), irrational candidate,
@@ -177,31 +194,7 @@ def classify(fam, t, q_max: int = 30, n_iter: int = CLASSIFY_N_ITER,
     no finite computation can certify.
     """
     base = rho_estimate(fam, t, theta0=theta0, n_iter=n_iter)
-    unresolved = False
-    for p, q in _candidates(base.displacement, base.error_bound, q_max):
-        chk = is_locked(fam, t, p, q, grid=grid)
-        if chk.status == LOCKED:
-            pr, qr = _normalize_pq(p, q)
-            return RotationResult(
-                estimate=base.estimate,
-                error_bound=base.error_bound,
-                n_iter=n_iter,
-                classification=LOCKED,
-                p=pr,
-                q=qr,
-                witness=chk.witness,
-                displacement=base.displacement,
-            )
-        if chk.status == UNRESOLVED:
-            unresolved = True
-    cls = UNRESOLVED if unresolved else IRRATIONAL_CANDIDATE
-    return RotationResult(
-        estimate=base.estimate,
-        error_bound=base.error_bound,
-        n_iter=n_iter,
-        classification=cls,
-        displacement=base.displacement,
-    )
+    return _decide(fam, t, base.displacement, n_iter, q_max, grid)
 
 
 def classify_batch(fam, ts, q_max: int = 30, n_iter: int = CLASSIFY_N_ITER,
@@ -210,26 +203,7 @@ def classify_batch(fam, ts, q_max: int = 30, n_iter: int = CLASSIFY_N_ITER,
     (rare) lock checks run per sample.  Returns a list of RotationResult."""
     ts = np.asarray(ts, dtype=float)
     disps = displacement_batch(fam, ts, theta0=theta0, n_iter=n_iter)
-    err = 1.0 / n_iter
-    out = []
-    for t, disp in zip(ts, disps):
-        disp = float(disp)
-        unresolved = False
-        res = None
-        for p, q in _candidates(disp, err, q_max):
-            chk = is_locked(fam, float(t), p, q, grid=grid)
-            if chk.status == LOCKED:
-                pr, qr = _normalize_pq(p, q)
-                res = RotationResult(disp % 1.0, err, n_iter, LOCKED, pr, qr,
-                                     chk.witness, disp)
-                break
-            if chk.status == UNRESOLVED:
-                unresolved = True
-        if res is None:
-            cls = UNRESOLVED if unresolved else IRRATIONAL_CANDIDATE
-            res = RotationResult(disp % 1.0, err, n_iter, cls, displacement=disp)
-        out.append(res)
-    return out
+    return [_decide(fam, float(t), float(d), n_iter, q_max, grid) for t, d in zip(ts, disps)]
 
 
 def equidistribution_test(fam, t, theta0: float = 0.0, n_iter: int = 100_000,

@@ -16,14 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import rotation
-from .circle_map import (
-    TAU,
-    ComposedCircleMap,
-    FamilyNorm,
-    TPoly,
-    TrigPoly,
-    _grid_for,
-)
+from .circle_map import TAU, FamilyNorm, StageStack, TPoly, _grid_for
 from .errors import DegenerateFiber
 
 
@@ -69,13 +62,6 @@ class SkewMap:
             out = out + a(t) * np.cos(w) + b(t) * np.sin(w)
         return out if out.ndim else float(out)
 
-    def dy_sup_bound(self) -> float:
-        """Bound for sup |d/dy g_t| over all t, x, y."""
-        return sum(
-            TAU * abs(jy) * (a.abs_bound() + b.abs_bound())
-            for _, jy, a, b in self.harmonics
-        )
-
     def fiber_stage(self, x: Fraction):
         """Periodic part of the fiber map over the vertical circle at x,
         as (const TPoly, harmonics in y with TPoly coefficients).
@@ -110,14 +96,7 @@ def skew_apply(F: SkewMap, t, xy):
     A Fraction x stays exact; floats are reduced in floating point.
     """
     x, y = xy
-    if isinstance(x, Fraction):
-        x_new = (F.m * x) % 1
-        xf = float(x)
-    else:
-        x_new = (F.m * x) % 1.0
-        xf = float(x)
-    y_new = (y + t + F.g(t, xf, y)) % 1.0
-    return x_new, y_new
+    return (F.m * x) % 1, (y + t + F.g(t, float(x), y)) % 1.0
 
 
 @dataclass(frozen=True)
@@ -159,14 +138,15 @@ def periodic_circles(m: int, n_max: int) -> list:
 
 
 @dataclass(frozen=True)
-class RestrictedFamily:
+class RestrictedFamily(StageStack):
     """The circle-map family obtained by restricting the n-th iterate of a
     skew map to a periodic circle:
 
         lift(t, theta) = theta + n * t + G_t(theta)
 
     where G_t accumulates the fiber periodic parts along the exact x orbit.
-    The t-winding number equals the circle period n.
+    As a :class:`StageStack` it is n winding-1 stages, one per fiber, so the
+    t-winding number equals the circle period n.
     """
 
     skew: SkewMap
@@ -174,95 +154,15 @@ class RestrictedFamily:
     stages: tuple  # tuple of (const TPoly, harmonics (j, TPoly, TPoly)) per fiber
     label: str = ""
 
+    degenerate = DegenerateFiber
+
     @property
     def winding(self) -> int:
         return self.circle.n
 
-    # -- evaluation ---------------------------------------------------------
-
-    def lift(self, t, theta):
-        t = np.asarray(t, dtype=float)
-        y = np.asarray(theta, dtype=float) + 0.0 * t  # broadcast
-        for const, harm in self.stages:
-            acc = y + t + const(t)
-            for j, a, b in harm:
-                w = (TAU * j) * y
-                acc = acc + a(t) * np.cos(w) + b(t) * np.sin(w)
-            y = acc
-        return y if y.ndim else float(y)
-
-    def step_factory(self, t):
-        t = np.asarray(t, dtype=float)
-        data = []
-        for const, harm in self.stages:
-            data.append(
-                (t + const(t), [(TAU * j, a(t), b(t)) for j, a, b in harm])
-            )
-
-        def step(theta):
-            y = theta
-            for drift, coeff in data:
-                acc = y + drift
-                for w, a, b in coeff:
-                    acc = acc + a * np.cos(w * y) + b * np.sin(w * y)
-                y = acc
-            return y
-
-        return step
-
-    def at(self, t: float) -> ComposedCircleMap:
-        """Fixed-parameter snapshot as an explicit stage composition."""
-        return ComposedCircleMap(
-            tuple(
-                (float(t), TrigPoly(const(t), tuple((j, a(t), b(t)) for j, a, b in harm)))
-                for const, harm in self.stages
-            )
-        )
-
-    # -- certified bounds ---------------------------------------------------
-
-    def _stage_dy_bound(self, stage, t=None) -> float:
-        _, harm = stage
-        if t is None:
-            return sum(TAU * j * (a.abs_bound() + b.abs_bound()) for j, a, b in harm)
-        return sum(
-            TAU * j * (abs(float(a(t))) + abs(float(b(t)))) for j, a, b in harm
-        )
-
-    def dtheta_lift_bound(self, t=None) -> float:
-        out = 1.0
-        for stage in self.stages:
-            out *= 1.0 + self._stage_dy_bound(stage, t)
-        return out
-
-    def g_sup_bound(self) -> float:
-        return sum(
-            const.abs_bound() + sum(a.abs_bound() + b.abs_bound() for _, a, b in harm)
-            for const, harm in self.stages
-        )
-
-    def dt_sup_dev(self) -> float:
-        """Bound for sup |d/dt lift - n| = sup |d/dt G_t|.
-
-        The t derivative of stage i propagates through the later stages'
-        y derivatives, so each of the n unit contributions is distorted by
-        at most the product of the stage derivative ranges.
-        """
-        n = len(self.stages)
-        dev = 0.0
-        for i in range(n):
-            const, harm = self.stages[i]
-            dtp = const.deriv().abs_bound() + sum(
-                a.deriv().abs_bound() + b.deriv().abs_bound() for _, a, b in harm
-            )
-            ub = 1.0 + dtp
-            lb = 1.0 - dtp
-            for j in range(i + 1, n):
-                s = self._stage_dy_bound(self.stages[j])
-                ub *= 1.0 + s
-                lb *= max(0.0, 1.0 - s)
-            dev += max(ub - 1.0, 1.0 - lb)
-        return dev
+    @property
+    def stack(self) -> tuple:
+        return tuple((1, const, harm) for const, harm in self.stages)
 
 
 def restricted_family(F: SkewMap, circle: PeriodicCircle) -> RestrictedFamily:
@@ -276,39 +176,21 @@ def restricted_family(F: SkewMap, circle: PeriodicCircle) -> RestrictedFamily:
     stages = []
     x = circle.x0
     for _ in range(circle.n):
-        stage = F.fiber_stage(x)
-        _check_fiber_diffeo(stage)
-        stages.append(stage)
+        stages.append(F.fiber_stage(x))
         x = (F.m * x) % 1
     label = f"{F.label}|{circle.x0}" if F.label else f"restriction@{circle.x0}"
-    return RestrictedFamily(F, circle, tuple(stages), label=label)
+    rf = RestrictedFamily(F, circle, tuple(stages), label=label)
+    rf.check_diffeo()
+    return rf
 
 
-def _check_fiber_diffeo(stage, t_grid: int = 65, y_grid: int = 2048):
-    const, harm = stage
-    bound = sum(TAU * j * (a.abs_bound() + b.abs_bound()) for j, a, b in harm)
-    if bound < 1.0:
-        return
-    y_grid = _grid_for(max((j for j, _, _ in harm), default=0), y_grid)
-    ys = np.arange(y_grid) / y_grid
-    for t in np.linspace(0.0, 1.0, t_grid):
-        dp = TrigPoly(0.0, tuple((j, a(t), b(t)) for j, a, b in harm)).deriv()
-        if float(np.min(1.0 + dp(ys))) <= 0.0:
-            raise DegenerateFiber(f"fiber map degenerate at t={float(t):.6g}")
+def _c3_sup(rf: RestrictedFamily, t_grid: int, y_grid: int) -> float:
+    """Sup over a t grid of the C3(y) norm of lift - (theta + n t).
 
-
-def a3_check(rf: RestrictedFamily, R: float, t_grid: int = 33,
-             y_grid: int = 1024) -> tuple:
-    """Estimate sup_t of the C3(y) norm of lift - (theta + n t) and compare
-    against the closeness-to-identity threshold R.
-
-    Per parameter value the theta sup is certified (exact chain-rule
-    derivatives on a dense grid plus a Lipschitz margin from the composed
-    derivative bounds); the sup over t is a grid estimate.  Returns
-    (sup_c3, passes) with passes = sup_c3 < R.
+    Per parameter value the theta sup is certified: exact chain-rule
+    derivatives on a dense grid, each plus a Lipschitz margin from the
+    composed derivative bounds.
     """
-    if not 0.0 < R < 1.0:
-        raise ValueError("R must lie in (0, 1)")
     max_j = max((j for _, harm in rf.stages for j, _, _ in harm), default=0)
     y_grid = _grid_for(max_j, y_grid)
     ys = np.arange(y_grid) / y_grid
@@ -329,30 +211,30 @@ def a3_check(rf: RestrictedFamily, R: float, t_grid: int = 33,
             float(np.max(np.abs(d3))) + b4 / y_grid,
         )
         sup = max(sup, *vals)
+    return sup
+
+
+def a3_check(rf: RestrictedFamily, R: float, t_grid: int = 33,
+             y_grid: int = 1024) -> tuple:
+    """Estimate sup_t of the C3(y) norm of lift - (theta + n t) and compare
+    against the closeness-to-identity threshold R.
+
+    The theta sup at each parameter value is certified (see ``_c3_sup``);
+    the sup over t is a grid estimate.  Returns (sup_c3, passes) with
+    passes = sup_c3 < R.
+    """
+    if not 0.0 < R < 1.0:
+        raise ValueError("R must lie in (0, 1)")
+    sup = _c3_sup(rf, t_grid, y_grid)
     return sup, sup < R
 
 
 def restricted_norm(rf: RestrictedFamily, t_grid: int = 33,
                     y_grid: int = 1024) -> FamilyNorm:
-    """Family norm of a restricted map: C3(y) size of the periodic part and
-    the t-derivative deviation bound."""
-    sup_c3 = 0.0
-    max_j = max((j for _, harm in rf.stages for j, _, _ in harm), default=0)
-    y_grid = _grid_for(max_j, y_grid)
-    ys = np.arange(y_grid) / y_grid
-    n = rf.winding
-    for t in np.linspace(0.0, 1.0, t_grid):
-        snap = rf.at(float(t))
-        v, d1, d2, d3 = snap.deriv_tuple(ys)
-        _, b2, b3, b4 = snap.theta_deriv_bounds()
-        sup_c3 = max(
-            sup_c3,
-            float(np.max(np.abs(v - ys - n * float(t)))),
-            float(np.max(np.abs(d1 - 1.0))) + b2 / y_grid,
-            float(np.max(np.abs(d2))) + b3 / y_grid,
-            float(np.max(np.abs(d3))) + b4 / y_grid,
-        )
-    return FamilyNorm(c3_g=sup_c3, c0_dt=rf.dt_sup_dev())
+    """Family norm of a restricted map: the C3(y) size of the periodic part
+    that ``a3_check`` compares against R, and the t-derivative deviation
+    bound."""
+    return FamilyNorm(c3_g=_c3_sup(rf, t_grid, y_grid), c0_dt=rf.dt_sup_bound())
 
 
 def winding_check(rf: RestrictedFamily, t_grid: int = 64, theta_grid: int = 64,

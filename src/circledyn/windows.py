@@ -13,6 +13,7 @@ plateau scan of rho(t) cannot do.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -172,18 +173,24 @@ def lift_rationals(q_max: int, winding) -> list:
     return out
 
 
+def _window_at(fam, tol, grid, pq) -> Window:
+    # module level, so that a process pool can pickle it with its arguments
+    return window_for_rational(fam, pq[0], pq[1], tol, grid)
+
+
 def enumerate_windows(fam, q_max: int, tol: float = 1e-6,
                       grid: int | None = None, map_fn=map) -> list:
     """One window per reduced rational with q <= q_max, in Farey order.
 
-    ``map_fn`` lets a caller substitute a worker pool; results are emitted
-    in deterministic Farey order regardless of completion order.
+    ``map_fn`` lets a caller substitute a worker pool (such as a process
+    pool's ``map``); results are emitted in deterministic Farey order
+    regardless of completion order.
     """
     if q_max < 1:
         raise ValueError("q_max must be >= 1")
     fam.check_diffeo()
     pairs = lift_rationals(q_max, fam.winding)
-    return list(map_fn(lambda pq: window_for_rational(fam, pq[0], pq[1], tol, grid), pairs))
+    return list(map_fn(functools.partial(_window_at, fam, tol, grid), pairs))
 
 
 def locked_measure(fam, q_max: int, mc_samples: int, tol: float = 1e-6,

@@ -199,6 +199,10 @@ def test_criterion_8_determinism(tmp_path):
         "theoremA": ["theoremA", "--input", str(skew_path), "--nmax", "2",
                      "--samples", "300", "--eta-families", "2",
                      "--eta-samples", "200", "--seed", "11"],
+        "skew": ["skew", "--input", str(skew_path), "--nmax", "2",
+                 "--t", "0.1,0.33,0.5,0.71", "--niter", "2000", "--seed", "11"],
+        "tongues": ["tongues", "--input", str(fam_path), "--deltas", "0.5,1.0",
+                    "--qmax", "3", "--seed", "11"],
     }
     ok = True
     for name, args in runs.items():

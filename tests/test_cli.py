@@ -103,6 +103,26 @@ class TestExitCodes:
         assert main(["rho", "--input", arnold_file,
                      "--out", str(tmp_path / "x")]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["windows", "--input", "{family}", "--qmax", "0"],
+        ["rho", "--input", "{family}", "--t", "0.1", "--niter", "-5"],
+        ["rho", "--input", "{family}", "--t", "0.1", "--qmax", "-3"],
+        ["skew", "--input", "{skew}", "--t", "0.1", "--R", "0"],
+        ["theoremA", "--input", "{skew}", "--nmax", "0"],
+        ["rho", "--input", "{family}", "--t", "0.1", "--config", "{conf}"],
+        ["tongues", "--input", "{family}", "--deltas", "0:1"],
+        ["windows", "--input", "{family}", "--qmax", "2", "--seed", "-1"],
+    ], ids=["windows-qmax-0", "rho-niter-neg", "rho-qmax-neg", "skew-R-0",
+            "theoremA-nmax-0", "config-qmax-abc", "tongues-deltas-0:1", "windows-seed-neg"])
+    def test_bad_option_exit_2(self, argv, arnold_file, skew_file, tmp_path, capsys):
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"qmax": "abc"}))
+        out = tmp_path / "outdir"
+        argv = [a.format(family=arnold_file, skew=skew_file, conf=conf) for a in argv]
+        assert main(argv + ["--out", str(out), "--workers", "1"]) == 2
+        assert not out.exists() or not any(out.iterdir())
+        assert "error:" in capsys.readouterr().err
+
     def test_no_partial_files_on_failure(self, unit_profile_file, tmp_path):
         out = tmp_path / "outdir"
         main(["tongues", "--input", unit_profile_file, "--deltas", "0.01,0.2",

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from circledyn.circle_map import TPoly, c3_norm
+from circledyn.circle_map import CircleFamily, TPoly, c3_norm
 from circledyn.errors import DegenerateFiber
 from circledyn.gallery import arnold_skew, c3_scaled_amplitude
 from circledyn.rotation import IRRATIONAL_CANDIDATE, classify
@@ -196,6 +196,35 @@ class TestA3Check:
         rf = restricted_family(F, periodic_circles(2, 1)[0])
         sup, ok = a3_check(rf, 0.9)
         assert not ok and sup > 1.0
+
+    def test_norm_c3_term_is_the_certified_sup(self):
+        # a constant term large enough for the C0 term to bind, so a sup
+        # of |G| without the grid Lipschitz margin would come out smaller
+        F = SkewMap(2, ((0, 0, (0.3,), (0.0,)), (0, 1, (0.0,), (1e-4,))))
+        rf = restricted_family(F, periodic_circles(2, 1)[0])
+        assert restricted_norm(rf).c3_g == a3_check(rf, 0.99)[0]
+
+
+class TestStageStack:
+    def test_one_stage_restriction_equals_circle_family(self):
+        # jx = 0 harmonics only: the fiber over x0 = 0 carries the skew
+        # map's coefficients unchanged, so its n = 1 restriction and the
+        # circle family built from them are the same single stage
+        const = TPoly((0.01, -0.004))
+        a1, b1 = TPoly((0.02, 0.003)), TPoly((0.0, -0.01))
+        a2, b2 = TPoly((-0.005,)), TPoly((0.004, 0.001))
+        F = SkewMap(2, ((0, 0, const, (0.0,)), (0, 1, a1, b1), (0, 2, a2, b2)))
+        rf = restricted_family(F, periodic_circles(2, 1)[0])
+        fam = CircleFamily(1, const, ((1, a1, b1), (2, a2, b2)))
+        ts = np.linspace(0.0, 1.0, 64)
+        step_rf, step_fam = rf.step_factory(ts), fam.step_factory(ts)
+        y_rf = y_fam = np.zeros_like(ts)
+        for _ in range(4096):
+            y_rf, y_fam = step_rf(y_rf), step_fam(y_fam)
+        assert np.array_equal(y_rf, y_fam)
+        for t in (None, 0.0, 0.37, 1.0):
+            assert rf.dtheta_lift_bound(t) == fam.dtheta_lift_bound(t)
+        assert rf.g_sup_bound() == fam.g_sup_bound()
 
 
 def central_derivatives(snap, y, h=1e-7, dps=40):
