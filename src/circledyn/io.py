@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass, field
@@ -83,38 +84,73 @@ def load_json(path) -> dict:
         raise InputError(f"input file not found: {path}")
     except json.JSONDecodeError as e:
         raise InputError(f"{path}: line {e.lineno}, column {e.colno}: {e.msg}")
+    except (OSError, ValueError, RecursionError) as e:
+        # unreadable, not UTF-8, an over-long integer, or nested too deep
+        raise InputError(f"{path}: cannot read: {e}")
 
 
-def _tpoly(obj, where: str) -> TPoly:
-    if isinstance(obj, (int, float)):
-        return TPoly((float(obj),))
-    if isinstance(obj, list) and all(isinstance(v, (int, float)) for v in obj):
-        return TPoly(obj)
-    raise InputError(f"{where}: expected a number or a list of t-polynomial coefficients")
+# The checks below name the file (``where``) and the JSON path of the
+# offending value, such as ``harmonics[0].j``.
+
+def _object(value, where: str, path: str):
+    if not isinstance(value, dict):
+        raise InputError(f"{where}: {path} must be a JSON object, got {type(value).__name__}")
+
+
+def _integer(value, where: str, path: str, low: int | None = None) -> int:
+    # bool is an int subclass, but JSON true is not a number
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputError(f"{where}: {path} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise InputError(f"{where}: {path} must be >= {low}, got {value}")
+    return value
+
+
+def _number(value, where: str, path: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InputError(f"{where}: {path} must be a number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:
+        raise InputError(f"{where}: {path} is an integer beyond the float range")
+    if not math.isfinite(x):
+        raise InputError(f"{where}: {path} must be finite, got {x!r}")
+    return x
+
+
+def _tpoly(value, where: str, path: str) -> TPoly:
+    """A number, or a list of t-polynomial coefficients in ascending degree."""
+    if isinstance(value, list):
+        return TPoly(tuple(_number(v, where, f"{path}[{k}]") for k, v in enumerate(value)))
+    return TPoly((_number(value, where, path),))
+
+
+def _harmonics(d: dict, where: str, keys, low):
+    """(integer indices, TPoly a, TPoly b) of each entry of d["harmonics"]."""
+    entries = d.get("harmonics", [])
+    if not isinstance(entries, list):
+        raise InputError(f"{where}: harmonics must be a list, got {type(entries).__name__}")
+    out = []
+    for i, h in enumerate(entries):
+        path = f"harmonics[{i}]"
+        _object(h, where, path)
+        for key in keys:
+            if key not in h:
+                raise InputError(f"{where}: {path} is missing {key!r}")
+        out.append(
+            tuple(_integer(h[key], where, f"{path}.{key}", low) for key in keys)
+            + (_tpoly(h.get("a", 0.0), where, f"{path}.a"),
+               _tpoly(h.get("b", 0.0), where, f"{path}.b"))
+        )
+    return tuple(out)
 
 
 def family_from_dict(d: dict, where: str = "family") -> CircleFamily:
-    try:
-        winding = int(d.get("winding", 1))
-    except (TypeError, ValueError):
-        raise InputError(f"{where}: 'winding' must be an integer")
-    if winding < 1:
-        raise InputError(f"{where}: 'winding' must be >= 1")
-    harmonics = []
-    for i, h in enumerate(d.get("harmonics", [])):
-        if "j" not in h:
-            raise InputError(f"{where}: harmonic #{i} is missing 'j'")
-        harmonics.append(
-            (
-                int(h["j"]),
-                _tpoly(h.get("a", 0.0), f"{where}: harmonic #{i} 'a'"),
-                _tpoly(h.get("b", 0.0), f"{where}: harmonic #{i} 'b'"),
-            )
-        )
+    _object(d, where, "the top level")
     return CircleFamily(
-        winding,
-        _tpoly(d.get("const", 0.0), f"{where}: 'const'"),
-        tuple(harmonics),
+        _integer(d.get("winding", 1), where, "winding", 1),
+        _tpoly(d.get("const", 0.0), where, "const"),
+        _harmonics(d, where, ("j",), 1),
         label=str(d.get("label", "")),
     )
 
@@ -124,25 +160,20 @@ def load_family(path) -> CircleFamily:
 
 
 def skew_from_dict(d: dict, where: str = "skew map") -> SkewMap:
-    try:
-        m = int(d["m"])
-    except KeyError:
+    _object(d, where, "the top level")
+    if "m" not in d:
         raise InputError(f"{where}: missing base 'm'")
-    except (TypeError, ValueError):
-        raise InputError(f"{where}: 'm' must be an integer")
-    harmonics = []
-    for i, h in enumerate(d.get("harmonics", [])):
-        if "jx" not in h or "jy" not in h:
-            raise InputError(f"{where}: harmonic #{i} needs 'jx' and 'jy'")
-        harmonics.append(
-            (
-                int(h["jx"]),
-                int(h["jy"]),
-                _tpoly(h.get("a", 0.0), f"{where}: harmonic #{i} 'a'"),
-                _tpoly(h.get("b", 0.0), f"{where}: harmonic #{i} 'b'"),
-            )
-        )
-    return SkewMap(m, tuple(harmonics), label=str(d.get("label", "")))
+    F = SkewMap(
+        _integer(d["m"], where, "m", 2),
+        _harmonics(d, where, ("jx", "jy"), None),
+        label=str(d.get("label", "")),
+    )
+    # entries with equal (jx, jy) are summed, which can overflow
+    for jx, jy, a, b in F.harmonics:
+        if not all(math.isfinite(c) for c in a.coeffs + b.coeffs):
+            raise InputError(f"{where}: harmonics with (jx, jy) = ({jx}, {jy}) "
+                             "sum to a non-finite coefficient")
+    return F
 
 
 def load_skew(path) -> SkewMap:

@@ -71,6 +71,7 @@ def test_criterion_2_closed_form_window():
            f"edges [-0.1, 0.1] hit to {max(lo_err, hi_err):.1e}", elapsed, 5.0)
 
 
+@pytest.mark.slow
 def test_criterion_3_arnold_limits():
     t0 = time.perf_counter()
     amps = (0.02, 0.05, 0.1, 0.15)
@@ -123,6 +124,7 @@ def test_criterion_5_skew_consistency():
            elapsed, 30.0)
 
 
+@pytest.mark.slow
 def test_criterion_6_intersection_decay_proxy():
     t0 = time.perf_counter()
     F = arnold_skew(2, c3_scaled_amplitude(0.05))

@@ -123,6 +123,31 @@ class TestExitCodes:
         assert not out.exists() or not any(out.iterdir())
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cmd,text", [
+        ("rho", '{"harmonics": [{"j": "x", "b": [0.1]}]}'),
+        ("rho", '{"harmonics": [{"j": 1.5, "b": [0.1]}]}'),
+        ("rho", '{"harmonics": [{"j": true, "b": [0.1]}]}'),
+        ("rho", '[{"j": 1, "b": [0.1]}]'),
+        ("rho", '{"harmonics": {"j": 1, "b": [0.1]}}'),
+        ("rho", '{"harmonics": [1]}'),
+        ("rho", '{"harmonics": [{"j": 1, "a": [NaN], "b": [0.1]}]}'),
+        ("rho", '{"const": Infinity, "harmonics": [{"j": 1, "b": [0.1]}]}'),
+        ("skew", '{"m": 2, "harmonics": [{"jx": 0, "jy": 1, "b": [NaN]}]}'),
+        ("skew", '{"m": 2, "harmonics": [{"jx": "0", "jy": 1, "b": [0.001]}]}'),
+        ("skew", '{"m": 2, "harmonics": [{"jx": 0, "jy": 1.5, "b": [0.001]}]}'),
+        ("rho", "[" * 100_000 + "]" * 100_000),
+    ], ids=["j-str", "j-float", "j-bool", "top-list", "harmonics-object", "harmonic-int",
+            "coeff-nan", "const-inf", "skew-coeff-nan", "skew-jx-str", "skew-jy-float", "nested-too-deep"])
+    def test_bad_definition_file_exit_2(self, cmd, text, tmp_path, capsys):
+        path = tmp_path / "def.json"
+        path.write_text(text)
+        out = tmp_path / "outdir"
+        assert main([cmd, "--input", str(path), "--t", "0.1", "--out", str(out),
+                     "--workers", "1"]) == 2
+        assert not out.exists() or not any(out.iterdir())
+        err = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+        assert err and str(path) in err[0]
+
     def test_no_partial_files_on_failure(self, unit_profile_file, tmp_path):
         out = tmp_path / "outdir"
         main(["tongues", "--input", unit_profile_file, "--deltas", "0.01,0.2",

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from circledyn import rotation, windows
+from circledyn.circle_map import CircleFamily, TPoly
 from circledyn.errors import DegenerateFamily, InsufficientData, NoLockInBracket
 from circledyn.gallery import arnold_family, rigid_family
 from circledyn.rotation import LOCKED, NOT_LOCKED, UNRESOLVED, is_locked
@@ -81,14 +83,138 @@ class TestEnumerateWindows:
 
 class TestBoundaryMonotonicity:
     def test_displacement_extrema_increase_in_t(self):
-        from circledyn.windows import _disp_extrema
+        from circledyn.windows import _disp_extremum
 
         fam = arnold_family(0.1)
+        thetas = np.arange(2048) / 2048
         for q, p in [(1, 0), (2, 1), (3, 1)]:
             ts = np.sort(RNG.uniform(0, 1, 8))
-            los, his = zip(*(_disp_extrema(fam, float(t), p, q, 2048) for t in ts))
+            los = [_disp_extremum(fam, float(t), p, q, thetas, "hi")[0] for t in ts]
+            his = [_disp_extremum(fam, float(t), p, q, thetas, "lo")[0] for t in ts]
             assert all(a < b for a, b in zip(los, los[1:]))
             assert all(a < b for a, b in zip(his, his[1:]))
+
+
+def plain_edge_root(fam, p, q, edge, t_seed, radius0, tol, grid):
+    """The edge solver as it was before the branch predictor: geometric
+    expansion, then bisection that evaluates B at every midpoint."""
+
+    def B(t):
+        disp = rotation._lift_q_displacement(fam, t, q, p, np.arange(grid) / grid)
+        lo, hi = float(np.min(disp)), float(np.max(disp))
+        return hi if edge == "lo" else lo
+
+    r = max(radius0, 4.0 * tol)
+    u, v = t_seed - r, t_seed + r
+    fu, fv = B(u), B(v)
+    for _ in range(64):
+        if fu < 0.0:
+            break
+        r *= 2.0
+        u = t_seed - r
+        fu = B(u)
+    for _ in range(64):
+        if fv > 0.0:
+            break
+        r *= 2.0
+        v = t_seed + r
+        fv = B(v)
+    if fu >= 0.0 or fv <= 0.0:
+        raise NoLockInBracket(
+            f"could not bracket the {edge} edge of the {p}/{q} window near t={t_seed:g}"
+        )
+    for _ in range(windows.MAX_BISECT):
+        if (v - u) / 2.0 <= tol:
+            break
+        mid = 0.5 * (u + v)
+        if B(mid) > 0.0:
+            v = mid
+        else:
+            u = mid
+    return 0.5 * (u + v), 0.5 * (v - u)
+
+
+def count_grid_evals(m):
+    """List that records the q of each full-grid B evaluation (a scalar t
+    over the whole theta grid) once ``m`` has patched the displacement."""
+    calls = []
+    real = rotation._lift_q_displacement
+
+    def counting(fam, t, q, p, thetas):
+        if np.ndim(t) == 0 and np.size(thetas) == rotation.lock_grid_size(q):
+            calls.append(q)
+        return real(fam, t, q, p, thetas)
+
+    m.setattr(rotation, "_lift_q_displacement", counting)
+    return calls
+
+
+def edge_windows(monkeypatch, fam, q_max, tol, edge_root=None, predict=None):
+    """Windows of every p/q with q <= q_max, and the number of full-grid B
+    evaluations they took."""
+    with monkeypatch.context() as m:
+        calls = count_grid_evals(m)
+        if edge_root is not None:
+            m.setattr(windows, "_edge_root", edge_root)
+        if predict is not None:
+            m.setattr(windows, "_predict_root", predict)
+        out = [window_for_rational(fam, p, q, tol)
+               for p, q in windows.lift_rationals(q_max, fam.winding)]
+    return out, len(calls)
+
+
+def as_bits(ws):
+    return [(w.p, w.q, w.t_lo, w.t_hi, w.width, w.bracket_radius) for w in ws]
+
+
+EDGE_FAMILIES = {
+    "arnold": (arnold_family(0.1), 8),
+    "two-harmonic-phased": (CircleFamily(1, TPoly((0.0,)), (
+        (1, TPoly((0.03,)), TPoly((0.1,))), (2, TPoly((0.02,)), TPoly((-0.01,))))), 6),
+    "winding-2-t-dependent": (CircleFamily(2, TPoly((0.01, 0.02)), (
+        (1, TPoly((0.0, 0.02)), TPoly((0.05, 0.01))),)), 4),
+    "rigid": (rigid_family(), 5),
+    "renormalized": (arnold_family(0.05).renormalized(0.3, 0.7), 5),
+    # t-derivative bound 1.5 >= winding 1: monotonicity is not certified,
+    # so every midpoint is evaluated
+    "uncertified": (CircleFamily(1, TPoly((0.0, 1.5)), (
+        (1, TPoly((0.0,)), TPoly((0.1,))),)), 3),
+}
+
+
+class TestEdgeReplay:
+    """The predicted edge solver returns plain bisection's windows bit for
+    bit; the predictor only decides which midpoints are evaluated."""
+
+    @pytest.mark.parametrize("name,tol", [("arnold", 1e-7)]
+                             + [(name, 1e-9) for name in EDGE_FAMILIES])
+    def test_bit_identical_to_plain_bisection(self, monkeypatch, name, tol):
+        fam, q_max = EDGE_FAMILIES[name]
+        new, n_new = edge_windows(monkeypatch, fam, q_max, tol)
+        old, n_old = edge_windows(monkeypatch, fam, q_max, tol, edge_root=plain_edge_root)
+        assert as_bits(new) == as_bits(old)
+        if name == "uncertified":
+            assert n_new == n_old
+        if name == "rigid":
+            assert all(w.width == 0.0 for w in new)
+
+    @pytest.mark.parametrize("wrong", ["nan", "lower-end", "upper-end"])
+    def test_wrong_prediction_costs_only_evaluations(self, monkeypatch, wrong):
+        def predict(fam, p, q, edge, thetas, u, du, v, dv, tol):
+            return {"nan": math.nan, "lower-end": u, "upper-end": v}[wrong]
+
+        fam = arnold_family(0.1)
+        good, n_good = edge_windows(monkeypatch, fam, 5, 1e-8)
+        bad, n_bad = edge_windows(monkeypatch, fam, 5, 1e-8, predict=predict)
+        old, _ = edge_windows(monkeypatch, fam, 5, 1e-8, edge_root=plain_edge_root)
+        assert as_bits(bad) == as_bits(good) == as_bits(old)
+        assert n_bad >= n_good
+
+    def test_evaluation_budget(self, monkeypatch):
+        calls = count_grid_evals(monkeypatch)
+        ws = enumerate_windows(arnold_family(0.1), 8, tol=1e-7)
+        per_edge = len(calls) / (2 * len(ws))
+        assert per_edge <= 6.0, f"{per_edge:.2f} full-grid evaluations per edge"
 
 
 class TestRenormalizationCovariance:
