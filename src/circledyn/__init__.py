@@ -11,7 +11,6 @@ from .circle_map import (
     TPoly,
     TrigPoly,
     c3_norm,
-    eval_lift,
     family_norm,
     iterate_lift,
 )

@@ -25,7 +25,7 @@ from .errors import DegenerateFamily
 
 TAU = 2.0 * math.pi
 
-# Grid sizes below are floors; callers may pass larger grids.
+# Scan grids: theta points (a floor, raised for high harmonics) and t points.
 DEFAULT_THETA_GRID = 4096
 DEFAULT_T_GRID = 129
 
@@ -160,7 +160,9 @@ def c3_norm(p: TrigPoly, grid: int = DEFAULT_THETA_GRID) -> float:
 @dataclass(frozen=True)
 class FamilyNorm:
     """Norm data for a parameterized family: C3 norm of the periodic part and
-    the C0 norm of its t-derivative.  Both are certified upper bounds."""
+    the C0 norm of its t-derivative.  ``c0_dt`` is a certified upper bound;
+    so is ``c3_g`` from :func:`family_norm`, but ``skew.restricted_norm``
+    certifies its theta sup only at 33 grid values of t."""
 
     c3_g: float
     c0_dt: float
@@ -270,18 +272,18 @@ class StageStack:
 
     # -- validity -----------------------------------------------------------
 
-    def check_diffeo(self, t_grid: int = DEFAULT_T_GRID, theta_grid: int = DEFAULT_THETA_GRID):
+    def check_diffeo(self):
         """Raise ``degenerate`` when 1 + d/dy p_i <= 0 is witnessed for a stage.
 
         A coefficient bound < 1 certifies every stage outright; otherwise
-        the snapshot at each point of a t grid is scanned on a dense theta
-        grid (:meth:`ComposedCircleMap.check_diffeo`).
+        the snapshot at each of DEFAULT_T_GRID values of t is scanned on a
+        dense theta grid (:meth:`ComposedCircleMap.check_diffeo`).
         """
         if all(_dy_bound(harm) < 1.0 for _, _, harm in self.stack):
             return
-        for t in np.linspace(0.0, 1.0, t_grid):
+        for t in np.linspace(0.0, 1.0, DEFAULT_T_GRID):
             self.at(float(t)).check_diffeo(
-                theta_grid, self.degenerate, f" at t={float(t):.6g} of {self.label!r}"
+                self.degenerate, f" at t={float(t):.6g} of {self.label!r}"
             )
 
 
@@ -350,11 +352,6 @@ class CircleFamily(StageStack):
         )
 
 
-def eval_lift(f: CircleFamily, t: float, theta: float) -> float:
-    """Lift of f_t at theta: theta + winding * t + g_t(theta)."""
-    return f.lift(t, theta)
-
-
 def iterate_lift(f, t, theta, n: int):
     """n-fold composition of the lift of ``f`` at parameter t.
 
@@ -368,23 +365,19 @@ def iterate_lift(f, t, theta, n: int):
     return out
 
 
-def family_norm(
-    f: CircleFamily,
-    grid: int = DEFAULT_THETA_GRID,
-    t_grid: int = DEFAULT_T_GRID,
-    check: bool = True,
-) -> FamilyNorm:
+def family_norm(f: CircleFamily, check: bool = True) -> FamilyNorm:
     """Norm of a family: sup_t of the C3 norm of g_t, and sup |dg/dt|.
 
-    The t sweep uses a dense grid with a Lipschitz-in-t margin, so ``c3_g``
-    is a certified upper bound.  Raises DegenerateFamily when the
-    diffeomorphism condition fails on the scan grid; ``check=False`` skips
-    that (used when measuring a raw family before rescaling it into range).
+    The t sweep uses a grid of DEFAULT_T_GRID points with a Lipschitz-in-t
+    margin, so ``c3_g`` is a certified upper bound.  Raises DegenerateFamily
+    when the diffeomorphism condition fails on the scan grid; ``check=False``
+    skips that (used when measuring a raw family before rescaling it into
+    range).
     """
     if check:
-        f.check_diffeo(t_grid=t_grid, theta_grid=grid)
-    ts = np.linspace(0.0, 1.0, t_grid)
-    c3 = max(c3_norm(p, grid) for t in ts for _, p in f.at(float(t)).stages)
+        f.check_diffeo()
+    ts = np.linspace(0.0, 1.0, DEFAULT_T_GRID)
+    c3 = max(c3_norm(p) for t in ts for _, p in f.at(float(t)).stages)
     # |d/dt of any theta-derivative up to order 3| bound for the t margin
     dt_rate = 0.0
     for k in range(4):
@@ -395,7 +388,7 @@ def family_norm(
         if k == 0:
             s += f.const.deriv().abs_bound()
         dt_rate = max(dt_rate, s)
-    c3 += dt_rate / (t_grid - 1)
+    c3 += dt_rate / (DEFAULT_T_GRID - 1)
     return FamilyNorm(c3_g=c3, c0_dt=f.dt_sup_bound())
 
 
@@ -450,8 +443,7 @@ class ComposedCircleMap:
             )
         return h
 
-    def check_diffeo(self, theta_grid: int = DEFAULT_THETA_GRID,
-                     error=DegenerateFamily, where: str = ""):
+    def check_diffeo(self, error=DegenerateFamily, where: str = ""):
         """Raise ``error`` when 1 + p_i' <= 0 on a dense theta grid for some
         stage; a stage whose coefficient bound is < 1 is certified outright.
 
@@ -461,7 +453,7 @@ class ComposedCircleMap:
         for i, (_, p) in enumerate(self.stages):
             if p.deriv_bound(1) < 1.0:
                 continue
-            grid = _grid_for(p.max_harmonic(), theta_grid)
+            grid = _grid_for(p.max_harmonic(), DEFAULT_THETA_GRID)
             xs = np.arange(grid) / grid
             if float(np.min(1.0 + p.deriv(1)(xs))) <= 0.0:
                 raise error(f"stage {i + 1} is not a diffeomorphism{where}")

@@ -131,7 +131,8 @@ def _merge_config(sub: str, args: argparse.Namespace) -> RunConfig:
     for key, val in vars(args).items():
         if key in ("config", "func") or val is None:
             continue
-        values[key] = val
+        # argparse hands a list, not a number, to ``--qmax=--``
+        values[key] = _coerce(key, val, f"--{key.replace('_', '-')}")
     _check_ranges(values)
     return RunConfig(sub, values)
 
@@ -164,15 +165,19 @@ class _Pool:
 
 
 def _floats(raw: str, flag: str, sweep: bool = False) -> list:
-    """Floats from a comma list, or from a:b:n (n points from a to b)."""
+    """Finite floats from a comma list, or from a:b:n (n points from a to b)."""
     try:
         if sweep:
             a, b, n = raw.split(":")
-            return np.linspace(float(a), float(b), int(n)).tolist()
-        return [float(v) for v in raw.split(",")]
+            out = np.linspace(float(a), float(b), int(n)).tolist()
+        else:
+            out = [float(v) for v in raw.split(",")]
+        if all(map(math.isfinite, out)):
+            return out
     except ValueError:
-        form = "a:b:n" if sweep else "a comma list of numbers"
-        raise InputError(f"{flag} expects {form}, got {raw!r}")
+        pass
+    form = "a:b:n" if sweep else "a comma list of numbers"
+    raise InputError(f"{flag} expects {form}, all finite, got {raw!r}")
 
 
 def _parse_t_values(cfg: RunConfig):
@@ -244,11 +249,14 @@ def cmd_dio(cfg: RunConfig) -> int:
     raw = cfg.values.get("C")
     if not raw:
         raise InputError("--C is required (one value or a comma list)")
-    grid = cfg.grid or 100_000
+    try:
+        params = [DioParams(c, cfg.nmax, cfg.grid or 100_000) for c in _floats(str(raw), "--C")]
+    except ValueError as e:
+        raise InputError(f"--C: {e}")
     rows = []
-    for c in _floats(str(raw), "--C"):
-        m = dio_measure(DioParams(c, cfg.nmax, grid))
-        rows.append((c, cfg.nmax, m.estimate, m.analytic_lower, m.grid_error))
+    for p in params:
+        m = dio_measure(p)
+        rows.append((p.C, p.n_max, m.estimate, m.analytic_lower, m.grid_error))
     _finish(cfg, {"dio.csv": ("dio", rows)}, inputs={})
     return 0
 
@@ -257,16 +265,8 @@ def cmd_skew(cfg: RunConfig) -> int:
     F = io.load_skew(cfg.input)
     ts = _parse_t_values(cfg)
     n_iter = cfg.niter or rotation.CLASSIFY_N_ITER
-    circle_rows = []
-    eligible = []
-    for circle in skew.periodic_circles(F.m, cfg.nmax):
-        rf = skew.restricted_family(F, circle)
-        sup_c3, ok = skew.a3_check(rf, cfg.R)
-        circle_rows.append(
-            (circle.k, circle.n, circle.x0.numerator, circle.x0.denominator, sup_c3, ok)
-        )
-        if ok:
-            eligible.append((circle, rf, sup_c3))
+    checks = skew.circle_checks(F, cfg.nmax, cfg.R)
+    eligible = [(c, rf, sup_c3) for c, rf, sup_c3, ok in checks if ok]
     search = functools.partial(skew.quasi_search, F, n_max=cfg.nmax, q_max=cfg.qmax,
                                R=cfg.R, n_iter=n_iter, candidates=eligible)
     with _Pool(_workers(cfg)) as pool:
@@ -277,7 +277,10 @@ def cmd_skew(cfg: RunConfig) -> int:
         for t, hit in zip(ts, hits)
     ]
     files = {
-        "circles.csv": ("circles", circle_rows),
+        "circles.csv": ("circles", [
+            (c.k, c.n, c.x0.numerator, c.x0.denominator, sup_c3, ok)
+            for c, _, sup_c3, ok in checks
+        ]),
         "search.csv": ("search", search_rows),
     }
     _finish(cfg, files, inputs={"skew": cfg.input},
@@ -288,13 +291,7 @@ def cmd_skew(cfg: RunConfig) -> int:
 def cmd_theoremA(cfg: RunConfig) -> int:
     F = io.load_skew(cfg.input)
     n_iter = cfg.niter or rotation.CLASSIFY_N_ITER
-    fams = []
-    seen = set()
-    for circle in skew.periodic_circles(F.m, cfg.nmax):
-        if circle.n in seen:
-            continue
-        seen.add(circle.n)
-        fams.append(skew.restricted_family(F, circle))
+    fams = skew.first_per_period(F, cfg.nmax)
     with _Pool(_workers(cfg)) as pool:
         res = intersection_measure(fams, cfg.samples, q_max=cfg.qmax, seed=cfg.seed,
                                    n_iter=n_iter, map_fn=pool.map)

@@ -124,18 +124,18 @@ class EtaCurve:
         return self.eta[max(idx, 0)]
 
 
-def sample_family(rng: np.random.Generator, r: float,
-                  max_harmonic: int = 4) -> CircleFamily:
+def sample_family(rng: np.random.Generator, r: float) -> CircleFamily:
     """Random winding-1 family with norm rescaled to hit r exactly.
 
-    Harmonic coefficients are degree-1 polynomials in t, so both norm
-    components are exercised.  Rescaling is safe: the norm is linear in the
-    periodic part, and c3 = r < 1 forces the diffeomorphism condition.
+    One to three distinct harmonics j <= 4 are drawn, with coefficients
+    of degree 1 in t, so both norm components are exercised.  Rescaling
+    is safe: the norm is linear in the periodic part, and c3 = r < 1
+    forces the diffeomorphism condition.
     """
     if r < 0.0:
         raise ValueError("r must be >= 0")
     n_h = int(rng.integers(1, 4))
-    js = rng.choice(np.arange(1, max_harmonic + 1), size=n_h, replace=False)
+    js = rng.choice(np.arange(1, 5), size=n_h, replace=False)
     harmonics = []
     for j in sorted(int(j) for j in js):
         a = TPoly((rng.normal(), 0.3 * rng.normal()))
@@ -182,8 +182,8 @@ class RenormResult:
 
 
 def renormalization_check(families, J, q_max: int = 30, seed: int = 0,
-                          eta_hat: float | None = None, mc_samples: int = 2000,
-                          n_iter: int = rotation.CLASSIFY_N_ITER) -> RenormResult:
+                          eta_hat: float | None = None,
+                          mc_samples: int = 2000) -> RenormResult:
     """Search the family list for the first member whose locked set fills
     less than eta_hat of the interval J.
 
@@ -199,11 +199,11 @@ def renormalization_check(families, J, q_max: int = 30, seed: int = 0,
     if eta_hat is None:
         r_star = max(norm_value(f) for f in families)
         eta_hat = eta_curve([r_star], 6, q_max=q_max, seed=seed,
-                            mc_samples=mc_samples, n_iter=n_iter).eta[-1]
+                            mc_samples=mc_samples).eta[-1]
     ts = a + (b - a) * make_rng(seed, 2).random(mc_samples)
     best = np.inf
     for i, fam in enumerate(families):
-        results = rotation.classify_batch(fam, ts, q_max=q_max, n_iter=n_iter)
+        results = rotation.classify_batch(fam, ts, q_max=q_max)
         ratio = float(np.mean([r.classification == rotation.LOCKED for r in results]))
         if ratio < eta_hat:
             return RenormResult(i + 1, ratio, eta_hat)

@@ -18,6 +18,9 @@ from .circle_map import CircleFamily, TPoly
 from .errors import InputError
 from .skew import SkewMap
 
+# largest harmonic index j or |jy| accepted: scan grids hold 8j + 8 points
+MAX_HARMONIC = 1024
+
 CSV_SCHEMAS = {
     "rho": ("t", "rho", "error_bound", "classification", "p", "q"),
     "windows": ("p", "q", "t_lo", "t_hi", "width", "bracket_radius"),
@@ -126,7 +129,8 @@ def _tpoly(value, where: str, path: str) -> TPoly:
 
 
 def _harmonics(d: dict, where: str, keys, low):
-    """(integer indices, TPoly a, TPoly b) of each entry of d["harmonics"]."""
+    """(integer indices, TPoly a, TPoly b) of each entry of d["harmonics"].
+    The last index (j or jy) is the circle harmonic, capped at MAX_HARMONIC."""
     entries = d.get("harmonics", [])
     if not isinstance(entries, list):
         raise InputError(f"{where}: harmonics must be a list, got {type(entries).__name__}")
@@ -137,11 +141,12 @@ def _harmonics(d: dict, where: str, keys, low):
         for key in keys:
             if key not in h:
                 raise InputError(f"{where}: {path} is missing {key!r}")
-        out.append(
-            tuple(_integer(h[key], where, f"{path}.{key}", low) for key in keys)
-            + (_tpoly(h.get("a", 0.0), where, f"{path}.a"),
-               _tpoly(h.get("b", 0.0), where, f"{path}.b"))
-        )
+        idx = tuple(_integer(h[key], where, f"{path}.{key}", low) for key in keys)
+        if abs(idx[-1]) > MAX_HARMONIC:
+            raise InputError(f"{where}: {path}.{keys[-1]} must be at most {MAX_HARMONIC} "
+                             f"in absolute value, got {idx[-1]}")
+        out.append(idx + (_tpoly(h.get("a", 0.0), where, f"{path}.a"),
+                          _tpoly(h.get("b", 0.0), where, f"{path}.b")))
     return tuple(out)
 
 

@@ -53,10 +53,10 @@ class LockCheck:
     witness: float | None = None
 
 
-def lock_grid_size(q: int, base: int = 4096) -> int:
-    """Theta-grid resolution policy: ``base`` for q <= 20, doubled per
+def lock_grid_size(q: int) -> int:
+    """Theta-grid resolution policy: 4096 for q <= 20, doubled per
     additional 10 in q."""
-    return base * 2 ** max(0, math.ceil((q - 20) / 10))
+    return 4096 * 2 ** max(0, math.ceil((q - 20) / 10))
 
 
 def circle_dist(a: float, b: float) -> float:
@@ -64,16 +64,9 @@ def circle_dist(a: float, b: float) -> float:
     return min(d, 1.0 - d)
 
 
-def _displacement(fam, t, theta0: float, n_iter: int) -> float:
-    step = fam.step_factory(t)
-    theta = np.asarray(theta0, dtype=float)
-    for _ in range(n_iter):
-        theta = step(theta)
-    return (float(theta) - theta0) / n_iter
-
-
 def displacement_batch(fam, ts, theta0: float = 0.0, n_iter: int = CLASSIFY_N_ITER):
-    """Mean lift displacement per iterate for an array of parameters."""
+    """Mean lift displacement per iterate for an array of parameters (or a
+    single one, as a 0-d array)."""
     ts = np.asarray(ts, dtype=float)
     step = fam.step_factory(ts)
     theta = np.full_like(ts, theta0)
@@ -90,7 +83,7 @@ def rho_estimate(fam, t, theta0: float = 0.0, n_iter: int = DEFAULT_N_ITER) -> R
     """
     if n_iter < 1:
         raise ValueError("n_iter must be >= 1")
-    disp = _displacement(fam, t, theta0, n_iter)
+    disp = float(displacement_batch(fam, t, theta0=theta0, n_iter=n_iter))
     return RotationResult(
         estimate=disp % 1.0,
         error_bound=1.0 / n_iter,
@@ -108,13 +101,12 @@ def _lift_q_displacement(fam, t, q: int, p: int, thetas):
     return out - start - p
 
 
-def is_locked(fam, t, p: int, q: int, grid: int | None = None,
-              witness_tol: float = WITNESS_TOL) -> LockCheck:
+def is_locked(fam, t, p: int, q: int, grid: int | None = None) -> LockCheck:
     """Test whether f_t has a q-periodic orbit with lift displacement p.
 
     Works on D(theta) = lift^q(theta) - theta - p over a dense grid:
 
-    * a sign change (or |D| below ``witness_tol``) certifies a periodic
+    * a sign change (or |D| below ``WITNESS_TOL``) certifies a periodic
       point, hence rho = p/q exactly; the witness theta* is returned;
     * min D > margin or max D < -margin certifies no periodic point, where
       the margin covers the grid interpolation error;
@@ -129,7 +121,7 @@ def is_locked(fam, t, p: int, q: int, grid: int | None = None,
     disp = _lift_q_displacement(fam, t, q, p, thetas)
 
     i_min = int(np.argmin(np.abs(disp)))
-    if abs(disp[i_min]) <= witness_tol:
+    if abs(disp[i_min]) <= WITNESS_TOL:
         return LockCheck(LOCKED, float(thetas[i_min] % 1.0))
 
     sign = np.sign(disp)
@@ -141,7 +133,7 @@ def is_locked(fam, t, p: int, q: int, grid: int | None = None,
         for _ in range(80):
             mid = 0.5 * (lo + hi)
             f_mid = float(_lift_q_displacement(fam, t, q, p, mid))
-            if abs(f_mid) <= witness_tol:
+            if abs(f_mid) <= WITNESS_TOL:
                 return LockCheck(LOCKED, mid % 1.0)
             if (f_mid > 0) == (f_lo > 0):
                 lo, f_lo = mid, f_mid
@@ -155,25 +147,16 @@ def is_locked(fam, t, p: int, q: int, grid: int | None = None,
     return LockCheck(UNRESOLVED, None)
 
 
-def _candidates(displacement: float, error_bound: float, q_max: int):
-    return farey.fractions_in_interval(
-        displacement - error_bound, displacement + error_bound, q_max
-    )
-
-
-def _normalize_pq(p: int, q: int):
-    return (p % q, q) if q > 1 else (0, 1)
-
-
-def _decide(fam, t, disp: float, n_iter: int, q_max: int, grid) -> RotationResult:
+def _decide(fam, t, disp: float, n_iter: int, q_max: int) -> RotationResult:
     """Try every candidate p/q within the 1/n_iter error bar of the mean
     displacement ``disp``, cheapest denominator first."""
     err = 1.0 / n_iter
-    unresolved = False
-    for p, q in _candidates(disp, err, q_max):
-        chk = is_locked(fam, t, p, q, grid=grid)
+    # an orbit that overflowed the float range leaves nothing to test
+    unresolved = not math.isfinite(disp)
+    for p, q in [] if unresolved else farey.fractions_in_interval(disp - err, disp + err, q_max):
+        chk = is_locked(fam, t, p, q)
         if chk.status == LOCKED:
-            pr, qr = _normalize_pq(p, q)
+            pr, qr = (p % q, q) if q > 1 else (0, 1)
             return RotationResult(disp % 1.0, err, n_iter, LOCKED, pr, qr,
                                   chk.witness, disp)
         if chk.status == UNRESOLVED:
@@ -182,8 +165,7 @@ def _decide(fam, t, disp: float, n_iter: int, q_max: int, grid) -> RotationResul
     return RotationResult(disp % 1.0, err, n_iter, cls, displacement=disp)
 
 
-def classify(fam, t, q_max: int = 30, n_iter: int = CLASSIFY_N_ITER,
-             theta0: float = 0.0, grid: int | None = None) -> RotationResult:
+def classify(fam, t, q_max: int = 30, n_iter: int = CLASSIFY_N_ITER) -> RotationResult:
     """Classify f_t as locked at some p/q (q <= q_max), irrational candidate,
     or unresolved.
 
@@ -193,22 +175,20 @@ def classify(fam, t, q_max: int = 30, n_iter: int = CLASSIFY_N_ITER,
     is deliberately weaker than conjugacy to an irrational rotation, which
     no finite computation can certify.
     """
-    base = rho_estimate(fam, t, theta0=theta0, n_iter=n_iter)
-    return _decide(fam, t, base.displacement, n_iter, q_max, grid)
+    base = rho_estimate(fam, t, n_iter=n_iter)
+    return _decide(fam, t, base.displacement, n_iter, q_max)
 
 
-def classify_batch(fam, ts, q_max: int = 30, n_iter: int = CLASSIFY_N_ITER,
-                   theta0: float = 0.0, grid: int | None = None):
+def classify_batch(fam, ts, q_max: int = 30, n_iter: int = CLASSIFY_N_ITER):
     """Classify many parameter values; the rho sweep is vectorized and the
     (rare) lock checks run per sample.  Returns a list of RotationResult."""
     ts = np.asarray(ts, dtype=float)
-    disps = displacement_batch(fam, ts, theta0=theta0, n_iter=n_iter)
-    return [_decide(fam, float(t), float(d), n_iter, q_max, grid) for t, d in zip(ts, disps)]
+    disps = displacement_batch(fam, ts, n_iter=n_iter)
+    return [_decide(fam, float(t), float(d), n_iter, q_max) for t, d in zip(ts, disps)]
 
 
-def equidistribution_test(fam, t, theta0: float = 0.0, n_iter: int = 100_000,
-                          bins: int = 100) -> float:
-    """Histogram the orbit of theta0 mod 1 and report the largest deviation
+def equidistribution_test(fam, t, n_iter: int = 100_000, bins: int = 100) -> float:
+    """Histogram the orbit of 0 mod 1 and report the largest deviation
     of a bin's mass from uniform.
 
     Raises EmptyBin when some bin is never visited, which is the practical
@@ -220,7 +200,7 @@ def equidistribution_test(fam, t, theta0: float = 0.0, n_iter: int = 100_000,
     if bins < 1:
         raise ValueError("bins must be >= 1")
     step = fam.step_factory(t)
-    theta = np.asarray(theta0, dtype=float)
+    theta = np.asarray(0.0)
     orbit = np.empty(n_iter)
     for i in range(n_iter):
         theta = step(theta)

@@ -19,6 +19,10 @@ from . import rotation
 from .circle_map import TAU, FamilyNorm, StageStack, TPoly, _grid_for
 from .errors import DegenerateFiber
 
+# C3 sup of a restricted map: t values with a certified theta sup, y-grid floor
+C3_T_GRID = 33
+C3_Y_GRID = 1024
+
 
 @dataclass(frozen=True)
 class SkewMap:
@@ -125,8 +129,6 @@ def periodic_circles(m: int, n_max: int) -> list:
     out = []
     for n in range(1, n_max + 1):
         den = m ** n - 1
-        if den == 0:
-            continue
         for k in range(den):
             x0 = Fraction(k, den)
             if x0 not in seen:
@@ -184,19 +186,20 @@ def restricted_family(F: SkewMap, circle: PeriodicCircle) -> RestrictedFamily:
     return rf
 
 
-def _c3_sup(rf: RestrictedFamily, t_grid: int, y_grid: int) -> float:
-    """Sup over a t grid of the C3(y) norm of lift - (theta + n t).
+def _c3_sup(rf: RestrictedFamily, y_grid: int) -> float:
+    """Sup over C3_T_GRID values of t of the C3(y) norm of lift - (theta + n t).
 
     Per parameter value the theta sup is certified: exact chain-rule
     derivatives on a dense grid, each plus a Lipschitz margin from the
-    composed derivative bounds.
+    composed derivative bounds.  Between those t values nothing is
+    certified: the sup over t is a grid estimate.
     """
     max_j = max((j for _, harm in rf.stages for j, _, _ in harm), default=0)
     y_grid = _grid_for(max_j, y_grid)
     ys = np.arange(y_grid) / y_grid
     n = rf.winding
     sup = 0.0
-    for t in np.linspace(0.0, 1.0, t_grid):
+    for t in np.linspace(0.0, 1.0, C3_T_GRID):
         snap = rf.at(float(t))
         v, d1, d2, d3 = snap.deriv_tuple(ys)
         b1, b2, b3, b4 = snap.theta_deriv_bounds()
@@ -214,8 +217,7 @@ def _c3_sup(rf: RestrictedFamily, t_grid: int, y_grid: int) -> float:
     return sup
 
 
-def a3_check(rf: RestrictedFamily, R: float, t_grid: int = 33,
-             y_grid: int = 1024) -> tuple:
+def a3_check(rf: RestrictedFamily, R: float, y_grid: int = C3_Y_GRID) -> tuple:
     """Estimate sup_t of the C3(y) norm of lift - (theta + n t) and compare
     against the closeness-to-identity threshold R.
 
@@ -225,47 +227,57 @@ def a3_check(rf: RestrictedFamily, R: float, t_grid: int = 33,
     """
     if not 0.0 < R < 1.0:
         raise ValueError("R must lie in (0, 1)")
-    sup = _c3_sup(rf, t_grid, y_grid)
+    sup = _c3_sup(rf, y_grid)
     return sup, sup < R
 
 
-def restricted_norm(rf: RestrictedFamily, t_grid: int = 33,
-                    y_grid: int = 1024) -> FamilyNorm:
+def restricted_norm(rf: RestrictedFamily) -> FamilyNorm:
     """Family norm of a restricted map: the C3(y) size of the periodic part
-    that ``a3_check`` compares against R, and the t-derivative deviation
-    bound."""
-    return FamilyNorm(c3_g=_c3_sup(rf, t_grid, y_grid), c0_dt=rf.dt_sup_bound())
+    that ``a3_check`` compares against R (a grid estimate in t), and the
+    t-derivative deviation bound."""
+    return FamilyNorm(c3_g=_c3_sup(rf, C3_Y_GRID), c0_dt=rf.dt_sup_bound())
 
 
-def winding_check(rf: RestrictedFamily, t_grid: int = 64, theta_grid: int = 64,
-                  dt: float = 1e-6) -> float:
-    """Mean over (t, theta) of (d/dt lift) / n by central differences.
+def winding_check(rf: RestrictedFamily) -> float:
+    """Mean over a 64 x 64 (t, theta) grid of (d/dt lift) / n, by central
+    differences with step 1e-6.
 
     For families within C3 distance R of rotations the result stays within
     R of 1; this is the observable form of "the t-winding number is n".
     """
-    ts = (np.arange(t_grid) + 0.5) / t_grid
-    thetas = (np.arange(theta_grid) + 0.5) / theta_grid
-    tt, xx = np.meshgrid(ts, thetas, indexing="ij")
+    dt = 1e-6
+    grid = (np.arange(64) + 0.5) / 64
+    tt, xx = np.meshgrid(grid, grid, indexing="ij")
     hi = rf.lift(tt + dt, xx)
     lo = rf.lift(tt - dt, xx)
     return float(np.mean((hi - lo) / (2.0 * dt))) / rf.winding
 
 
-def eligible_restrictions(F: SkewMap, n_max: int, R: float,
-                          t_grid: int = 33, y_grid: int = 1024) -> list:
-    """Restricted families over circles with period <= n_max passing the
-    C3-closeness filter, in deterministic (n, k) order.
+def first_per_period(F: SkewMap, n_max: int) -> list:
+    """One restricted family per period 1..n_max, over the first circle of
+    that period in (n, k) order; its t-winding number is the period."""
+    out = {}
+    for circle in periodic_circles(F.m, n_max):
+        if circle.n not in out:
+            out[circle.n] = restricted_family(F, circle)
+    return list(out.values())
 
-    Returns (circle, family, sup_c3) triples; degenerate fibers propagate.
-    """
+
+def circle_checks(F: SkewMap, n_max: int, R: float) -> list:
+    """(circle, family, sup_c3, passes) for every circle with period
+    <= n_max, in deterministic (n, k) order: ``a3_check`` at threshold R
+    of each restricted family.  Degenerate fibers propagate."""
     out = []
     for circle in periodic_circles(F.m, n_max):
         rf = restricted_family(F, circle)
-        sup_c3, ok = a3_check(rf, R, t_grid=t_grid, y_grid=y_grid)
-        if ok:
-            out.append((circle, rf, sup_c3))
+        out.append((circle, rf) + a3_check(rf, R))
     return out
+
+
+def eligible_restrictions(F: SkewMap, n_max: int, R: float) -> list:
+    """The (circle, family, sup_c3) triples of ``circle_checks`` that pass
+    the C3-closeness filter."""
+    return [(c, rf, sup) for c, rf, sup, ok in circle_checks(F, n_max, R) if ok]
 
 
 def quasi_search(F: SkewMap, t: float, n_max: int, q_max: int, R: float,

@@ -245,30 +245,28 @@ def window_for_rational(fam, p: int, q: int, tol: float = 1e-6,
     return Window(p, q, t_lo, t_hi, width, radius)
 
 
-def window_boundaries(fam, p: int, q: int, t_bracket, tol: float = 1e-6,
-                      grid: int | None = None, seed_scan: int = 17) -> Window:
+def window_boundaries(fam, p: int, q: int, t_bracket, tol: float = 1e-6) -> Window:
     """Certified window through a seed found inside ``t_bracket``.
 
-    Scans the bracket for a parameter certifying the lock (midpoint
-    outward); raises NoLockInBracket when none certifies.  The returned
-    interval is the full connected window containing the seed, with both
-    edges bisected to bracket radius <= tol.
+    Scans 17 points of the bracket for a parameter certifying the lock
+    (midpoint outward); raises NoLockInBracket when none certifies.  The
+    returned interval is the full connected window containing the seed,
+    with both edges bisected to bracket radius <= tol.
     """
     if math.gcd(abs(p), q) != 1:
         raise ValueError("p/q must be reduced")
     a, b = float(t_bracket[0]), float(t_bracket[1])
     if b < a:
         raise ValueError("empty bracket")
-    grid = grid or rotation.lock_grid_size(q)
     seed = None
-    probes = np.linspace(a, b, seed_scan)
+    probes = np.linspace(a, b, 17)
     for t in sorted(probes, key=lambda x: abs(x - 0.5 * (a + b))):
-        if rotation.is_locked(fam, float(t), p, q, grid=grid).status == rotation.LOCKED:
+        if rotation.is_locked(fam, float(t), p, q).status == rotation.LOCKED:
             seed = float(t)
             break
     if seed is None:
         raise NoLockInBracket(f"no parameter in [{a:g}, {b:g}] certifies lock {p}/{q}")
-    return window_for_rational(fam, p, q, tol=tol, grid=grid, t_seed=seed)
+    return window_for_rational(fam, p, q, tol=tol, t_seed=seed)
 
 
 def lift_rationals(q_max: int, winding) -> list:
@@ -304,8 +302,7 @@ def enumerate_windows(fam, q_max: int, tol: float = 1e-6,
 
 
 def locked_measure(fam, q_max: int, mc_samples: int, tol: float = 1e-6,
-                   seed: int = 0, n_iter: int = rotation.CLASSIFY_N_ITER,
-                   windows: list | None = None, map_fn=map) -> LockedMeasure:
+                   seed: int = 0, windows: list | None = None) -> LockedMeasure:
     """Certified-below plus Monte Carlo measure of the locked parameter set.
 
     ``lower`` sums certified window widths (semi-computable from below at
@@ -315,11 +312,11 @@ def locked_measure(fam, q_max: int, mc_samples: int, tol: float = 1e-6,
     if mc_samples < 1:
         raise ValueError("mc_samples must be >= 1")
     if windows is None:
-        windows = enumerate_windows(fam, q_max, tol=tol, map_fn=map_fn)
+        windows = enumerate_windows(fam, q_max, tol=tol)
     lower = sum(w.width for w in windows)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     ts = rng.random(mc_samples)
-    results = rotation.classify_batch(fam, ts, q_max=q_max, n_iter=n_iter)
+    results = rotation.classify_batch(fam, ts, q_max=q_max)
     locked = sum(r.classification == rotation.LOCKED for r in results)
     unres = sum(r.classification == rotation.UNRESOLVED for r in results)
     return LockedMeasure(lower, locked / mc_samples, unres / mc_samples)

@@ -14,6 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from circledyn import skew
 from circledyn.cli import main as cli_main
 from circledyn.diophantine import DioParams, dio_measure
 from circledyn.experiments import eta_curve, intersection_measure, make_rng
@@ -44,12 +45,7 @@ def report(num, ok, detail, elapsed, budget):
 
 
 def first_per_period(F, n_max):
-    fams, seen = [], set()
-    for c in periodic_circles(F.m, n_max):
-        if c.n not in seen:
-            seen.add(c.n)
-            fams.append(restricted_family(F, c))
-    return fams
+    return skew.first_per_period(F, n_max)
 
 
 def test_criterion_1_rotation_exactness():

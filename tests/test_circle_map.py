@@ -10,7 +10,6 @@ from circledyn.circle_map import (
     TPoly,
     TrigPoly,
     c3_norm,
-    eval_lift,
     family_norm,
     iterate_lift,
 )
@@ -102,12 +101,12 @@ class TestC3Norm:
 
 class TestEvalLift:
     def test_rigid_rotation(self):
-        assert eval_lift(rigid_family(), 0.25, 0.5) == pytest.approx(0.75, abs=1e-15)
+        assert rigid_family().lift(0.25, 0.5) == pytest.approx(0.75, abs=1e-15)
 
     def test_arnold_value(self):
         fam = arnold_family(0.1 / TAU)
         expected = 0.25 + (0.1 / TAU) * math.sin(math.pi / 2)
-        assert eval_lift(fam, 0.0, 0.25) == pytest.approx(expected, abs=1e-15)
+        assert fam.lift(0.0, 0.25) == pytest.approx(expected, abs=1e-15)
 
     def test_equivariance(self):
         fam = arnold_family(0.12)

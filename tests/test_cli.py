@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from circledyn.cli import main
 
@@ -63,6 +68,13 @@ class TestRho:
         assert os.path.exists(os.path.join(out, "run_config.json"))
         assert os.path.exists(os.path.join(out, "report.json"))
 
+    def test_overflowing_orbit_is_unresolved(self, arnold_file, tmp_path):
+        out = str(tmp_path / "o")
+        assert main(["rho", "--input", arnold_file, "--t", "1e308", "--out", out,
+                     "--qmax", "3", "--workers", "1"]) == 0
+        row = read(os.path.join(out, "rho.csv")).strip().splitlines()[1].split(",")
+        assert row[3] == "unresolved"
+
     def test_t_range(self, arnold_file, tmp_path):
         out = str(tmp_path / "o")
         assert main(["rho", "--input", arnold_file, "--t-range", "0:0.9:4",
@@ -112,8 +124,14 @@ class TestExitCodes:
         ["rho", "--input", "{family}", "--t", "0.1", "--config", "{conf}"],
         ["tongues", "--input", "{family}", "--deltas", "0:1"],
         ["windows", "--input", "{family}", "--qmax", "2", "--seed", "-1"],
+        ["rho", "--input", "{family}", "--t", "0.1", "--qmax=--"],
+        ["rho", "--input", "{family}", "--t", "0.1,nan"],
+        ["rho", "--input", "{family}", "--t-range=-1e308:1e308:3"],
+        ["dio", "--C", "0", "--nmax", "3"],
+        ["dio", "--C", "0.1,2.5", "--nmax", "3"],
     ], ids=["windows-qmax-0", "rho-niter-neg", "rho-qmax-neg", "skew-R-0",
-            "theoremA-nmax-0", "config-qmax-abc", "tongues-deltas-0:1", "windows-seed-neg"])
+            "theoremA-nmax-0", "config-qmax-abc", "tongues-deltas-0:1", "windows-seed-neg",
+            "rho-qmax-dashdash", "rho-t-nan", "rho-t-range-overflow", "dio-C-0", "dio-C-above-2"])
     def test_bad_option_exit_2(self, argv, arnold_file, skew_file, tmp_path, capsys):
         conf = tmp_path / "conf.json"
         conf.write_text(json.dumps({"qmax": "abc"}))
@@ -136,8 +154,12 @@ class TestExitCodes:
         ("skew", '{"m": 2, "harmonics": [{"jx": "0", "jy": 1, "b": [0.001]}]}'),
         ("skew", '{"m": 2, "harmonics": [{"jx": 0, "jy": 1.5, "b": [0.001]}]}'),
         ("rho", "[" * 100_000 + "]" * 100_000),
+        ("rho", '{"harmonics": [{"j": 1000000000, "b": [1e-12]}]}'),
+        ("rho", '{"harmonics": [{"j": 1025, "b": [0.1]}]}'),
+        ("skew", '{"m": 2, "harmonics": [{"jx": 0, "jy": -1025, "b": [0.001]}]}'),
     ], ids=["j-str", "j-float", "j-bool", "top-list", "harmonics-object", "harmonic-int",
-            "coeff-nan", "const-inf", "skew-coeff-nan", "skew-jx-str", "skew-jy-float", "nested-too-deep"])
+            "coeff-nan", "const-inf", "skew-coeff-nan", "skew-jx-str", "skew-jy-float", "nested-too-deep",
+            "j-huge", "j-over-cap", "skew-jy-below-cap"])
     def test_bad_definition_file_exit_2(self, cmd, text, tmp_path, capsys):
         path = tmp_path / "def.json"
         path.write_text(text)
@@ -255,3 +277,109 @@ class TestConsoleEntry:
         )
         assert res.returncode == 0
         assert "circledyn" in res.stdout
+
+
+# -- fuzzed option values ----------------------------------------------------
+
+# Each option has valid values, edge cases among them, and bad values: out
+# of range, non-finite or malformed.  Parsable numbers are bounded (qmax
+# <= 5, niter <= 64, grid <= 2048, nmax <= 3, samples <= 40, at most three
+# t values) so that no example allocates a large array or runs long; qmax,
+# nmax, samples and niter are always given, because their defaults are the
+# expensive full-size runs.
+JUNK = ["", " ", "abc", "1.5.2", "0x10", "1e", ",", "--", "nan", "inf", "-inf", "1e400",
+        "None", "true"]
+T_EDGE = ["0", "-0.0", "1", "1e-300", "5e-324", " 0.5 ", "1_0.5", "1e300", "-1e308",
+          "1.7976931348623157e308"]
+
+
+def option(valid, *bad):
+    return valid, st.sampled_from(list(bad) + JUNK)
+
+
+def ints(lo, hi, *bad, edge=("+1", "01", " 2 ", "٣", "２")):
+    return option(st.integers(lo, hi).map(str) | st.sampled_from(edge), *bad)
+
+
+def reals(lo, hi, edge):
+    return st.floats(lo, hi).map(repr) | st.sampled_from(edge)
+
+
+def real_list(lo, hi, edge, *bad):
+    return option(st.lists(reals(lo, hi, edge), min_size=1, max_size=3).map(",".join),
+                  "0.1,,0.2", "0.1;0.2", ",0.1", "0.1,inf", *bad)
+
+
+T_LIST = real_list(-2, 2, T_EDGE)
+T_RANGE = option(st.tuples(reals(-2, 2, T_EDGE), reals(-2, 2, T_EDGE),
+                           st.integers(0, 3).map(str)).map(":".join),
+                 "0:1", "0:1:2:3", "0:1:-1", "0:nan:2", "0:1:1.5", "-1e308:1e308:3")
+
+
+def argv(cmd, required, optional):
+    """``cmd`` with every ``required`` option and any of the ``optional``
+    ones, all valid or all but one, as ``--name=value`` so that values may
+    start with a minus sign."""
+    options = {**required, **optional}
+    good = st.fixed_dictionaries({k: v for k, (v, _) in required.items()},
+                                 optional={k: v for k, (v, _) in optional.items()})
+    spoil = st.sampled_from(sorted(options)).flatmap(
+        lambda k: st.tuples(st.just(k), options[k][1]))
+
+    def build(opts, bad):
+        if bad:
+            opts = {**opts, bad[0]: bad[1]}
+        return [cmd] + [f"{k}={v}" for k, v in opts.items()]
+
+    return st.builds(build, good, st.none() | spoil)
+
+
+FUZZ_ARGV = {
+    "rho": argv("rho", {"--qmax": ints(1, 5, "0", "-1"), "--niter": ints(0, 64, "-1"),
+                        "--t": T_LIST},
+                {"--t-range": T_RANGE}),
+    "windows": argv("windows", {"--qmax": ints(1, 5, "0", "-1"),
+                                "--samples": ints(1, 40, "0", "-1")},
+                    {"--tol": option(reals(1e-9, 1e-2, ["1e-300", "5e-324", "1e300"]),
+                                     "0", "-1e-6"),
+                     "--grid": ints(0, 2048, "-1"), "--seed": ints(0, 2 ** 70, "-1")}),
+    # niter 0 would select the default 4096 iterates per circle and t
+    "skew": argv("skew", {"--nmax": ints(1, 3, "0", "-1"), "--qmax": ints(1, 5, "0", "-1"),
+                          "--niter": ints(1, 64, "0", "-1", edge=("+1", "01")), "--t": T_LIST},
+                 {"--R": option(reals(0.01, 0.99, ["1e-300", "0.9999999999999999"]),
+                                "0", "1", "-0.5", "1.5"),
+                  "--t-range": T_RANGE}),
+    "dio": argv("dio", {"--nmax": ints(1, 3, "0", "-1"),
+                        "--C": real_list(0.001, 2.0, ["2", "1e-300", "5e-324"],
+                                         "0", "-1", "2.0000000000000004")},
+                {"--grid": ints(0, 2048, "-1")}),
+}
+INPUT = {"rho": "family", "windows": "family", "skew": "skew", "dio": None}
+
+
+@pytest.mark.parametrize("cmd", sorted(FUZZ_ARGV))
+def test_fuzzed_options_keep_the_exit_contract(cmd, arnold_file, skew_file, tmp_path):
+    inputs = {"family": arnold_file, "skew": skew_file}
+
+    # the fixture files are only read; each example makes its own output dir
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+    @given(FUZZ_ARGV[cmd])
+    def check(args):
+        out = tempfile.mkdtemp(dir=tmp_path)
+        os.rmdir(out)
+        if INPUT[cmd]:
+            args = args + ["--input", inputs[INPUT[cmd]]]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            try:
+                code = main(args + ["--out", out, "--workers", "1"])
+            except SystemExit as e:  # argparse rejects the value itself
+                code = e.code
+        assert code in (0, 2, 3, 4), (args, err.getvalue())
+        if code == 2:
+            assert "error:" in err.getvalue(), args
+        if code != 0:
+            assert not os.path.exists(out) or not os.listdir(out), args
+
+    check()

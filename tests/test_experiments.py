@@ -11,20 +11,13 @@ from circledyn.experiments import (
     sample_family,
 )
 from circledyn.gallery import arnold_skew, c3_scaled_amplitude
-from circledyn.skew import periodic_circles, restricted_family
+from circledyn.skew import first_per_period
 
 AMP = c3_scaled_amplitude(0.05)
 
 
 def restricted_list(amp, n_max):
-    F = arnold_skew(2, amp)
-    fams, seen = [], set()
-    for c in periodic_circles(2, n_max):
-        if c.n in seen:
-            continue
-        seen.add(c.n)
-        fams.append(restricted_family(F, c))
-    return fams
+    return first_per_period(arnold_skew(2, amp), n_max)
 
 
 class TestIntersectionMeasure:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circledyn.errors import InputError
-from circledyn.io import family_from_dict, skew_from_dict
+from circledyn.io import MAX_HARMONIC, family_from_dict, skew_from_dict
 
 # json.load can return NaN and +-Infinity, so floats include them
 SCALARS = (st.none() | st.booleans() | st.integers(-3, 4) | st.integers()
@@ -50,7 +50,7 @@ def test_family_from_dict_fuzz(doc):
     fam = parse(family_from_dict, doc)
     if fam is not None:
         assert fam.winding >= 1
-        assert all(j >= 1 for j, _, _ in fam.harmonics)
+        assert all(1 <= j <= MAX_HARMONIC for j, _, _ in fam.harmonics)
         assert all(map(math.isfinite, list(fam.const.coeffs) + coefficients(fam.harmonics)))
 
 
@@ -60,4 +60,5 @@ def test_skew_from_dict_fuzz(doc):
     F = parse(skew_from_dict, doc)
     if F is not None:
         assert F.m >= 2
+        assert all(abs(jy) <= MAX_HARMONIC for _, jy, _, _ in F.harmonics)
         assert all(map(math.isfinite, coefficients(F.harmonics)))

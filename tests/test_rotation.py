@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from circledyn.circle_map import CircleFamily, TPoly
 from circledyn.errors import EmptyBin
 from circledyn.gallery import arnold_family, rigid_family
 from circledyn.rotation import (
@@ -17,6 +19,7 @@ from circledyn.rotation import (
     is_locked,
     rho_estimate,
 )
+from circledyn.skew import SkewMap, periodic_circles, restricted_family
 
 GOLDEN = (math.sqrt(5) - 1) / 2
 RNG = np.random.default_rng(31415)
@@ -143,6 +146,37 @@ class TestClassifyBatch:
             ref = classify(fam, t, q_max=10, n_iter=2048)
             assert got.classification == ref.classification
             assert got.estimate == pytest.approx(ref.estimate, abs=1e-12)
+
+
+def two_harmonic_family():
+    return CircleFamily(1, TPoly((0.0, 0.01)), (
+        (1, TPoly((0.02, 0.01)), TPoly((0.05,))),
+        (3, TPoly((0.0,)), TPoly((0.005, 0.003))),
+    ), label="two-harmonic")
+
+
+def three_stage_family():
+    F = SkewMap(2, (
+        (0, 1, TPoly((0.0,)), TPoly((0.01,))),
+        (1, 1, TPoly((0.0, 0.004)), TPoly((0.006,))),
+    ))
+    circle = next(c for c in periodic_circles(2, 3) if c.n == 3)
+    return restricted_family(F, circle)
+
+
+class TestSharedDisplacementPath:
+    """``classify`` and ``classify_batch`` take the mean displacement from
+    the same kernel, so a batch of one equals the scalar call bit for bit."""
+
+    @pytest.mark.parametrize("make", [lambda: arnold_family(0.1), two_harmonic_family,
+                                      three_stage_family],
+                             ids=["arnold", "two-harmonic", "three-stage"])
+    def test_batch_of_one_equals_scalar(self, make):
+        fam = make()
+        for t in (0.0, 0.05, 0.3, GOLDEN, 0.5, 0.95):
+            one, batch = classify(fam, t), classify_batch(fam, [t])[0]
+            for field in dataclasses.fields(one):
+                assert getattr(one, field.name) == getattr(batch, field.name), (t, field.name)
 
 
 class TestEquidistribution:
