@@ -147,13 +147,28 @@ def c3_norm(p: TrigPoly, grid: int = DEFAULT_THETA_GRID) -> float:
     (coefficient bound of the next derivative), so the result is a
     certified upper bound of the true norm.
     """
-    grid = _grid_for(p.max_harmonic(), grid)
-    xs = np.arange(grid) / grid
+    return _max_c3_norm((p,), grid)
+
+
+def _max_c3_norm(polys, grid: int = DEFAULT_THETA_GRID) -> float:
+    """Largest :func:`c3_norm` of ``polys``.  cos and sin of 2 pi j x are
+    computed once per harmonic j and grid size, for every derivative order
+    and polynomial."""
+    tables = {}
     out = 0.0
-    for k in range(4):
-        dk = p.deriv(k)
-        sup = float(np.max(np.abs(dk(xs)))) + p.deriv_bound(k + 1) / grid
-        out = max(out, sup)
+    for p in polys:
+        n = _grid_for(p.max_harmonic(), grid)
+        xs = np.arange(n) / n
+        for k in range(4):
+            dk = p.deriv(k)
+            vals = np.full(n, dk.const)
+            for j, a, b in dk.harmonics:
+                if (j, n) not in tables:
+                    w = (TAU * j) * xs
+                    tables[j, n] = (np.cos(w), np.sin(w))
+                cos, sin = tables[j, n]
+                vals += a * cos + b * sin
+            out = max(out, float(np.max(np.abs(vals))) + p.deriv_bound(k + 1) / n)
     return out
 
 
@@ -377,7 +392,7 @@ def family_norm(f: CircleFamily, check: bool = True) -> FamilyNorm:
     if check:
         f.check_diffeo()
     ts = np.linspace(0.0, 1.0, DEFAULT_T_GRID)
-    c3 = max(c3_norm(p) for t in ts for _, p in f.at(float(t)).stages)
+    c3 = _max_c3_norm([p for t in ts for _, p in f.at(float(t)).stages])
     # |d/dt of any theta-derivative up to order 3| bound for the t margin
     dt_rate = 0.0
     for k in range(4):

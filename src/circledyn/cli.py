@@ -113,6 +113,17 @@ def _check_ranges(values: dict):
         raise InputError(f"--R must lie in (0, 1), got {values['R']}")
 
 
+def _check_window_tol(cfg: RunConfig, winding):
+    """Windows of neighbouring lift rationals p/q (q <= qmax) have seeds at
+    least 1/(winding qmax^2) apart, and the edge solver widens its first
+    bracket by 4 tol on each side of a seed; tol below a quarter of that
+    gap keeps the widening from reaching the next seed."""
+    bound = 1.0 / (4.0 * winding * cfg.qmax ** 2)
+    if not cfg.tol < bound:
+        raise InputError(f"--tol must be < 1/(4 winding qmax^2) = {bound:.6g} for "
+                         f"winding {winding} and --qmax {cfg.qmax}, got {cfg.tol}")
+
+
 def _merge_config(sub: str, args: argparse.Namespace) -> RunConfig:
     values = {**_DEFAULTS, **_COMMAND_DEFAULTS.get(sub, {})}
     cfg_path = getattr(args, "config", None)
@@ -216,6 +227,7 @@ def cmd_rho(cfg: RunConfig) -> int:
 
 def cmd_windows(cfg: RunConfig) -> int:
     fam = io.load_family(cfg.input)
+    _check_window_tol(cfg, fam.winding)
     with _Pool(_workers(cfg)) as pool:
         ws = windows.enumerate_windows(fam, cfg.qmax, tol=cfg.tol, grid=cfg.grid or None,
                                        map_fn=pool.map)
@@ -233,6 +245,7 @@ def cmd_windows(cfg: RunConfig) -> int:
 
 def cmd_tongues(cfg: RunConfig) -> int:
     profile = io.load_family(cfg.input)
+    _check_window_tol(cfg, profile.winding)
     raw = cfg.values.get("deltas")
     if not raw:
         raise InputError("--deltas is required (comma list or a:b:n)")

@@ -23,6 +23,11 @@ IRRATIONAL_CANDIDATE = "irrational_candidate"
 UNRESOLVED = "unresolved"
 
 WITNESS_TOL = 1e-9
+# is_locked's first pass: every LOCK_COARSE_STRIDE-th grid point, used when
+# that leaves at least LOCK_COARSE_MIN points
+LOCK_COARSE_STRIDE = 32
+LOCK_COARSE_MIN = 16
+EPS = 2.0 ** -52
 DEFAULT_N_ITER = 10_000
 CLASSIFY_N_ITER = 4096
 
@@ -101,25 +106,18 @@ def _lift_q_displacement(fam, t, q: int, p: int, thetas):
     return out - start - p
 
 
-def is_locked(fam, t, p: int, q: int, grid: int | None = None) -> LockCheck:
-    """Test whether f_t has a q-periodic orbit with lift displacement p.
+def _stage_ops(fam) -> int:
+    """Rounded operations per application of the lift that scale with the
+    lift value: one addition per stage and one per harmonic."""
+    return sum(len(harm) + 1 for _, _, harm in fam.stack)
 
-    Works on D(theta) = lift^q(theta) - theta - p over a dense grid:
 
-    * a sign change (or |D| below ``WITNESS_TOL``) certifies a periodic
-      point, hence rho = p/q exactly; the witness theta* is returned;
-    * min D > margin or max D < -margin certifies no periodic point, where
-      the margin covers the grid interpolation error;
-    * anything else is unresolved, the honest outcome near window edges.
-    """
-    if q < 1:
-        raise ValueError("q must be >= 1")
-    if math.gcd(abs(p), q) != 1:
-        raise ValueError("p/q must be reduced")
-    n = grid or lock_grid_size(q)
-    thetas = np.arange(n) / n
-    disp = _lift_q_displacement(fam, t, q, p, thetas)
-
+def _lock_decision(fam, t, p: int, q: int, thetas, disp, cell: float,
+                   margin: float) -> LockCheck:
+    """The decision rule on D sampled at ``thetas``, points ``cell`` apart:
+    a sign change or |D| <= ``WITNESS_TOL`` locks (the witness is bisected
+    from the cell of the first sign change), D clear of zero by ``margin``
+    everywhere is not locked, and anything else is unresolved."""
     i_min = int(np.argmin(np.abs(disp)))
     if abs(disp[i_min]) <= WITNESS_TOL:
         return LockCheck(LOCKED, float(thetas[i_min] % 1.0))
@@ -128,7 +126,7 @@ def is_locked(fam, t, p: int, q: int, grid: int | None = None) -> LockCheck:
     flips = np.nonzero(sign != np.roll(sign, -1))[0]
     if flips.size:
         i = int(flips[0])
-        lo, hi = thetas[i], thetas[i] + 1.0 / n
+        lo, hi = thetas[i], thetas[i] + cell
         f_lo = disp[i]
         for _ in range(80):
             mid = 0.5 * (lo + hi)
@@ -141,18 +139,89 @@ def is_locked(fam, t, p: int, q: int, grid: int | None = None) -> LockCheck:
                 hi = mid
         return LockCheck(LOCKED, (0.5 * (lo + hi)) % 1.0)
 
-    margin = (1.0 + fam.dtheta_lift_bound(t) ** q) / n
     if float(np.min(disp)) > margin or float(np.max(disp)) < -margin:
         return LockCheck(NOT_LOCKED, None)
     return LockCheck(UNRESOLVED, None)
 
 
+def is_locked(fam, t, p: int, q: int, grid: int | None = None) -> LockCheck:
+    """Test whether f_t has a q-periodic orbit with lift displacement p.
+
+    Works on D(theta) = lift^q(theta) - theta - p over the grid of n
+    points theta_i = i / n, with L = ``dtheta_lift_bound(t)``:
+
+    * a sign change (or |D| below ``WITNESS_TOL``) certifies a periodic
+      point, hence rho = p/q exactly; the witness theta* is returned;
+    * min D > margin or max D < -margin, with margin = (1 + L^q) / n
+      covering the grid interpolation error, certifies no periodic point;
+    * anything else is unresolved, the honest outcome near window edges.
+
+    The rule is applied in two levels.  When ``LOCK_COARSE_STRIDE`` = s
+    divides n and leaves at least ``LOCK_COARSE_MIN`` points, it first runs
+    on the sub-grid theta_i, i = 0, s, 2s, ..., the same floats as the full
+    grid's.  A sign change or a zero there is one on the full grid too, so
+    it locks at once.  It is not locked when D clears zero there by
+    margin + slack, with
+
+        slack = (L^q - 1) (s / n) / 2 + rho,
+        rho   = 2 eps (L^q q r (Y + 1) + Y + |p| + 1),
+        r     = sum over stages of (harmonics + 1) + L - 1,
+        Y     = 1 + q (sum over stages of |w t + c(t)| + L - 1),
+
+    eps = 2^-52.  Every full-grid point lies within s / (2n) of a sub-grid
+    point, and |D'| <= L^q - 1, since the composed derivative lies between
+    prod (1 - s_i)^q and prod (1 + s_i)^q = L^q, and 1 - prod (1 - s_i)^q <=
+    prod (1 + s_i)^q - 1.  ``rho`` covers the rounding of D at both points:
+    Y bounds every lift value along the q iterates; with cos and sin good
+    to 4 ulp, stage i rounds by at most eps (H_i + 1 + s_i)(Y + 1) (H_i
+    harmonics; s_i >= 2 pi |coefficients| bounds the sum of its argument
+    errors 2 pi j |y| eps/2 times |a_j| + |b_j|), so one application of the
+    lift rounds by at most eps r (Y + 1); later stages amplify that by at
+    most L^q, and the final subtractions add eps (Y + |p| + 1).  So the full
+    grid then clears zero by ``margin`` as well, and the full-grid rule
+    would say not locked too.  Otherwise the full grid decides, exactly as
+    it would alone: the status always equals the full-grid rule's, and only
+    the witness of a lock can differ.
+    """
+    if q < 1:
+        raise ValueError("q must be >= 1")
+    if math.gcd(abs(p), q) != 1:
+        raise ValueError("p/q must be reduced")
+    n = grid or lock_grid_size(q)
+    thetas = np.arange(n) / n
+    lip = fam.dtheta_lift_bound(t)
+    lip_q = lip ** q
+    margin = (1.0 + lip_q) / n
+
+    s = LOCK_COARSE_STRIDE
+    if n % s == 0 and n // s >= LOCK_COARSE_MIN:
+        rate = _stage_ops(fam) + lip - 1.0
+        y = 1.0 + q * (sum(abs(w * t + float(c(t))) for w, c, _ in fam.stack) + lip - 1.0)
+        rho = 2.0 * EPS * (lip_q * q * rate * (y + 1.0) + y + abs(p) + 1.0)
+        slack = (lip_q - 1.0) * (s / n) / 2.0 + rho
+        coarse = thetas[::s]
+        chk = _lock_decision(fam, t, p, q, coarse, _lift_q_displacement(fam, t, q, p, coarse),
+                             s / n, margin + slack)
+        if chk.status != UNRESOLVED:
+            return chk
+    disp = _lift_q_displacement(fam, t, q, p, thetas)
+    return _lock_decision(fam, t, p, q, thetas, disp, 1.0 / n, margin)
+
+
 def _decide(fam, t, disp: float, n_iter: int, q_max: int) -> RotationResult:
     """Try every candidate p/q within the 1/n_iter error bar of the mean
-    displacement ``disp``, cheapest denominator first."""
+    displacement ``disp``, cheapest denominator first.
+
+    Each iterate of the orbit rounds by about eps r Y, where Y = n_iter
+    |disp| + 1 bounds the lift values and r = ``_stage_ops`` + L - 1 as in
+    :func:`is_locked`; the mean displacement then drifts by up to eps r
+    (Y + 1).  Where that reaches the error bar (large |t|, where the lift
+    values keep few fractional bits), or the orbit overflowed, nothing is
+    tested and the result is unresolved.
+    """
     err = 1.0 / n_iter
-    # an orbit that overflowed the float range leaves nothing to test
-    unresolved = not math.isfinite(disp)
+    rate = _stage_ops(fam) + fam.dtheta_lift_bound(t) - 1.0
+    unresolved = not EPS * rate * (n_iter * abs(disp) + 2.0) < err
     for p, q in [] if unresolved else farey.fractions_in_interval(disp - err, disp + err, q_max):
         chk = is_locked(fam, t, p, q)
         if chk.status == LOCKED:

@@ -75,6 +75,15 @@ class TestRho:
         row = read(os.path.join(out, "rho.csv")).strip().splitlines()[1].split(",")
         assert row[3] == "unresolved"
 
+    def test_large_t_is_unresolved(self, arnold_file, tmp_path):
+        # t = 1e20 is an integer, so f_t locks at 0/1, but an orbit of lift
+        # values near n * 1e20 keeps no fractional bits to show it
+        out = str(tmp_path / "o")
+        assert main(["rho", "--input", arnold_file, "--t", "1e20,1e12,0.05", "--out", out,
+                     "--qmax", "5", "--workers", "1"]) == 0
+        rows = [r.split(",") for r in read(os.path.join(out, "rho.csv")).strip().splitlines()[1:]]
+        assert [r[3] for r in rows] == ["unresolved", "unresolved", "locked"]
+
     def test_t_range(self, arnold_file, tmp_path):
         out = str(tmp_path / "o")
         assert main(["rho", "--input", arnold_file, "--t-range", "0:0.9:4",
@@ -129,9 +138,16 @@ class TestExitCodes:
         ["rho", "--input", "{family}", "--t-range=-1e308:1e308:3"],
         ["dio", "--C", "0", "--nmax", "3"],
         ["dio", "--C", "0.1,2.5", "--nmax", "3"],
+        ["windows", "--input", "{family}", "--qmax", "2", "--tol", "1e300"],
+        ["windows", "--input", "{family}", "--qmax", "2", "--tol", "2"],
+        ["windows", "--input", "{family}", "--qmax", "2", "--tol", "0.9"],
+        ["windows", "--input", "{family}", "--qmax", "30", "--tol", "2.8e-4"],
+        ["tongues", "--input", "{family}", "--qmax", "2", "--deltas", "0.1", "--tol", "0.0625"],
     ], ids=["windows-qmax-0", "rho-niter-neg", "rho-qmax-neg", "skew-R-0",
             "theoremA-nmax-0", "config-qmax-abc", "tongues-deltas-0:1", "windows-seed-neg",
-            "rho-qmax-dashdash", "rho-t-nan", "rho-t-range-overflow", "dio-C-0", "dio-C-above-2"])
+            "rho-qmax-dashdash", "rho-t-nan", "rho-t-range-overflow", "dio-C-0", "dio-C-above-2",
+            "windows-tol-1e300", "windows-tol-2", "windows-tol-0.9", "windows-tol-over-qmax-30",
+            "tongues-tol-at-bound"])
     def test_bad_option_exit_2(self, argv, arnold_file, skew_file, tmp_path, capsys):
         conf = tmp_path / "conf.json"
         conf.write_text(json.dumps({"qmax": "abc"}))
@@ -140,6 +156,17 @@ class TestExitCodes:
         assert main(argv + ["--out", str(out), "--workers", "1"]) == 2
         assert not out.exists() or not any(out.iterdir())
         assert "error:" in capsys.readouterr().err
+
+    def test_tol_bound(self, arnold_file, tmp_path, capsys):
+        # windows of neighbouring rationals are seeded 1/(winding qmax^2)
+        # apart; the bound is a quarter of that
+        base = ["windows", "--input", arnold_file, "--qmax", "2", "--samples", "5",
+                "--workers", "1"]
+        assert main(base + ["--tol", "0.0625", "--out", str(tmp_path / "a")]) == 2
+        assert "--tol" in capsys.readouterr().err
+        assert main(base + ["--tol", "0.06", "--out", str(tmp_path / "b")]) == 0
+        rows = read(tmp_path / "b" / "windows.csv").strip().splitlines()[1:]
+        assert [tuple(r.split(",")[:2]) for r in rows] == [("0", "1"), ("1", "2")]
 
     @pytest.mark.parametrize("cmd,text", [
         ("rho", '{"harmonics": [{"j": "x", "b": [0.1]}]}'),

@@ -4,9 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from circledyn import farey, rotation
 from circledyn.circle_map import CircleFamily, TPoly
 from circledyn.errors import EmptyBin
-from circledyn.gallery import arnold_family, rigid_family
+from circledyn.experiments import sample_family
+from circledyn.gallery import arnold_family, arnold_skew, c3_scaled_amplitude, rigid_family
 from circledyn.rotation import (
     IRRATIONAL_CANDIDATE,
     LOCKED,
@@ -19,7 +21,7 @@ from circledyn.rotation import (
     is_locked,
     rho_estimate,
 )
-from circledyn.skew import SkewMap, periodic_circles, restricted_family
+from circledyn.skew import SkewMap, first_per_period, periodic_circles, restricted_family
 
 GOLDEN = (math.sqrt(5) - 1) / 2
 RNG = np.random.default_rng(31415)
@@ -177,6 +179,83 @@ class TestSharedDisplacementPath:
             one, batch = classify(fam, t), classify_batch(fam, [t])[0]
             for field in dataclasses.fields(one):
                 assert getattr(one, field.name) == getattr(batch, field.name), (t, field.name)
+
+
+def sampled_family():
+    return sample_family(np.random.default_rng(5), 0.9)
+
+
+def full_grid_checks(fam, ts, spread=0.02, q_max=30):
+    """(t, p, q, status of the full-grid rule) for the reduced fractions
+    near each t's mean displacement, so that every outcome occurs."""
+    out = []
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(rotation, "LOCK_COARSE_STRIDE", 1)
+        for t in ts:
+            d = float(rotation.displacement_batch(fam, t, n_iter=1024))
+            for p, q in farey.fractions_in_interval(d - spread, d + spread, q_max)[:8]:
+                out.append((float(t), p, q, is_locked(fam, float(t), p, q).status))
+    return out
+
+
+class TestTwoLevelLockCheck:
+    """``is_locked`` decides most checks on a sub-grid of theta; its status
+    must equal that of the full-grid rule, which a stride of 1 restores."""
+
+    @pytest.mark.parametrize("make", [lambda: arnold_family(0.1), two_harmonic_family,
+                                      three_stage_family, sampled_family],
+                             ids=["arnold", "two-harmonic", "three-stage", "sampled"])
+    def test_status_equals_full_grid_rule(self, make):
+        fam = make()
+        # the random t mostly miss the narrow windows; t = 0 and 1/2 sit in some
+        ts = np.concatenate([np.random.default_rng(11).random(12), [0.0, 0.5]])
+        checks = full_grid_checks(fam, ts)
+        assert {s for *_, s in checks} >= {LOCKED, NOT_LOCKED}
+        for t, p, q, status in checks:
+            assert is_locked(fam, t, p, q).status == status, (t, p, q)
+
+    def test_dip_between_sub_grid_points_still_locks(self):
+        # harmonic j = n/32 puts every sub-grid point on a crest of
+        # t + a cos(2 pi j theta), where D = 1.5e-3 clears the margin
+        # (1 + L)/n = 6.8e-4; only the grid-spacing slack (L - 1) 16/n =
+        # 3.1e-3 sends the check on to the full grid, which sees the dip
+        # to D = -5e-4 between the sub-grid points
+        n = rotation.lock_grid_size(1)
+        fam = CircleFamily(1, TPoly((0.0,)), ((n // 32, TPoly((1e-3,)), TPoly((0.0,))),))
+        chk = is_locked(fam, 5e-4, 0, 1)
+        assert chk.status == LOCKED
+        assert abs(fam.lift(5e-4, chk.witness) - chk.witness) <= 1e-8
+
+    def test_most_checks_skip_the_full_grid(self, monkeypatch):
+        fams = first_per_period(arnold_skew(2, c3_scaled_amplitude(0.05)), 3)
+        calls, grids = [], []
+        real_check, real_disp = rotation.is_locked, rotation._lift_q_displacement
+
+        def check(fam, t, p, q, grid=None):
+            calls.append(q)
+            return real_check(fam, t, p, q, grid)
+
+        def disp(fam, t, q, p, thetas):
+            if np.size(thetas) == rotation.lock_grid_size(q):
+                grids.append(q)
+            return real_disp(fam, t, q, p, thetas)
+
+        monkeypatch.setattr(rotation, "is_locked", check)
+        monkeypatch.setattr(rotation, "_lift_q_displacement", disp)
+        ts = np.random.default_rng(2024).random(300)
+        for fam in fams:
+            classify_batch(fam, ts)
+        assert len(calls) >= 100
+        assert len(grids) <= 0.25 * len(calls), (len(grids), len(calls))
+
+
+class TestLargeParameter:
+    def test_rounding_guard_leaves_unit_interval_alone(self, monkeypatch):
+        fam = arnold_family(0.1)
+        ts = np.linspace(0.0, 1.0, 41)
+        guarded = classify_batch(fam, ts, q_max=10)
+        monkeypatch.setattr(rotation, "EPS", 0.0)
+        assert classify_batch(fam, ts, q_max=10) == guarded
 
 
 class TestEquidistribution:
