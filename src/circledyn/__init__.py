@@ -12,9 +12,15 @@ from .circle_map import (
     TrigPoly,
     c3_norm,
     family_norm,
-    iterate_lift,
 )
-from .diophantine import DioMeasure, DioMembership, DioParams, dio_measure, dio_member
+from .diophantine import (
+    DioMeasure,
+    DioMembership,
+    DioParams,
+    dio_measure,
+    dio_member,
+    exact_measure,
+)
 from .errors import (
     CircledynError,
     DegenerateFamily,

@@ -367,19 +367,6 @@ class CircleFamily(StageStack):
         )
 
 
-def iterate_lift(f, t, theta, n: int):
-    """n-fold composition of the lift of ``f`` at parameter t.
-
-    Accepts any map exposing ``lift(t, theta)``; theta may be an array.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    out = theta
-    for _ in range(n):
-        out = f.lift(t, out)
-    return out
-
-
 def family_norm(f: CircleFamily, check: bool = True) -> FamilyNorm:
     """Norm of a family: sup_t of the C3 norm of g_t, and sup |dg/dt|.
 
@@ -416,11 +403,6 @@ class ComposedCircleMap:
     """
 
     stages: tuple  # tuple of (c_i, TrigPoly p_i)
-
-    def lift1(self, y):
-        for c, p in self.stages:
-            y = y + c + p(y)
-        return y
 
     def deriv_tuple(self, y):
         """(value, d1, d2, d3) of the composed lift at y, by exact chain rule."""

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__, io, rotation, skew, windows
-from .diophantine import DioParams, dio_measure
+from .diophantine import MAX_GRID, DioParams, dio_measure, exact_measure
 from .errors import (
     CircledynError,
     DegenerateFamily,
@@ -262,15 +262,21 @@ def cmd_dio(cfg: RunConfig) -> int:
     raw = cfg.values.get("C")
     if not raw:
         raise InputError("--C is required (one value or a comma list)")
+    if cfg.grid > MAX_GRID:
+        raise InputError(f"--grid must be <= 2^48 = {MAX_GRID} for dio: beyond it the "
+                         f"rounding of the cell midpoints (i + 0.5)/grid nears a cell, "
+                         f"got {cfg.grid}")
     try:
         params = [DioParams(c, cfg.nmax, cfg.grid or 100_000) for c in _floats(str(raw), "--C")]
     except ValueError as e:
         raise InputError(f"--C: {e}")
-    rows = []
+    rows, exact = [], []
     for p in params:
         m = dio_measure(p)
         rows.append((p.C, p.n_max, m.estimate, m.analytic_lower, m.grid_error))
-    _finish(cfg, {"dio.csv": ("dio", rows)}, inputs={})
+        exact.append((p.C, p.n_max, *exact_measure(p)))
+    _finish(cfg, {"dio.csv": ("dio", rows)}, inputs={},
+            report_tables={"dio_exact": (("C", "n_max", "exact", "exact_error"), exact)})
     return 0
 
 
@@ -340,9 +346,11 @@ def cmd_theoremA(cfg: RunConfig) -> int:
     return 0
 
 
-def _finish(cfg: RunConfig, files: dict, inputs: dict, hypotheses: dict | None = None):
+def _finish(cfg: RunConfig, files: dict, inputs: dict, hypotheses: dict | None = None,
+            report_tables: dict | None = None):
     """Write the report, effective config, and CSVs atomically, in that order
-    of assembly: everything is computed before the first byte lands."""
+    of assembly: everything is computed before the first byte lands.
+    ``report_tables`` (name -> (header, rows)) go into the report only."""
     outdir = cfg.out
     os.makedirs(outdir, exist_ok=True)
     report = io.ExperimentReport(
@@ -360,6 +368,8 @@ def _finish(cfg: RunConfig, files: dict, inputs: dict, hypotheses: dict | None =
     for fname, (schema, rows) in files.items():
         report.add_table(fname.removesuffix(".csv"), io.CSV_SCHEMAS[schema], rows)
         io.write_csv(os.path.join(outdir, fname), io.CSV_SCHEMAS[schema], rows)
+    for name, (header, rows) in (report_tables or {}).items():
+        report.add_table(name, header, rows)
     io.write_report(os.path.join(outdir, "report.json"), report)
     cfg.dump(outdir)
 

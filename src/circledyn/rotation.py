@@ -64,11 +64,6 @@ def lock_grid_size(q: int) -> int:
     return 4096 * 2 ** max(0, math.ceil((q - 20) / 10))
 
 
-def circle_dist(a: float, b: float) -> float:
-    d = abs(a - b) % 1.0
-    return min(d, 1.0 - d)
-
-
 def displacement_batch(fam, ts, theta0: float = 0.0, n_iter: int = CLASSIFY_N_ITER):
     """Mean lift displacement per iterate for an array of parameters (or a
     single one, as a 0-d array)."""
@@ -112,12 +107,15 @@ def _stage_ops(fam) -> int:
     return sum(len(harm) + 1 for _, _, harm in fam.stack)
 
 
-def _lock_decision(fam, t, p: int, q: int, thetas, disp, cell: float,
-                   margin: float) -> LockCheck:
-    """The decision rule on D sampled at ``thetas``, points ``cell`` apart:
-    a sign change or |D| <= ``WITNESS_TOL`` locks (the witness is bisected
-    from the cell of the first sign change), D clear of zero by ``margin``
-    everywhere is not locked, and anything else is unresolved."""
+def _lock_decision(fam, t, p: int, q: int, n: int, stride: int, margin: float) -> LockCheck:
+    """The decision rule on D sampled at theta = i / n for every
+    ``stride``-th i: a sign change or |D| <= ``WITNESS_TOL`` locks, D clear
+    of zero by ``margin`` everywhere is not locked, and anything else is
+    unresolved.  A lock's witness is bisected from the first 1/n cell with a
+    sign change; on a sub-grid, that cell is found among the fine points
+    inside the first sub-grid cell with one, evaluated in one call."""
+    thetas = np.arange(0, n, stride) / n
+    disp = _lift_q_displacement(fam, t, q, p, thetas)
     i_min = int(np.argmin(np.abs(disp)))
     if abs(disp[i_min]) <= WITNESS_TOL:
         return LockCheck(LOCKED, float(thetas[i_min] % 1.0))
@@ -126,8 +124,14 @@ def _lock_decision(fam, t, p: int, q: int, thetas, disp, cell: float,
     flips = np.nonzero(sign != np.roll(sign, -1))[0]
     if flips.size:
         i = int(flips[0])
-        lo, hi = thetas[i], thetas[i] + cell
-        f_lo = disp[i]
+        k, f_lo = i * stride, disp[i]
+        if stride > 1:
+            inner = _lift_q_displacement(fam, t, q, p, np.arange(k + 1, k + stride) / n)
+            vals = np.concatenate(([f_lo], inner, [disp[(i + 1) % disp.size]]))
+            j = int(np.nonzero(np.sign(vals[:-1]) != np.sign(vals[1:]))[0][0])
+            k, f_lo = k + j, vals[j]
+        lo = k / n
+        hi = lo + 1.0 / n
         for _ in range(80):
             mid = 0.5 * (lo + hi)
             f_mid = float(_lift_q_displacement(fam, t, q, p, mid))
@@ -188,7 +192,6 @@ def is_locked(fam, t, p: int, q: int, grid: int | None = None) -> LockCheck:
     if math.gcd(abs(p), q) != 1:
         raise ValueError("p/q must be reduced")
     n = grid or lock_grid_size(q)
-    thetas = np.arange(n) / n
     lip = fam.dtheta_lift_bound(t)
     lip_q = lip ** q
     margin = (1.0 + lip_q) / n
@@ -199,28 +202,32 @@ def is_locked(fam, t, p: int, q: int, grid: int | None = None) -> LockCheck:
         y = 1.0 + q * (sum(abs(w * t + float(c(t))) for w, c, _ in fam.stack) + lip - 1.0)
         rho = 2.0 * EPS * (lip_q * q * rate * (y + 1.0) + y + abs(p) + 1.0)
         slack = (lip_q - 1.0) * (s / n) / 2.0 + rho
-        coarse = thetas[::s]
-        chk = _lock_decision(fam, t, p, q, coarse, _lift_q_displacement(fam, t, q, p, coarse),
-                             s / n, margin + slack)
+        chk = _lock_decision(fam, t, p, q, n, s, margin + slack)
         if chk.status != UNRESOLVED:
             return chk
-    disp = _lift_q_displacement(fam, t, q, p, thetas)
-    return _lock_decision(fam, t, p, q, thetas, disp, 1.0 / n, margin)
+    return _lock_decision(fam, t, p, q, n, 1, margin)
 
 
-def _decide(fam, t, disp: float, n_iter: int, q_max: int) -> RotationResult:
+def _rounding_rate(fam, t=None) -> float:
+    """r = ``_stage_ops`` + L - 1 of :func:`_decide`, with L the bound at t,
+    or with no t the t-free bound, which holds for every t in [0, 1]."""
+    return _stage_ops(fam) + fam.dtheta_lift_bound(t) - 1.0
+
+
+def _decide(fam, t, disp: float, n_iter: int, q_max: int, rate: float | None) -> RotationResult:
     """Try every candidate p/q within the 1/n_iter error bar of the mean
     displacement ``disp``, cheapest denominator first.
 
     Each iterate of the orbit rounds by about eps r Y, where Y = n_iter
     |disp| + 1 bounds the lift values and r = ``_stage_ops`` + L - 1 as in
-    :func:`is_locked`; the mean displacement then drifts by up to eps r
-    (Y + 1).  Where that reaches the error bar (large |t|, where the lift
-    values keep few fractional bits), or the orbit overflowed, nothing is
-    tested and the result is unresolved.
+    :func:`is_locked` (``rate``, or at t when it is None); the mean
+    displacement then drifts by up to eps r (Y + 1).  Where that reaches the
+    error bar (large |t|, where the lift values keep few fractional bits),
+    or the orbit overflowed, nothing is tested and the result is unresolved.
     """
     err = 1.0 / n_iter
-    rate = _stage_ops(fam) + fam.dtheta_lift_bound(t) - 1.0
+    if rate is None:
+        rate = _rounding_rate(fam, t)
     unresolved = not EPS * rate * (n_iter * abs(disp) + 2.0) < err
     for p, q in [] if unresolved else farey.fractions_in_interval(disp - err, disp + err, q_max):
         chk = is_locked(fam, t, p, q)
@@ -245,7 +252,8 @@ def classify(fam, t, q_max: int = 30, n_iter: int = CLASSIFY_N_ITER) -> Rotation
     no finite computation can certify.
     """
     base = rho_estimate(fam, t, n_iter=n_iter)
-    return _decide(fam, t, base.displacement, n_iter, q_max)
+    rate = _rounding_rate(fam) if 0.0 <= t <= 1.0 else None
+    return _decide(fam, t, base.displacement, n_iter, q_max, rate)
 
 
 def classify_batch(fam, ts, q_max: int = 30, n_iter: int = CLASSIFY_N_ITER):
@@ -253,7 +261,8 @@ def classify_batch(fam, ts, q_max: int = 30, n_iter: int = CLASSIFY_N_ITER):
     (rare) lock checks run per sample.  Returns a list of RotationResult."""
     ts = np.asarray(ts, dtype=float)
     disps = displacement_batch(fam, ts, n_iter=n_iter)
-    return [_decide(fam, float(t), float(d), n_iter, q_max) for t, d in zip(ts, disps)]
+    rate = _rounding_rate(fam) if np.all((ts >= 0.0) & (ts <= 1.0)) else None
+    return [_decide(fam, float(t), float(d), n_iter, q_max, rate) for t, d in zip(ts, disps)]
 
 
 def equidistribution_test(fam, t, n_iter: int = 100_000, bins: int = 100) -> float:

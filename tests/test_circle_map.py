@@ -11,13 +11,26 @@ from circledyn.circle_map import (
     TrigPoly,
     c3_norm,
     family_norm,
-    iterate_lift,
 )
 from circledyn.errors import DegenerateFamily
 from circledyn.gallery import arnold_family, rigid_family
 
 TAU = 2 * math.pi
 RNG = np.random.default_rng(20240817)
+
+
+def iterate_lift(f, t, theta, n: int):
+    """n-fold composition of the lift of ``f`` at parameter t."""
+    for _ in range(n):
+        theta = f.lift(t, theta)
+    return theta
+
+
+def lift1(cm, y):
+    """The composed lift of a ComposedCircleMap, stage by stage."""
+    for c, p in cm.stages:
+        y = y + c + p(y)
+    return y
 
 
 def sympy_sup_of_derivative(expr_amp, j, order, n_points=20001):
@@ -182,7 +195,7 @@ class TestComposedCircleMap:
         cm.check_diffeo()
         for _ in range(20):
             y = RNG.uniform(-2, 2)
-            assert cm.lift1(y + 1.0) - cm.lift1(y) == pytest.approx(1.0, abs=1e-12)
+            assert lift1(cm, y + 1.0) - lift1(cm, y) == pytest.approx(1.0, abs=1e-12)
 
     def test_deriv_tuple_matches_single_stage(self):
         p = TrigPoly(0.0, ((1, 0.0, 0.05),))

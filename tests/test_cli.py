@@ -252,6 +252,30 @@ class TestDioCommand:
         assert lines[0] == "C,n_max,estimate,analytic_lower,grid_error"
         assert len(lines) == 3
 
+    def test_exact_measure_in_report(self, tmp_path):
+        out = str(tmp_path / "d")
+        assert main(["dio", "--C", "0.2,0.1", "--nmax", "100",
+                     "--grid", "5000", "--out", out]) == 0
+        lines = read(os.path.join(out, "dio.csv")).strip().splitlines()
+        exact = json.loads(read(os.path.join(out, "report.json")))["tables"]["dio_exact"]
+        assert exact["header"] == ["C", "n_max", "exact", "exact_error"]
+        assert [r[:2] for r in exact["rows"]] == [r.split(",")[:2] for r in lines[1:]]
+
+    def test_grid_beyond_memory(self, tmp_path):
+        # ten billion cells: the count holds no array of the grid's size
+        out = str(tmp_path / "d")
+        assert main(["dio", "--C", "0.1", "--nmax", "2", "--grid", "10000000000",
+                     "--out", out]) == 0
+        row = read(os.path.join(out, "dio.csv")).strip().splitlines()[1].split(",")
+        assert row[1:3] == ["2", "0.96616628380000003"]
+
+    def test_grid_bound(self, tmp_path, capsys):
+        out = tmp_path / "d"
+        assert main(["dio", "--C", "0.1", "--nmax", "2", "--grid", str(2 ** 48 + 1),
+                     "--out", str(out)]) == 2
+        assert "--grid" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSkewCommand:
     def test_outputs(self, skew_file, tmp_path):

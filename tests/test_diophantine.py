@@ -1,15 +1,19 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import zeta
 
+from circledyn import diophantine
 from circledyn.diophantine import (
+    MAX_GRID,
     ZETA3,
     DioParams,
     analytic_lower_bound,
     dio_measure,
     dio_member,
+    exact_measure,
 )
 
 GOLDEN = (math.sqrt(5) - 1) / 2
@@ -94,3 +98,147 @@ class TestMeasure:
         for c in (0.3, 0.05):
             m = dio_measure(DioParams(c, 300, 20_000))
             assert m.analytic_lower - m.grid_error <= m.estimate <= 1.0
+
+
+def dense_estimate(params):
+    """Every midpoint tested at every level: the oracle that the counted
+    grid must equal bit for bit."""
+    xs = (np.arange(params.grid) + 0.5) / params.grid
+    mask = np.ones(xs.shape, dtype=bool)
+    for n in range(1, params.n_max + 1):
+        mask &= 2.0 * np.abs(np.sin(np.pi * n * xs)) >= params.C / n ** 3
+        if not mask.any():
+            break
+    return float(np.mean(mask))
+
+
+def _seeded_cases(count, seed=606):
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        C = float(np.exp(rng.uniform(math.log(1e-11), math.log(2.0))))
+        grid = int(rng.choice([rng.integers(1, 5000), rng.integers(5000, 100_000)]))
+        out.append((C, int(rng.integers(1, 200)), grid))
+    return out
+
+
+COUNT_CASES = [
+    (0.1, 60, 600_000),     # the benchmark's settings
+    (0.05, 300, 100_000),   # midpoints on p/n at n = 64, 128, 192, 256
+    (0.1, 130, 100_000),
+    (0.3, 200, 2 ** 16),
+    (0.02, 100, 2 ** 10),   # every level tested at every midpoint
+    (0.1, 1000, 1000),
+    (0.2, 3000, 20_000),    # settled up to n = 397, then every midpoint
+    (0.3, 300, 100),
+    (1.0, 50, 17),
+    (0.5, 40, 1),
+    (2.0, 1000, 100_000),   # everything excluded at n = 1
+    (2.0, 5, 1001),         # the midpoint 1/2 passes level 1
+    (2.0, 1, 100_001),
+    (1.999, 20, 50_000),
+    (1e-10, 500, 100_000),
+    (5e-12, 200, 2 ** 17),
+] + _seeded_cases(36)
+
+
+class TestCountedGrid:
+    @pytest.mark.parametrize("C,n_max,grid", COUNT_CASES)
+    def test_counted_equals_dense(self, C, n_max, grid):
+        params = DioParams(C, n_max, grid)
+        assert dio_measure(params).estimate == dense_estimate(params)
+
+    @pytest.mark.parametrize("C,n_max,grid", [(0.1, 300, 100_000), (0.2, 3000, 20_000),
+                                              (1.5, 40, 50_001), (1e-10, 400, 2 ** 16)])
+    def test_runs_folded_into_mask_equal_dense(self, C, n_max, grid, monkeypatch):
+        # fold the runs into the mask at the first merge
+        monkeypatch.setattr(diophantine, "_MASK_SHARE", 2 * grid)
+        params = DioParams(C, n_max, grid)
+        assert dio_measure(params).estimate == dense_estimate(params)
+
+    def test_all_excluded_stops_early(self, monkeypatch):
+        levels = []
+        real = diophantine._passes
+        monkeypatch.setattr(diophantine, "_passes",
+                            lambda x, n, thresh: levels.append(n) or real(x, n, thresh))
+        assert dio_measure(DioParams(2.0, 10_000, 100_000)).estimate == 0.0
+        assert max(levels) <= 2
+
+    def test_grid_above_bound_rejected(self):
+        DioParams(0.1, 10, MAX_GRID)
+        with pytest.raises(ValueError):
+            DioParams(0.1, 10, MAX_GRID + 1)
+
+    def test_grid_beyond_memory(self):
+        # ten billion cells: counting needs no array of the grid's size
+        m = dio_measure(DioParams(0.1, 2, 10 ** 10))
+        exact, _ = exact_measure(DioParams(0.1, 2))
+        assert abs(m.estimate - exact) <= 5 / 10 ** 10
+
+
+def union_oracle(C, n_max):
+    """1 minus the union length of the failing intervals, merged in a loop."""
+    iv = sorted(
+        (max(p / n - h, 0.0), min(p / n + h, 1.0))
+        for n in range(1, n_max + 1)
+        for h in [math.asin(C / (2.0 * n ** 3)) / (math.pi * n)]
+        for p in range(n + 1)
+    )
+    total, (lo, hi) = 0.0, iv[0]
+    for a, b in iv[1:]:
+        if a > hi:
+            total += hi - lo
+            lo, hi = a, b
+        else:
+            hi = max(hi, b)
+    return 1.0 - (total + hi - lo)
+
+
+def mp_exact(C, n_max):
+    """The same union at 40 digits."""
+    with mpmath.workdps(40):
+        C = mpmath.mpf(C)
+        iv = sorted(
+            (max(mpmath.mpf(p) / n - h, 0), min(mpmath.mpf(p) / n + h, 1))
+            for n in range(1, n_max + 1)
+            for h in [mpmath.asin(C / (2 * n ** 3)) / (mpmath.pi * n)]
+            for p in range(n + 1)
+        )
+        total, (lo, hi) = mpmath.mpf(0), iv[0]
+        for a, b in iv[1:]:
+            if a > hi:
+                total += hi - lo
+                lo, hi = a, b
+            else:
+                hi = max(hi, b)
+        return 1 - (total + hi - lo)
+
+
+class TestExactMeasure:
+    @pytest.mark.parametrize("C,n_max", [(0.1, 1), (0.3, 20), (1.5, 12), (2.0, 6),
+                                         (2.0 - 2 ** -50, 6), (1e-9, 30), (0.05, 60)])
+    def test_within_its_rounding_bound_of_40_digits(self, C, n_max):
+        got, err = exact_measure(DioParams(C, n_max))
+        assert abs(got - float(mp_exact(C, n_max))) <= err
+        assert err < (1e-7 if C > 1.99 else 1e-10)
+
+    def test_blocks_add_up(self, monkeypatch):
+        whole, err = exact_measure(DioParams(0.2, 300))
+        assert whole == pytest.approx(union_oracle(0.2, 300), abs=err)
+        monkeypatch.setattr(diophantine, "_BLOCK", 997)
+        blocked, err_blocked = exact_measure(DioParams(0.2, 300))
+        assert abs(blocked - whole) <= err + err_blocked
+
+    @pytest.mark.parametrize("C,n_max,grid,tol", [
+        # criterion 4's settings: the midpoint grid aliases by 1.45e-3 there,
+        # C / n^2.5 in place of C / n^3 moves the estimate by 4.0e-3 and a
+        # dropped factor 2 by 3.7e-2
+        (0.1, 1000, 100_000, 2.5e-3),
+        # the benchmark's settings: 4.6e-5 against 2.5e-3 and 3.5e-2
+        (0.1, 60, 600_000, 5e-4),
+    ])
+    def test_estimate_tracks_exact_measure(self, C, n_max, grid, tol):
+        params = DioParams(C, n_max, grid)
+        exact, err = exact_measure(params)
+        assert abs(dio_measure(params).estimate - exact) <= tol
+        assert exact >= analytic_lower_bound(C)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from circledyn import farey, rotation
-from circledyn.circle_map import CircleFamily, TPoly
+from circledyn.circle_map import CircleFamily, StageStack, TPoly
 from circledyn.errors import EmptyBin
 from circledyn.experiments import sample_family
 from circledyn.gallery import arnold_family, arnold_skew, c3_scaled_amplitude, rigid_family
@@ -14,7 +14,6 @@ from circledyn.rotation import (
     LOCKED,
     NOT_LOCKED,
     UNRESOLVED,
-    circle_dist,
     classify,
     classify_batch,
     equidistribution_test,
@@ -25,6 +24,11 @@ from circledyn.skew import SkewMap, first_per_period, periodic_circles, restrict
 
 GOLDEN = (math.sqrt(5) - 1) / 2
 RNG = np.random.default_rng(31415)
+
+
+def circle_dist(a: float, b: float) -> float:
+    d = abs(a - b) % 1.0
+    return min(d, 1.0 - d)
 
 
 class TestRhoEstimate:
@@ -249,6 +253,43 @@ class TestTwoLevelLockCheck:
         assert len(grids) <= 0.25 * len(calls), (len(grids), len(calls))
 
 
+    @pytest.mark.parametrize("make", [lambda: arnold_family(0.1), two_harmonic_family,
+                                      three_stage_family, sampled_family],
+                             ids=["arnold", "two-harmonic", "three-stage", "sampled"])
+    def test_witness_bisects_from_a_fine_cell(self, make, monkeypatch):
+        # a lock found on the sub-grid looks up the first 1/n cell with a
+        # sign change in one call, then bisects from that cell as the
+        # full-grid rule does: at most one call more per check
+        fam = make()
+        ts = np.concatenate([np.random.default_rng(11).random(12), [0.0, 0.5]])
+        locks = [c for c in full_grid_checks(fam, ts) if c[3] == LOCKED]
+        assert locks
+        real_disp = rotation._lift_q_displacement
+        calls = []
+
+        def disp(*args):
+            calls.append(1)
+            return real_disp(*args)
+
+        monkeypatch.setattr(rotation, "_lift_q_displacement", disp)
+        totals, witnesses = [], []
+        for stride in (rotation.LOCK_COARSE_STRIDE, 1):
+            monkeypatch.setattr(rotation, "LOCK_COARSE_STRIDE", stride)
+            calls.clear()
+            for t, p, q, _ in locks:
+                chk = is_locked(fam, t, p, q)
+                assert chk.status == LOCKED
+                witnesses.append((t, p, q, chk.witness))
+            totals.append(len(calls))
+        assert totals[0] <= totals[1] + len(locks), totals
+        for t, p, q, w in witnesses:
+            n = rotation.lock_grid_size(q)
+            k = math.floor(w * n)
+            ends = real_disp(fam, t, q, p, np.array([k, k + 1]) / n)
+            at_w = abs(real_disp(fam, t, q, p, w))
+            assert ends[0] * ends[1] <= 0 or at_w <= rotation.WITNESS_TOL
+
+
 class TestLargeParameter:
     def test_rounding_guard_leaves_unit_interval_alone(self, monkeypatch):
         fam = arnold_family(0.1)
@@ -256,6 +297,32 @@ class TestLargeParameter:
         guarded = classify_batch(fam, ts, q_max=10)
         monkeypatch.setattr(rotation, "EPS", 0.0)
         assert classify_batch(fam, ts, q_max=10) == guarded
+
+    def test_rounding_guard_bound_is_t_free_on_unit_interval(self, monkeypatch):
+        # on [0, 1] the guard takes one t-free bound per batch; the other
+        # bounds belong to the lock checks' margins
+        fam = three_stage_family()
+        bounds, checks = [], []
+        real_bound, real_check = StageStack.dtheta_lift_bound, rotation.is_locked
+
+        def bound(self, t=None):
+            bounds.append(t)
+            return real_bound(self, t)
+
+        def check(*args, **kwargs):
+            checks.append(args)
+            return real_check(*args, **kwargs)
+
+        monkeypatch.setattr(StageStack, "dtheta_lift_bound", bound)
+        monkeypatch.setattr(rotation, "is_locked", check)
+        classify_batch(fam, np.linspace(0.0, 1.0, 41), q_max=10)
+        assert bounds.count(None) == 1
+        assert len(bounds) == 1 + len(checks)
+        # a t outside [0, 1] keeps the bound at each t, so the guard fires
+        bounds.clear()
+        res = classify_batch(arnold_family(0.1), [0.5, 1e20])
+        assert None not in bounds
+        assert res[1].classification == UNRESOLVED
 
 
 class TestEquidistribution:
