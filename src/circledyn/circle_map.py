@@ -216,19 +216,41 @@ class StageStack:
     def step_factory(self, t):
         """Return a closure applying the lift once at fixed t (t may be an
         array, in which case each component advances under its own
-        parameter)."""
+        parameter).
+
+        Each harmonic a cos(w y) + b sin(w y) is evaluated in phase form
+        R sin(w y + phi), with R = hypot(a, b) and phi = atan2(a, b) taken
+        once at t: one transcendental per harmonic and step.  Its rounding
+        is counted in ``rotation.is_locked``.
+        """
         t = np.asarray(t, dtype=float)
-        data = [
-            (w * t + const(t), [(TAU * j, a(t), b(t)) for j, a, b in harm])
-            for w, const, harm in self.stack
-        ]
+        data = []
+        for w, const, harm in self.stack:
+            phased = []
+            for j, a, b in harm:
+                at, bt = a(t), b(t)
+                phased.append((TAU * j, np.arctan2(at, bt), np.hypot(at, bt)))
+            data.append((w * t + const(t), phased))
 
         def step(theta):
-            y = theta
-            for drift, coeff in data:
+            y, s = theta, None
+            for drift, phased in data:
                 acc = y + drift
-                for w, a, b in coeff:
-                    acc = acc + a * np.cos(w * y) + b * np.sin(w * y)
+                # a 0-d orbit stays on numpy scalars: the same operations,
+                # but in-place ufuncs on 0-d arrays cost about 5x per step
+                if not acc.ndim:
+                    for w, phi, r in phased:
+                        acc += r * np.sin(w * y + phi)
+                    y = acc
+                    continue
+                if s is None:
+                    s = np.empty_like(acc)
+                for w, phi, r in phased:
+                    np.multiply(w, y, out=s)
+                    s += phi
+                    np.sin(s, out=s)
+                    s *= r
+                    acc += s
                 y = acc
             return y
 
@@ -403,24 +425,6 @@ class ComposedCircleMap:
     """
 
     stages: tuple  # tuple of (c_i, TrigPoly p_i)
-
-    def deriv_tuple(self, y):
-        """(value, d1, d2, d3) of the composed lift at y, by exact chain rule."""
-        y = np.asarray(y, dtype=float)
-        v = y.copy()
-        d1 = np.ones_like(v)
-        d2 = np.zeros_like(v)
-        d3 = np.zeros_like(v)
-        for c, p in self.stages:
-            l1 = 1.0 + p.deriv(1)(v)
-            l2 = p.deriv(2)(v)
-            l3 = p.deriv(3)(v)
-            nd1 = l1 * d1
-            nd2 = l1 * d2 + l2 * d1 ** 2
-            nd3 = l1 * d3 + 3.0 * l2 * d1 * d2 + l3 * d1 ** 3
-            v = v + c + p(v)
-            d1, d2, d3 = nd1, nd2, nd3
-        return v, d1, d2, d3
 
     def theta_deriv_bounds(self):
         """Certified bounds (b1, b2, b3, b4) for the composed derivatives."""

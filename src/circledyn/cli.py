@@ -174,13 +174,16 @@ class _Pool:
             return [fn(x) for x in items]
         return list(self._pool.map(fn, items, chunksize=max(1, len(items) // (4 * self.workers))))
 
+    __call__ = map  # a map_fn that tells its worker count
+
 
 def _floats(raw: str, flag: str, sweep: bool = False) -> list:
     """Finite floats from a comma list, or from a:b:n (n points from a to b)."""
     try:
         if sweep:
             a, b, n = raw.split(":")
-            out = np.linspace(float(a), float(b), int(n)).tolist()
+            with np.errstate(over="ignore", invalid="ignore"):  # checked below
+                out = np.linspace(float(a), float(b), int(n)).tolist()
         else:
             out = [float(v) for v in raw.split(",")]
         if all(map(math.isfinite, out)):
@@ -202,25 +205,16 @@ def _parse_t_values(cfg: RunConfig):
     return ts
 
 
-def _rho_rows(fam, q_max, n_iter, ts):
-    ts = list(ts)
-    results = rotation.classify_batch(fam, ts, q_max=q_max, n_iter=n_iter)
-    return [
-        (t, r.estimate, r.error_bound, r.classification, r.p, r.q)
-        for t, r in zip(ts, results)
-    ]
-
-
 def cmd_rho(cfg: RunConfig) -> int:
     fam = io.load_family(cfg.input)
     fam.check_diffeo()
     ts = _parse_t_values(cfg)
     n_iter = cfg.niter or rotation.DEFAULT_N_ITER
     with _Pool(_workers(cfg)) as pool:
-        chunks = [c for c in np.array_split(np.asarray(ts, dtype=float),
-                                            max(1, _workers(cfg))) if c.size]
-        task = functools.partial(_rho_rows, fam, cfg.qmax, n_iter)
-        rows = [row for chunk in pool.map(task, chunks) for row in chunk]
+        results = rotation.classify_batch(fam, ts, q_max=cfg.qmax, n_iter=n_iter,
+                                          map_fn=pool)
+    rows = [(t, r.estimate, r.error_bound, r.classification, r.p, r.q)
+            for t, r in zip(ts, results)]
     _finish(cfg, {"rho.csv": ("rho", rows)}, inputs={"family": cfg.input})
     return 0
 

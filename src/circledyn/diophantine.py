@@ -22,12 +22,14 @@ ZETA3 = 1.2020569031595943
 # (relative 3.5e-16) moves a midpoint by under 0.1 cells, and that of the
 # predicted run ends moves them by under 0.2 cells, so every run end lies
 # within the two cells settled on each side of its prediction (see
-# _settled_runs).  Where the float verdicts still stray from the
-# prediction, as on the crest of |sin| at C = 2, the level is evaluated
-# at every midpoint.
+# _settled_runs).  Where the float verdicts stray further from the
+# prediction, as on the crest of |sin| at C near 2, the windows widen until
+# they cover them (_widened_runs).
 MAX_GRID = 2 ** 48
-# cells evaluated on each side of a predicted run end
+# cells evaluated on each side of a predicted run end; widened windows
+# (see _widened_runs) hold at most 1 / _SETTLE_SHARE of the grid
 _SETTLE = np.arange(-2, 3)
+_SETTLE_SHARE = 4
 # Levels are settled only when grid >= _LEVEL_COST + _RUN_COST (n + 1);
 # the others test every midpoint.  A settled level takes about as long as
 # testing 4096 + 24 (n + 1) midpoints (numpy 2.4 on a 2-core x86 VM: 55 us
@@ -108,8 +110,8 @@ def _passes(x, n: int, thresh: float) -> np.ndarray:
 
 def _settled_runs(n: int, thresh: float, grid: int):
     """Failing cells of level n as runs, a (2, k) array of inclusive
-    [start, end] columns, one per p/n that has any; None when some run end
-    does not settle.
+    [start, end] columns, one per p/n that has any; when some run end does
+    not settle, those of :func:`_widened_runs`.
 
     In exact arithmetic level n fails on |x - p/n| < h = asin(thresh / 2) /
     (pi n), so around p/n the failing midpoints are the cells i with
@@ -136,8 +138,66 @@ def _settled_runs(n: int, thresh: float, grid: int):
     found = fails.any(axis=2)
     empty = ~found[0] & ~found[1]
     if not np.all(empty | (settled & found[0] & found[1])):
-        return None
+        return _widened_runs(n, thresh, grid)
     return np.stack((start, end))[:, ~empty]
+
+
+def _widened_runs(n: int, thresh: float, grid: int):
+    """:func:`_settled_runs` with windows that meet merged and widened
+    where they do not settle, as disjoint sorted runs; None when the
+    windows outgrow 1 / ``_SETTLE_SHARE`` of the grid.
+
+    The cells within 2 of every predicted run end are evaluated; windows
+    that meet are merged, so the windows of runs that touch (C = 2 at
+    level 1) become one.  A window settles when each of its edge cells has
+    the verdict predicted for the cell beyond it.  Near the crest of |sin|
+    (C near 2 at level 1) the rounding of sin moves the verdicts of many
+    cells, so a window may not settle at first; the ends inside it are
+    then widened twofold until it does.  The failing runs are those among
+    the evaluated cells and the predicted runs between the windows, where
+    the midpoints lie deeper inside or outside the intervals than the
+    rounding reaches (see ``MAX_GRID``).
+    """
+    p = np.arange(n + 1)
+    half = math.asin(thresh / 2.0) / (math.pi * n)
+    lo = np.clip(np.floor(grid * (p / n - half) - 0.5) + 1, 0, grid - 1).astype(np.int64)
+    hi = np.clip(np.ceil(grid * (p / n + half) - 0.5) - 1, 0, grid - 1).astype(np.int64)
+    if np.any(lo[1:] <= hi[:-1]):
+        return None
+    ends = np.stack((lo, hi), axis=1).ravel()
+    run_lo, run_hi = lo[lo <= hi], hi[lo <= hi]
+
+    def predicted(cells):
+        """Whether the cells lie in a predicted run."""
+        k = np.searchsorted(run_lo, cells, side="right") - 1
+        return (k >= 0) & (cells <= run_hi[np.maximum(k, 0)])
+
+    w = np.full(ends.size, _SETTLE[-1])
+    while True:
+        win = _union(np.stack((np.maximum(ends - w, 0), np.minimum(ends + w, grid - 1))), 1)
+        sizes = win[1] - win[0] + 1
+        if sizes.sum() > grid // _SETTLE_SHARE:
+            return None
+        first = np.cumsum(sizes) - sizes
+        cells = np.repeat(win[0] - first, sizes) + np.arange(sizes.sum())
+        fails = ~_passes((cells + 0.5) / grid, n, thresh)
+        bad = (((win[0] > 0) & (fails[first] != predicted(win[0] - 1)))
+               | ((win[1] < grid - 1) & (fails[first + sizes - 1] != predicted(win[1] + 1))))
+        if not bad.any():
+            break
+        w[bad[np.searchsorted(win[0], ends, side="right") - 1]] *= 2
+
+    # failing runs among the evaluated cells, and the predicted-failing gaps
+    # between the windows
+    joined = np.diff(cells) == 1
+    starts, stops = fails.copy(), fails.copy()
+    starts[1:] &= ~(fails[:-1] & joined)
+    stops[:-1] &= ~(fails[1:] & joined)
+    gaps = np.stack((np.concatenate(([0], win[1] + 1)),
+                     np.concatenate((win[0] - 1, [grid - 1]))))
+    gaps = gaps[:, (gaps[0] <= gaps[1]) & predicted(gaps[0])]
+    runs = np.concatenate((np.stack((cells[starts], cells[stops])), gaps), axis=1)
+    return _union(runs, 1) if runs.size else runs
 
 
 def _union(runs, gap):
@@ -181,6 +241,11 @@ def _merge(runs, alive, grid: int):
     return alive, merged
 
 
+def _midpoints(grid: int):
+    """Every cell midpoint (i + 0.5) / grid: the dense test's row."""
+    return (np.arange(grid) + 0.5) / grid
+
+
 def _grid_members(params: DioParams) -> int:
     """Number of cell midpoints (i + 0.5) / grid with 2|sin(pi n x)| >=
     C / n^3 for every n <= n_max.
@@ -204,7 +269,7 @@ def _grid_members(params: DioParams) -> int:
         new = _settled_runs(n, thresh, grid) if cheap else None
         if new is None:
             if xs is None:
-                xs = (np.arange(grid) + 0.5) / grid
+                xs = _midpoints(grid)
                 alive, merged = _merge(runs, np.ones(grid, bool) if alive is None else alive,
                                        grid)
                 runs, pending = [merged], 0

@@ -9,12 +9,14 @@ periodic displacement function, never by floating-point equality of rho.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import farey
+from .circle_map import TAU
 from .errors import EmptyBin
 
 LOCKED = "locked"
@@ -28,6 +30,11 @@ WITNESS_TOL = 1e-9
 LOCK_COARSE_STRIDE = 32
 LOCK_COARSE_MIN = 16
 EPS = 2.0 ** -52
+# Rounding of one harmonic R sin(w y + phi) of the stage kernel beyond its
+# argument's w y part, in units of eps R (see is_locked): R from hypot (1
+# ulp), phi from atan2 (1 ulp, |phi| <= pi), the sum w y + phi (half an ulp
+# of pi), sin (4 ulp) and the product R sin (half an ulp)
+PHASE_ULPS = 1.0 + math.pi + 0.5 * math.pi + 4.0 + 0.5
 DEFAULT_N_ITER = 10_000
 CLASSIFY_N_ITER = 4096
 
@@ -64,6 +71,19 @@ def lock_grid_size(q: int) -> int:
     return 4096 * 2 ** max(0, math.ceil((q - 20) / 10))
 
 
+def _quiet(fn):
+    """Run ``fn`` with numpy's overflow and invalid-value warnings off.  An
+    orbit or coefficient that overflows ends in inf or nan, which the
+    callers decide as unresolved."""
+    @functools.wraps(fn)
+    def quiet(*args, **kwargs):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return fn(*args, **kwargs)
+
+    return quiet
+
+
+@_quiet
 def displacement_batch(fam, ts, theta0: float = 0.0, n_iter: int = CLASSIFY_N_ITER):
     """Mean lift displacement per iterate for an array of parameters (or a
     single one, as a 0-d array)."""
@@ -101,10 +121,12 @@ def _lift_q_displacement(fam, t, q: int, p: int, thetas):
     return out - start - p
 
 
-def _stage_ops(fam) -> int:
-    """Rounded operations per application of the lift that scale with the
-    lift value: one addition per stage and one per harmonic."""
-    return sum(len(harm) + 1 for _, _, harm in fam.stack)
+def _rounding_rate(fam, lip: float) -> float:
+    """r of :func:`is_locked` and :func:`_decide` for a lift whose
+    derivative bound is ``lip`` = L: one rounded addition per stage and per
+    harmonic, plus (2 + PHASE_ULPS / 2 pi) (L - 1) for the harmonics."""
+    return (sum(len(harm) + 1 for _, _, harm in fam.stack)
+            + (2.0 + PHASE_ULPS / TAU) * (lip - 1.0))
 
 
 def _lock_decision(fam, t, p: int, q: int, n: int, stride: int, margin: float) -> LockCheck:
@@ -148,6 +170,7 @@ def _lock_decision(fam, t, p: int, q: int, n: int, stride: int, margin: float) -
     return LockCheck(UNRESOLVED, None)
 
 
+@_quiet
 def is_locked(fam, t, p: int, q: int, grid: int | None = None) -> LockCheck:
     """Test whether f_t has a q-periodic orbit with lift displacement p.
 
@@ -169,23 +192,39 @@ def is_locked(fam, t, p: int, q: int, grid: int | None = None) -> LockCheck:
 
         slack = (L^q - 1) (s / n) / 2 + rho,
         rho   = 2 eps (L^q q r (Y + 1) + Y + |p| + 1),
-        r     = sum over stages of (harmonics + 1) + L - 1,
+        r     = sum over stages of (harmonics + 1)
+                + (2 + PHASE_ULPS / 2 pi) (L - 1),
         Y     = 1 + q (sum over stages of |w t + c(t)| + L - 1),
 
-    eps = 2^-52.  Every full-grid point lies within s / (2n) of a sub-grid
-    point, and |D'| <= L^q - 1, since the composed derivative lies between
-    prod (1 - s_i)^q and prod (1 + s_i)^q = L^q, and 1 - prod (1 - s_i)^q <=
-    prod (1 + s_i)^q - 1.  ``rho`` covers the rounding of D at both points:
-    Y bounds every lift value along the q iterates; with cos and sin good
-    to 4 ulp, stage i rounds by at most eps (H_i + 1 + s_i)(Y + 1) (H_i
-    harmonics; s_i >= 2 pi |coefficients| bounds the sum of its argument
-    errors 2 pi j |y| eps/2 times |a_j| + |b_j|), so one application of the
-    lift rounds by at most eps r (Y + 1); later stages amplify that by at
-    most L^q, and the final subtractions add eps (Y + |p| + 1).  So the full
-    grid then clears zero by ``margin`` as well, and the full-grid rule
-    would say not locked too.  Otherwise the full grid decides, exactly as
-    it would alone: the status always equals the full-grid rule's, and only
-    the witness of a lock can differ.
+    eps = 2^-52 and PHASE_ULPS = 1 + pi + pi/2 + 4 + 1/2.  Every full-grid
+    point lies within s / (2n) of a sub-grid point, and |D'| <= L^q - 1,
+    since the composed derivative lies between prod (1 - s_i)^q and
+    prod (1 + s_i)^q = L^q, where s_i = 2 pi sum_j j (|a_j| + |b_j|)
+    bounds the y-derivative of stage i's harmonics, and 1 - prod (1 -
+    s_i)^q <= prod (1 + s_i)^q - 1.
+
+    ``rho`` covers the rounding of D at both points; Y bounds every lift
+    value along the q iterates.  The kernel evaluates a_j cos(2 pi j y) +
+    b_j sin(2 pi j y) as R sin(w y + phi), with R = hypot(a_j, b_j), phi =
+    atan2(a_j, b_j) and w = 2 pi j in floats, which are all within eps of
+    their exact values in relative terms (hypot and atan2 good to 1 ulp).
+    The argument is then off by at most eps (2 (2 pi j) |y| + 3 pi / 2):
+    eps 2 pi j |y| from w, eps/2 2 pi j |y| from the product w y, eps/2
+    (2 pi j |y| + pi) from the sum with |phi| <= pi, and eps pi from phi.
+    With R off by eps R, sin good to 4 ulp and the product R sin rounded,
+    harmonic j is off by at most eps R (2 (2 pi j) |y| + PHASE_ULPS), and
+    R <= |a_j| + |b_j|.  Summed over the harmonics, with j >= 1, that is at most eps (2
+    s_i |y| + PHASE_ULPS s_i / 2 pi); the stage's H_i + 1 additions round
+    by at most eps (Y + 1) each, and sum s_i <= L - 1.  So one application
+    of the lift rounds by at most eps r (Y + 1); later stages amplify that
+    by at most L^q, and the final subtractions add eps (Y + |p| + 1).  So
+    the full grid then clears zero by ``margin`` as well, and the full-grid
+    rule would say not locked too.  Otherwise the full grid decides,
+    exactly as it would alone: the status always equals the full-grid
+    rule's, and only the witness of a lock can differ.
+
+    The coefficients a_j, b_j, c and the drift w t + c(t) are the float
+    values at t that the kernel takes; the decision is about that map.
     """
     if q < 1:
         raise ValueError("q must be >= 1")
@@ -198,7 +237,7 @@ def is_locked(fam, t, p: int, q: int, grid: int | None = None) -> LockCheck:
 
     s = LOCK_COARSE_STRIDE
     if n % s == 0 and n // s >= LOCK_COARSE_MIN:
-        rate = _stage_ops(fam) + lip - 1.0
+        rate = _rounding_rate(fam, lip)
         y = 1.0 + q * (sum(abs(w * t + float(c(t))) for w, c, _ in fam.stack) + lip - 1.0)
         rho = 2.0 * EPS * (lip_q * q * rate * (y + 1.0) + y + abs(p) + 1.0)
         slack = (lip_q - 1.0) * (s / n) / 2.0 + rho
@@ -208,26 +247,29 @@ def is_locked(fam, t, p: int, q: int, grid: int | None = None) -> LockCheck:
     return _lock_decision(fam, t, p, q, n, 1, margin)
 
 
-def _rounding_rate(fam, t=None) -> float:
-    """r = ``_stage_ops`` + L - 1 of :func:`_decide`, with L the bound at t,
-    or with no t the t-free bound, which holds for every t in [0, 1]."""
-    return _stage_ops(fam) + fam.dtheta_lift_bound(t) - 1.0
-
-
+@_quiet
 def _decide(fam, t, disp: float, n_iter: int, q_max: int, rate: float | None) -> RotationResult:
     """Try every candidate p/q within the 1/n_iter error bar of the mean
     displacement ``disp``, cheapest denominator first.
 
     Each iterate of the orbit rounds by about eps r Y, where Y = n_iter
-    |disp| + 1 bounds the lift values and r = ``_stage_ops`` + L - 1 as in
-    :func:`is_locked` (``rate``, or at t when it is None); the mean
-    displacement then drifts by up to eps r (Y + 1).  Where that reaches the
-    error bar (large |t|, where the lift values keep few fractional bits),
-    or the orbit overflowed, nothing is tested and the result is unresolved.
+    |disp| + 1 bounds the lift values and, as derived in :func:`is_locked`
+    for the phase-form kernel R sin(w y + phi),
+
+        r = sum over stages of (harmonics + 1) + (2 + PHASE_ULPS / 2 pi) (L - 1):
+
+    one rounded addition per stage and per harmonic, twice the argument
+    error eps 2 pi j |y| (from w, the product w y and the sum with phi),
+    and eps R PHASE_ULPS for R, phi, the sum, sin and the product, with
+    sum_j R_j <= (L - 1) / 2 pi (``rate``, or at t when it is None).  The
+    mean displacement then drifts by up to eps r (Y + 1).  Where that
+    reaches the error bar (large |t|, where the lift values keep few
+    fractional bits), or the orbit overflowed, nothing is tested and the
+    result is unresolved.
     """
     err = 1.0 / n_iter
     if rate is None:
-        rate = _rounding_rate(fam, t)
+        rate = _rounding_rate(fam, fam.dtheta_lift_bound(t))
     unresolved = not EPS * rate * (n_iter * abs(disp) + 2.0) < err
     for p, q in [] if unresolved else farey.fractions_in_interval(disp - err, disp + err, q_max):
         chk = is_locked(fam, t, p, q)
@@ -252,17 +294,32 @@ def classify(fam, t, q_max: int = 30, n_iter: int = CLASSIFY_N_ITER) -> Rotation
     no finite computation can certify.
     """
     base = rho_estimate(fam, t, n_iter=n_iter)
-    rate = _rounding_rate(fam) if 0.0 <= t <= 1.0 else None
+    # the t-free bound holds for every t in [0, 1]
+    rate = _rounding_rate(fam, fam.dtheta_lift_bound()) if 0.0 <= t <= 1.0 else None
     return _decide(fam, t, base.displacement, n_iter, q_max, rate)
 
 
-def classify_batch(fam, ts, q_max: int = 30, n_iter: int = CLASSIFY_N_ITER):
-    """Classify many parameter values; the rho sweep is vectorized and the
-    (rare) lock checks run per sample.  Returns a list of RotationResult."""
-    ts = np.asarray(ts, dtype=float)
+def _classify_block(fam, q_max: int, n_iter: int, rate, ts):
     disps = displacement_batch(fam, ts, n_iter=n_iter)
-    rate = _rounding_rate(fam) if np.all((ts >= 0.0) & (ts <= 1.0)) else None
     return [_decide(fam, float(t), float(d), n_iter, q_max, rate) for t, d in zip(ts, disps)]
+
+
+def classify_batch(fam, ts, q_max: int = 30, n_iter: int = CLASSIFY_N_ITER, map_fn=map):
+    """Classify many parameter values; the rho sweep is vectorized and the
+    (rare) lock checks run per sample.  Returns a list of RotationResult.
+
+    ``map_fn`` lets a caller substitute a worker pool.  The values go out
+    in one block per worker, the pool's ``workers`` attribute (one block
+    for a ``map_fn`` without it, such as the plain ``map``).  Every value is
+    classified as it would be alone, so the results do not depend on the
+    blocks.
+    """
+    ts = np.asarray(ts, dtype=float)
+    rate = (_rounding_rate(fam, fam.dtheta_lift_bound())
+            if np.all((ts >= 0.0) & (ts <= 1.0)) else None)
+    blocks = max(1, min(getattr(map_fn, "workers", 1), ts.size))
+    task = functools.partial(_classify_block, fam, q_max, n_iter, rate)
+    return [r for block in map_fn(task, np.array_split(ts, blocks)) for r in block]
 
 
 def equidistribution_test(fam, t, n_iter: int = 100_000, bins: int = 100) -> float:

@@ -75,6 +75,31 @@ class TestRho:
         row = read(os.path.join(out, "rho.csv")).strip().splitlines()[1].split(",")
         assert row[3] == "unresolved"
 
+    @pytest.mark.parametrize("cmd", ["rho", "skew"])
+    def test_overflow_warns_nothing(self, cmd, skew_file, tmp_path):
+        # coefficients in t overflow at these t, and so do the orbits; both
+        # end as unresolved (rho) or not found (skew), with a quiet stderr
+        fam = tmp_path / "poly.json"
+        fam.write_text(json.dumps({
+            "label": "poly", "winding": 1, "const": [0.0, 1.0, 2.0],
+            "harmonics": [{"j": 1, "a": [0.0, 1e-3, 1e-3], "b": [0.1, 0.0, 1e-3]}],
+        }))
+        out = tmp_path / "o"
+        res = subprocess.run(
+            [sys.executable, "-W", "default", "-m", "circledyn.cli", cmd,
+             "--input", str(fam) if cmd == "rho" else skew_file,
+             "--t", "1e308,-1e200,1e160,-1.7976931348623157e308", "--qmax", "3",
+             "--niter", "64", "--workers", "1", "--out", str(out)]
+            + (["--nmax", "2"] if cmd == "skew" else []),
+            capture_output=True, text=True,
+        )
+        assert res.returncode == 0, res.stderr
+        assert "Warning" not in res.stderr, res.stderr
+        csv_name, col, status = (("rho.csv", 3, "unresolved") if cmd == "rho"
+                                 else ("search.csv", 5, "none"))
+        rows = read(out / csv_name).strip().splitlines()[1:]
+        assert [r.split(",")[col] for r in rows] == [status] * 4
+
     def test_large_t_is_unresolved(self, arnold_file, tmp_path):
         # t = 1e20 is an integer, so f_t locks at 0/1, but an orbit of lift
         # values near n * 1e20 keeps no fractional bits to show it
@@ -318,6 +343,23 @@ class TestDeterminism:
         assert main(args + ["--out", out2, "--workers", "3"]) == 0
         for fname in ("windows.csv", "measure.csv"):
             assert read(os.path.join(out1, fname)) == read(os.path.join(out2, fname))
+
+
+    def test_rho_parallel_matches_serial(self, tmp_path):
+        # two workers sweep two blocks, one of them holding a t outside
+        # [0, 1], so the blocks and the choice of rounding bound both show
+        fam = tmp_path / "phased.json"
+        fam.write_text(json.dumps({
+            "label": "arnold-phased", "winding": 1,
+            "harmonics": [{"j": 1, "a": [0.07], "b": [-0.06]}],
+        }))
+        args = ["rho", "--input", str(fam), "--t-range", "0:1:600", "--t", "1e20",
+                "--qmax", "4", "--niter", "256"]
+        outs = [str(tmp_path / f"w{w}") for w in (1, 2)]
+        for out, workers in zip(outs, ("1", "2")):
+            assert main(args + ["--out", out, "--workers", workers]) == 0
+        serial, parallel = (read(os.path.join(out, "rho.csv")) for out in outs)
+        assert serial == parallel and len(serial.splitlines()) == 602
 
 
 class TestConsoleEntry:

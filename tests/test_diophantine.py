@@ -136,6 +136,11 @@ COUNT_CASES = [
     (2.0, 1000, 100_000),   # everything excluded at n = 1
     (2.0, 5, 1001),         # the midpoint 1/2 passes level 1
     (2.0, 1, 100_001),
+    (2.0, 3, 2 ** 21),      # the runs around 0/1 and 1/1 touch at 1/2
+    (2.0, 2, 2 ** 21 + 1),  # ... with the midpoint 1/2 between them
+    (2.0, 40, 4097 + 40 * 41),
+    (2.0 - 2 ** -51, 2, 1_000_001),
+    (1.9999999999999, 1, 2 ** 21 - 1),
     (1.999, 20, 50_000),
     (1e-10, 500, 100_000),
     (5e-12, 200, 2 ** 17),
@@ -163,6 +168,32 @@ class TestCountedGrid:
                             lambda x, n, thresh: levels.append(n) or real(x, n, thresh))
         assert dio_measure(DioParams(2.0, 10_000, 100_000)).estimate == 0.0
         assert max(levels) <= 2
+
+    @pytest.mark.parametrize("C,n_max,grid", [(2.0, 1, 10 ** 10), (2.0, 1000, 100_000),
+                                              (1.9999999999999, 1, 10 ** 12),
+                                              (2.0, 3, MAX_GRID)])
+    def test_crest_counted_without_a_dense_row(self, C, n_max, grid, monkeypatch):
+        # at C near 2 the level-1 runs touch at 1/2, or the rounding of sin
+        # on its crest passes thousands of cells there; the settle windows
+        # merge and widen instead of testing every midpoint
+        rows = []
+
+        def dense(g):
+            rows.append(g)
+            raise MemoryError(f"a dense row of {g} cells")
+
+        monkeypatch.setattr(diophantine, "_midpoints", dense)
+        est = dio_measure(DioParams(C, n_max, grid)).estimate
+        assert rows == []
+        if n_max == 1:
+            # level 1 passes one block of cells around 1/2; beyond the ones
+            # evaluated here, cells fail by far more than the rounding
+            cells = np.arange(grid // 2 - 10 ** 6, grid // 2 + 10 ** 6)
+            near = diophantine._passes((cells + 0.5) / grid, 1, C)
+            assert not near[:1000].any() and not near[-1000:].any()
+            assert est == int(np.count_nonzero(near)) / grid > 0.0
+        else:
+            assert est == 0.0
 
     def test_grid_above_bound_rejected(self):
         DioParams(0.1, 10, MAX_GRID)

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -153,6 +154,24 @@ class TestClassifyBatch:
             assert got.classification == ref.classification
             assert got.estimate == pytest.approx(ref.estimate, abs=1e-12)
 
+    @pytest.mark.parametrize("workers, sizes", [(1, [7]), (3, [3, 2, 2]), (9, [1] * 7)])
+    def test_one_block_per_worker(self, workers, sizes):
+        # a map_fn with a worker count gets one block per worker, never an
+        # empty one; the plain map sweeps one block
+        seen = []
+
+        class Pool:
+            def __call__(self, fn, blocks):
+                blocks = list(blocks)
+                seen.extend(len(b) for b in blocks)
+                return map(fn, blocks)
+
+        pool = Pool()
+        pool.workers = workers
+        fam, ts = arnold_family(0.1), np.linspace(0.0, 1.0, 7)
+        assert classify_batch(fam, ts, q_max=6, map_fn=pool) == classify_batch(fam, ts, q_max=6)
+        assert seen == sizes
+
 
 def two_harmonic_family():
     return CircleFamily(1, TPoly((0.0, 0.01)), (
@@ -288,6 +307,117 @@ class TestTwoLevelLockCheck:
             ends = real_disp(fam, t, q, p, np.array([k, k + 1]) / n)
             at_w = abs(real_disp(fam, t, q, p, w))
             assert ends[0] * ends[1] <= 0 or at_w <= rotation.WITNESS_TOL
+
+
+def exact_step(fam, t: float, y: float):
+    """Oracle: one application of the lift in 60-digit arithmetic, with the
+    float coefficients the kernel takes at t."""
+    with mpmath.workdps(60):
+        z = mpmath.mpf(y)
+        for w, const, harm in fam.stack:
+            acc = z + mpmath.mpf(float(w * t + const(t)))
+            for j, a, b in harm:
+                x = 2 * mpmath.pi * j * z
+                acc += mpmath.mpf(float(a(t))) * mpmath.cos(x) + mpmath.mpf(float(b(t))) * mpmath.sin(x)
+            z = acc
+        return z
+
+
+def step_bound(fam, t: float, y: float) -> float:
+    """Rounding bound of one application at y: eps r (Y + 1) per stage
+    application as derived in ``is_locked``, amplified by at most L by the
+    later stages; Y = |y| + sum |drift| + L - 1 bounds every partial sum."""
+    lip = fam.dtheta_lift_bound(t)
+    y_max = abs(y) + sum(abs(float(w * t + c(t))) for w, c, _ in fam.stack) + lip - 1.0
+    return rotation.EPS * lip * rotation._rounding_rate(fam, lip) * (y_max + 1.0)
+
+
+def phased_arnold(amp=0.125, phase=0.3):
+    """theta + t + amp sin 2 pi (theta + phase): both coefficients nonzero."""
+    a, b = amp * math.sin(2 * math.pi * phase), amp * math.cos(2 * math.pi * phase)
+    return CircleFamily(1, TPoly((0.0,)), ((1, TPoly((a,)), TPoly((b,))),))
+
+
+def four_stage_family():
+    F = SkewMap(2, (
+        (0, 1, TPoly((0.0,)), TPoly((0.01,))),
+        (1, 1, TPoly((0.0, 0.004)), TPoly((0.006,))),
+        (2, 2, TPoly((0.002,)), TPoly((-0.001, 5e-4))),
+    ))
+    circle = next(c for c in periodic_circles(2, 4) if c.n == 4)
+    return restricted_family(F, circle)
+
+
+def near_pi_family(sign):
+    """Two harmonics with b < 0 and |a| tiny: phi = atan2(a, b) sits within
+    1e-16 of sign * pi, where its rounding is largest."""
+    return CircleFamily(1, TPoly((0.0,)), (
+        (1, TPoly((sign * 1e-17,)), TPoly((-0.15,))),
+        (3, TPoly((-sign * 2e-18,)), TPoly((-0.01,))),
+    ))
+
+
+class TestPhaseKernel:
+    """The stage kernel evaluates each harmonic as R sin(w y + phi); every
+    step must stay within the rounding bound that ``is_locked`` and
+    ``_decide`` use."""
+
+    @pytest.mark.parametrize("make", [phased_arnold, two_harmonic_family, four_stage_family],
+                             ids=["phased-arnold", "two-harmonic", "four-stage"])
+    def test_orbit_steps_within_bound(self, make):
+        fam = make()
+        rng = np.random.default_rng(404)
+        for t in rng.random(4):
+            step = fam.step_factory(float(t))
+            y = float(rng.uniform(0, 1))
+            for k in range(40):
+                if k == 20:
+                    y += 4096.0  # lift values of a long orbit
+                nxt = float(step(np.asarray(y)))
+                gap = abs(mpmath.mpf(nxt) - exact_step(fam, float(t), y))
+                assert gap <= step_bound(fam, float(t), y), (t, y)
+                y = nxt
+
+    @pytest.mark.parametrize("make", [phased_arnold, four_stage_family],
+                             ids=["phased-arnold", "four-stage"])
+    def test_array_t_steps_within_bound(self, make):
+        fam = make()
+        rng = np.random.default_rng(405)
+        ts = np.concatenate([rng.random(24), rng.uniform(-50, 50, 8)])
+        ys = rng.uniform(-3000, 3000, ts.size)
+        step = fam.step_factory(ts)
+        for _ in range(3):
+            nxt = step(ys)
+            for t, y, v in zip(ts, ys, nxt):
+                gap = abs(mpmath.mpf(float(v)) - exact_step(fam, float(t), float(y)))
+                assert gap <= step_bound(fam, float(t), float(y)), (t, y)
+            ys = nxt
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["phi-near-pi", "phi-near-minus-pi"])
+    def test_phase_near_pi_and_y_near_zero(self, sign):
+        fam = near_pi_family(sign)
+        _, _, harm = fam.stack[0]
+        phi = np.arctan2(harm[0][1](0.0), harm[0][2](0.0))
+        assert abs(abs(phi) - math.pi) < 1e-15 and np.sign(phi) == sign
+        for t in (0.0, 1e-17, -1e-12):
+            step = fam.step_factory(t)
+            for y in (0.0, -0.0, 5e-324, 1e-300, -1e-17, 1e-9, -1e-9, 0.5 - 1e-16, 1.0):
+                nxt = float(step(np.asarray(y)))
+                gap = abs(mpmath.mpf(nxt) - exact_step(fam, t, y))
+                assert gap <= step_bound(fam, t, y), (t, y)
+
+    def test_rate_counts_the_phase_form_by_hand(self):
+        # one stage with two harmonics: 3 additions; the argument w y + phi
+        # costs 2 (L - 1); R and phi (1 ulp each, |phi| <= pi), the sum with
+        # phi (pi / 2), sin (4) and the product (1 / 2) cost eps R each,
+        # with R_1 + R_2 <= (L - 1) / 2 pi
+        fam = CircleFamily(1, TPoly((0.0,)), ((1, TPoly((0.03,)), TPoly((-0.04,))),
+                                              (2, TPoly((0.0,)), TPoly((0.01,)))))
+        lip = 1.0 + 2 * math.pi * (0.07 + 2 * 0.01)
+        assert fam.dtheta_lift_bound(0.5) == pytest.approx(lip, rel=1e-15)
+        ulps = 1.0 + math.pi + math.pi / 2 + 4.0 + 0.5
+        want = 3.0 + 2.0 * (lip - 1.0) + ulps * (lip - 1.0) / (2 * math.pi)
+        assert rotation._rounding_rate(fam, lip) == pytest.approx(want, rel=1e-14)
 
 
 class TestLargeParameter:

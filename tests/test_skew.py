@@ -8,6 +8,7 @@ from circledyn.circle_map import CircleFamily, TPoly, c3_norm
 from circledyn.errors import DegenerateFiber
 from circledyn.gallery import arnold_skew, c3_scaled_amplitude
 from circledyn.rotation import IRRATIONAL_CANDIDATE, classify
+from circledyn import skew
 from circledyn.skew import (
     PeriodicCircle,
     SkewMap,
@@ -205,6 +206,56 @@ class TestA3Check:
         assert restricted_norm(rf).c3_g == a3_check(rf, 0.99)[0]
 
 
+def c3_sup_by_snapshots(rf, y_grid=skew.C3_Y_GRID):
+    """Oracle: the sup of ``a3_check`` taken one ``at(t)`` snapshot at a time."""
+    max_j = max((j for _, harm in rf.stages for j, _, _ in harm), default=0)
+    y_grid = max(y_grid, 8 * max_j + 8, 16)
+    ys = np.arange(y_grid) / y_grid
+    sup = 0.0
+    for t in np.linspace(0.0, 1.0, skew.C3_T_GRID):
+        snap = rf.at(float(t))
+        v, d1, d2, d3 = deriv_tuple(snap, ys)
+        b1, b2, b3, b4 = snap.theta_deriv_bounds()
+        lb1 = 1.0
+        for _, p in snap.stages:
+            lb1 *= max(0.0, 1.0 - p.deriv_bound(1))
+        g_lip = max(b1 - 1.0, 1.0 - lb1)
+        sup = max(sup, float(np.max(np.abs(v - ys - rf.winding * float(t)))) + g_lip / y_grid,
+                  float(np.max(np.abs(d1 - 1.0))) + b2 / y_grid,
+                  float(np.max(np.abs(d2))) + b3 / y_grid,
+                  float(np.max(np.abs(d3))) + b4 / y_grid)
+    return sup
+
+
+def xdep_skew(m, rng):
+    """A seeded skew map with x-dependent fibers and t-dependent coefficients."""
+    harm = []
+    for _ in range(3):
+        jx, jy = int(rng.integers(0, 3)), int(rng.integers(0, 4))
+        harm.append((jx, jy, TPoly(tuple(rng.normal(size=int(rng.integers(1, 3))) * 2e-3)),
+                     TPoly(tuple(rng.normal(size=2) * 2e-3))))
+    return SkewMap(m, tuple(harm))
+
+
+class TestC3Sup:
+    """``a3_check`` evaluates every t value at once; its sup must equal the
+    snapshot-by-snapshot chain rule bit for bit, so ``circles.csv`` and
+    ``eta.csv`` keep their bytes."""
+
+    @pytest.mark.parametrize("make, n_max", [
+        (lambda: arnold_skew(2, c3_scaled_amplitude(0.05)), 3),
+        (lambda: SkewMap(2, ((0, 1, (0.0,), (1e-4,)), (1, 1, (2e-5,), (6e-5,)),
+                             (0, 2, (2.4e-5,), (-1e-5,)))), 4),
+        (lambda: xdep_skew(2, np.random.default_rng(3)), 3),
+        (lambda: xdep_skew(3, np.random.default_rng(4)), 2),
+    ], ids=["theoremA", "skew-search", "random-m2", "random-m3"])
+    def test_equals_snapshot_chain_rule(self, make, n_max):
+        F = make()
+        for circle in periodic_circles(F.m, n_max):
+            rf = restricted_family(F, circle)
+            assert a3_check(rf, 0.5)[0] == c3_sup_by_snapshots(rf), circle
+
+
 class TestStageStack:
     def test_one_stage_restriction_equals_circle_family(self):
         # jx = 0 harmonics only: the fiber over x0 = 0 carries the skew
@@ -225,6 +276,26 @@ class TestStageStack:
         for t in (None, 0.0, 0.37, 1.0):
             assert rf.dtheta_lift_bound(t) == fam.dtheta_lift_bound(t)
         assert rf.g_sup_bound() == fam.g_sup_bound()
+
+
+def deriv_tuple(cm, y):
+    """(value, d1, d2, d3) of the composed lift of the snapshot ``cm`` at y,
+    by exact chain rule."""
+    y = np.asarray(y, dtype=float)
+    v = y.copy()
+    d1 = np.ones_like(v)
+    d2 = np.zeros_like(v)
+    d3 = np.zeros_like(v)
+    for c, p in cm.stages:
+        l1 = 1.0 + p.deriv(1)(v)
+        l2 = p.deriv(2)(v)
+        l3 = p.deriv(3)(v)
+        nd1 = l1 * d1
+        nd2 = l1 * d2 + l2 * d1 ** 2
+        nd3 = l1 * d3 + 3.0 * l2 * d1 * d2 + l3 * d1 ** 3
+        v = v + c + p(v)
+        d1, d2, d3 = nd1, nd2, nd3
+    return v, d1, d2, d3
 
 
 def central_derivatives(snap, y, h=1e-7, dps=40):
@@ -267,7 +338,7 @@ class TestDerivativeOracle:
             rf = restricted_family(F, circle)
             t, y = float(RNG.uniform(0, 1)), float(RNG.uniform(0, 1))
             snap = rf.at(t)
-            _, d1, d2, d3 = snap.deriv_tuple(np.array(y))
+            _, d1, d2, d3 = deriv_tuple(snap, np.array(y))
             fd1, fd2, fd3 = central_derivatives(snap, y)
             assert abs(fd1 - d1) <= 1e-6 * max(1.0, abs(d1))
             assert abs(fd2 - d2) <= 1e-6 * max(1.0, abs(d2))
