@@ -416,6 +416,26 @@ def family_norm(f: CircleFamily, check: bool = True) -> FamilyNorm:
     return FamilyNorm(c3_g=c3, c0_dt=f.dt_sup_bound())
 
 
+def composed_deriv_bounds(stage_bounds):
+    """Certified bounds (b1, b2, b3, b4) for the first four derivatives of
+    a composition of stages y -> y + c_i + p_i(y), applied in order, from
+    per-stage bounds (s1, l2, l3, l4) of sup |p_i^(k)|, k = 1..4: the
+    chain rule to order four, with l1 = 1 + s1 bounding a stage's
+    derivative."""
+    h = (1.0, 0.0, 0.0, 0.0)
+    for s1, l2, l3, l4 in stage_bounds:
+        l1 = 1.0 + s1
+        h1, h2, h3, h4 = h
+        h = (
+            l1 * h1,
+            l1 * h2 + l2 * h1 ** 2,
+            l1 * h3 + 3.0 * l2 * h1 * h2 + l3 * h1 ** 3,
+            l1 * h4 + l2 * (4.0 * h1 * h3 + 3.0 * h2 ** 2)
+            + 6.0 * l3 * h1 ** 2 * h2 + l4 * h1 ** 4,
+        )
+    return h
+
+
 @dataclass(frozen=True)
 class ComposedCircleMap:
     """Composition of single-variable circle-map lifts y -> y + c_i + p_i(y).
@@ -428,21 +448,8 @@ class ComposedCircleMap:
 
     def theta_deriv_bounds(self):
         """Certified bounds (b1, b2, b3, b4) for the composed derivatives."""
-        h = (1.0, 0.0, 0.0, 0.0)
-        for _, p in self.stages:
-            l1 = 1.0 + p.deriv_bound(1)
-            l2 = p.deriv_bound(2)
-            l3 = p.deriv_bound(3)
-            l4 = p.deriv_bound(4)
-            h1, h2, h3, h4 = h
-            h = (
-                l1 * h1,
-                l1 * h2 + l2 * h1 ** 2,
-                l1 * h3 + 3.0 * l2 * h1 * h2 + l3 * h1 ** 3,
-                l1 * h4 + l2 * (4.0 * h1 * h3 + 3.0 * h2 ** 2)
-                + 6.0 * l3 * h1 ** 2 * h2 + l4 * h1 ** 4,
-            )
-        return h
+        return composed_deriv_bounds(
+            [p.deriv_bound(k) for k in range(1, 5)] for _, p in self.stages)
 
     def check_diffeo(self, error=DegenerateFamily, where: str = ""):
         """Raise ``error`` when 1 + p_i' <= 0 on a dense theta grid for some

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__, io, rotation, skew, windows
-from .diophantine import MAX_GRID, DioParams, dio_measure, exact_measure
+from .diophantine import DioParams, dio_measure
 from .errors import (
     CircledynError,
     DegenerateFamily,
@@ -122,6 +122,18 @@ def _check_window_tol(cfg: RunConfig, winding):
     if not cfg.tol < bound:
         raise InputError(f"--tol must be < 1/(4 winding qmax^2) = {bound:.6g} for "
                          f"winding {winding} and --qmax {cfg.qmax}, got {cfg.tol}")
+
+
+def _check_lock_grid(cfg: RunConfig):
+    """Lock checks at denominators up to --qmax, and on --grid points when
+    it is given, must stay within ``rotation.MAX_LOCK_GRID``."""
+    try:
+        rotation.lock_grid_size(cfg.qmax)
+    except ValueError as e:
+        raise InputError(f"--qmax: {e}")
+    if cfg.grid > rotation.MAX_LOCK_GRID:
+        raise InputError(f"--grid must be <= 2^24 = {rotation.MAX_LOCK_GRID} for lock "
+                         f"checks, got {cfg.grid}")
 
 
 def _merge_config(sub: str, args: argparse.Namespace) -> RunConfig:
@@ -256,10 +268,6 @@ def cmd_dio(cfg: RunConfig) -> int:
     raw = cfg.values.get("C")
     if not raw:
         raise InputError("--C is required (one value or a comma list)")
-    if cfg.grid > MAX_GRID:
-        raise InputError(f"--grid must be <= 2^48 = {MAX_GRID} for dio: beyond it the "
-                         f"rounding of the cell midpoints (i + 0.5)/grid nears a cell, "
-                         f"got {cfg.grid}")
     try:
         params = [DioParams(c, cfg.nmax, cfg.grid or 100_000) for c in _floats(str(raw), "--C")]
     except ValueError as e:
@@ -268,7 +276,7 @@ def cmd_dio(cfg: RunConfig) -> int:
     for p in params:
         m = dio_measure(p)
         rows.append((p.C, p.n_max, m.estimate, m.analytic_lower, m.grid_error))
-        exact.append((p.C, p.n_max, *exact_measure(p)))
+        exact.append((p.C, p.n_max, m.estimate, m.exact_error))
     _finish(cfg, {"dio.csv": ("dio", rows)}, inputs={},
             report_tables={"dio_exact": (("C", "n_max", "exact", "exact_error"), exact)})
     return 0
@@ -440,8 +448,10 @@ def main(argv=None) -> int:
     try:
         cfg = _merge_config(args.subcommand, args)
         cfg.t0 = time.time()
-        if cfg.values.get("input") is None and args.subcommand != "dio":
-            raise InputError("--input is required")
+        if args.subcommand != "dio":
+            if cfg.values.get("input") is None:
+                raise InputError("--input is required")
+            _check_lock_grid(cfg)
         code = args.func(cfg)
         return code
     except InputError as e:

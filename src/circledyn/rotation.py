@@ -35,6 +35,12 @@ EPS = 2.0 ** -52
 # ulp), phi from atan2 (1 ulp, |phi| <= pi), the sum w y + phi (half an ulp
 # of pi), sin (4 ulp) and the product R sin (half an ulp)
 PHASE_ULPS = 1.0 + math.pi + 0.5 * math.pi + 4.0 + 0.5
+# Largest theta grid of a lock check.  A check holds about five float64
+# arrays of the grid's size at once: the thetas, the orbit and the stage
+# sum and scratch of _lift_q_displacement's step, and the displacement.  At
+# 2^24 points that is 670 MB; beyond it (q > 140) memory, not resolution,
+# would limit a run.
+MAX_LOCK_GRID = 2 ** 24
 DEFAULT_N_ITER = 10_000
 CLASSIFY_N_ITER = 4096
 
@@ -67,8 +73,13 @@ class LockCheck:
 
 def lock_grid_size(q: int) -> int:
     """Theta-grid resolution policy: 4096 for q <= 20, doubled per
-    additional 10 in q."""
-    return 4096 * 2 ** max(0, math.ceil((q - 20) / 10))
+    additional 10 in q, up to ``MAX_LOCK_GRID`` (q <= 140); a larger q
+    raises ValueError."""
+    doublings = max(0, -((20 - q) // 10))  # ceil((q - 20) / 10) in integers
+    if 4096 << min(doublings, 64) > MAX_LOCK_GRID:  # no huge shift for a huge q
+        raise ValueError(f"q = {q} needs a lock grid above {MAX_LOCK_GRID} points; "
+                         f"q <= 140 stays within it")
+    return 4096 << doublings
 
 
 def _quiet(fn):

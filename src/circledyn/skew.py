@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import rotation
-from .circle_map import TAU, FamilyNorm, StageStack, TPoly, _grid_for
+from .circle_map import TAU, FamilyNorm, StageStack, TPoly, _grid_for, composed_deriv_bounds
 from .errors import DegenerateFiber
 
 # C3 sup of a restricted map: t values with a certified theta sup, y-grid floor
@@ -225,7 +225,11 @@ def _c3_sup(rf: RestrictedFamily, y_grid: int) -> float:
     derivatives on a dense grid, each plus a Lipschitz margin from the
     composed derivative bounds.  Between those t values nothing is
     certified: the sup over t is a grid estimate.  The grid sups come from
-    :func:`_c3_rows`, in blocks of about 4096 grid points.
+    :func:`_c3_rows`, in blocks of about 4096 grid points.  The margins
+    take each stage's coefficient bounds sum_j (2 pi j)^k (|a_j(t)| +
+    |b_j(t)|), k = 1..4, with the float operations of
+    ``TrigPoly.deriv_bound`` on the ``at(t)`` snapshot, from coefficients
+    evaluated once over the t grid; the composition runs on Python floats.
     """
     max_j = max((j for _, harm in rf.stages for j, _, _ in harm), default=0)
     y_grid = _grid_for(max_j, y_grid)
@@ -234,13 +238,18 @@ def _c3_sup(rf: RestrictedFamily, y_grid: int) -> float:
     rows = max(1, 4096 // y_grid)
     sups = np.concatenate([_c3_rows(rf, ys, ts[i:i + rows]) for i in range(0, ts.size, rows)],
                           axis=1)
+    bounds = []
+    for _, _, harm in rf.stack:
+        sizes = [(TAU * j, np.abs(a(ts)) + np.abs(b(ts))) for j, a, b in harm]
+        bounds.append([sum((w ** k * s for w, s in sizes), np.zeros(ts.size))
+                       for k in range(1, 5)])
     out = 0.0
-    for i, t in enumerate(ts):
-        snap = rf.at(float(t))
-        b1, b2, b3, b4 = snap.theta_deriv_bounds()
+    # per t: the bounds (s1, l2, l3, l4) of every stage, as Python floats
+    for i, stages in enumerate(np.array(bounds).transpose(2, 0, 1).tolist()):
+        b1, b2, b3, b4 = composed_deriv_bounds(stages)
         lb1 = 1.0
-        for _, stage in snap.stages:
-            lb1 *= max(0.0, 1.0 - stage.deriv_bound(1))
+        for s1, *_ in stages:
+            lb1 *= max(0.0, 1.0 - s1)
         margins = (max(b1 - 1.0, 1.0 - lb1), b2, b3, b4)
         out = max(out, *(float(s) + m / y_grid for s, m in zip(sups[:, i], margins)))
     return out

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from circledyn import io as cio
 from circledyn.cli import main
 
 TAU = 2 * math.pi
@@ -182,6 +183,31 @@ class TestExitCodes:
         assert not out.exists() or not any(out.iterdir())
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,flag", [
+        (["windows", "--input", "{family}", "--grid", str(2 ** 24 + 1)], "--grid"),
+        (["windows", "--input", "{family}", "--grid", str(10 ** 30)], "--grid"),
+        (["tongues", "--input", "{family}", "--deltas", "0.1", "--grid", str(10 ** 30)],
+         "--grid"),
+        (["rho", "--input", "{family}", "--t", "0.45", "--qmax", "141"], "--qmax"),
+        (["skew", "--input", "{skew}", "--t", "0.1", "--qmax", str(10 ** 30)], "--qmax"),
+        (["theoremA", "--input", "{skew}", "--qmax", "200"], "--qmax"),
+        (["windows", "--input", "{family}", "--qmax", str(10 ** 400)], "--qmax"),
+    ], ids=["windows-grid-cap+1", "windows-grid-1e30", "tongues-grid-1e30", "rho-qmax-141",
+            "skew-qmax-1e30", "theoremA-qmax-200", "windows-qmax-1e400"])
+    def test_lock_grid_cap(self, argv, flag, arnold_file, skew_file, tmp_path, capsys,
+                           monkeypatch):
+        # rejected before any definition file is read, so nothing is allocated
+        def unread(path):
+            raise AssertionError(f"{path} read")
+
+        monkeypatch.setattr(cio, "load_family", unread)
+        monkeypatch.setattr(cio, "load_skew", unread)
+        out = tmp_path / "outdir"
+        argv = [a.format(family=arnold_file, skew=skew_file) for a in argv]
+        assert main(argv + ["--out", str(out), "--workers", "1"]) == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
     def test_tol_bound(self, arnold_file, tmp_path, capsys):
         # windows of neighbouring rationals are seeded 1/(winding qmax^2)
         # apart; the bound is a quarter of that
@@ -285,21 +311,15 @@ class TestDioCommand:
         exact = json.loads(read(os.path.join(out, "report.json")))["tables"]["dio_exact"]
         assert exact["header"] == ["C", "n_max", "exact", "exact_error"]
         assert [r[:2] for r in exact["rows"]] == [r.split(",")[:2] for r in lines[1:]]
+        assert [r[2] for r in exact["rows"]] == [r.split(",")[2] for r in lines[1:]]
 
     def test_grid_beyond_memory(self, tmp_path):
-        # ten billion cells: the count holds no array of the grid's size
+        # ten billion cells: the measure tests no grid
         out = str(tmp_path / "d")
         assert main(["dio", "--C", "0.1", "--nmax", "2", "--grid", "10000000000",
                      "--out", out]) == 0
         row = read(os.path.join(out, "dio.csv")).strip().splitlines()[1].split(",")
-        assert row[1:3] == ["2", "0.96616628380000003"]
-
-    def test_grid_bound(self, tmp_path, capsys):
-        out = tmp_path / "d"
-        assert main(["dio", "--C", "0.1", "--nmax", "2", "--grid", str(2 ** 48 + 1),
-                     "--out", str(out)]) == 2
-        assert "--grid" in capsys.readouterr().err
-        assert not out.exists()
+        assert row[1:3] == ["2", "0.96616628378574054"]
 
 
 class TestSkewCommand:
@@ -376,7 +396,7 @@ class TestConsoleEntry:
 
 # Each option has valid values, edge cases among them, and bad values: out
 # of range, non-finite or malformed.  Parsable numbers are bounded (qmax
-# <= 5, niter <= 64, grid <= 2048, nmax <= 3, samples <= 40, at most three
+# <= 5, niter <= 64, lock grid <= 2048, nmax <= 3, samples <= 40, at most three
 # t values) so that no example allocates a large array or runs long; qmax,
 # nmax, samples and niter are always given, because their defaults are the
 # expensive full-size runs.
@@ -390,8 +410,8 @@ def option(valid, *bad):
     return valid, st.sampled_from(list(bad) + JUNK)
 
 
-def ints(lo, hi, *bad, edge=("+1", "01", " 2 ", "٣", "２")):
-    return option(st.integers(lo, hi).map(str) | st.sampled_from(edge), *bad)
+def ints(lo, hi, *bad, edge=("+1", "01", " 2 ", "٣", "２"), also=st.nothing()):
+    return option(st.integers(lo, hi).map(str) | also | st.sampled_from(edge), *bad)
 
 
 def reals(lo, hi, edge):
@@ -435,7 +455,8 @@ FUZZ_ARGV = {
                                 "--samples": ints(1, 40, "0", "-1")},
                     {"--tol": option(reals(1e-9, 1e-2, ["1e-300", "5e-324", "1e300"]),
                                      "0", "-1e-6"),
-                     "--grid": ints(0, 2048, "-1"), "--seed": ints(0, 2 ** 70, "-1")}),
+                     "--grid": ints(0, 2048, "-1", str(2 ** 24 + 1)),
+                     "--seed": ints(0, 2 ** 70, "-1")}),
     # niter 0 would select the default 4096 iterates per circle and t
     "skew": argv("skew", {"--nmax": ints(1, 3, "0", "-1"), "--qmax": ints(1, 5, "0", "-1"),
                           "--niter": ints(1, 64, "0", "-1", edge=("+1", "01")), "--t": T_LIST},
@@ -445,7 +466,8 @@ FUZZ_ARGV = {
     "dio": argv("dio", {"--nmax": ints(1, 3, "0", "-1"),
                         "--C": real_list(0.001, 2.0, ["2", "1e-300", "5e-324"],
                                          "0", "-1", "2.0000000000000004")},
-                {"--grid": ints(0, 2048, "-1")}),
+                # the measure tests no grid, so any grid size is cheap
+                {"--grid": ints(0, 2048, "-1", also=st.integers(2 ** 48 + 1, 10 ** 30).map(str))}),
 }
 INPUT = {"rho": "family", "windows": "family", "skew": "skew", "dio": None}
 

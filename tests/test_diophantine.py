@@ -7,10 +7,9 @@ from scipy.special import zeta
 
 from circledyn import diophantine
 from circledyn.diophantine import (
-    MAX_GRID,
+    ANALYTIC_C_MAX,
     ZETA3,
     DioParams,
-    analytic_lower_bound,
     dio_measure,
     dio_member,
     exact_measure,
@@ -99,112 +98,29 @@ class TestMeasure:
             m = dio_measure(DioParams(c, 300, 20_000))
             assert m.analytic_lower - m.grid_error <= m.estimate <= 1.0
 
-
-def dense_estimate(params):
-    """Every midpoint tested at every level: the oracle that the counted
-    grid must equal bit for bit."""
-    xs = (np.arange(params.grid) + 0.5) / params.grid
-    mask = np.ones(xs.shape, dtype=bool)
-    for n in range(1, params.n_max + 1):
-        mask &= 2.0 * np.abs(np.sin(np.pi * n * xs)) >= params.C / n ** 3
-        if not mask.any():
-            break
-    return float(np.mean(mask))
-
-
-def _seeded_cases(count, seed=606):
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(count):
-        C = float(np.exp(rng.uniform(math.log(1e-11), math.log(2.0))))
-        grid = int(rng.choice([rng.integers(1, 5000), rng.integers(5000, 100_000)]))
-        out.append((C, int(rng.integers(1, 200)), grid))
-    return out
-
-
-COUNT_CASES = [
-    (0.1, 60, 600_000),     # the benchmark's settings
-    (0.05, 300, 100_000),   # midpoints on p/n at n = 64, 128, 192, 256
-    (0.1, 130, 100_000),
-    (0.3, 200, 2 ** 16),
-    (0.02, 100, 2 ** 10),   # every level tested at every midpoint
-    (0.1, 1000, 1000),
-    (0.2, 3000, 20_000),    # settled up to n = 397, then every midpoint
-    (0.3, 300, 100),
-    (1.0, 50, 17),
-    (0.5, 40, 1),
-    (2.0, 1000, 100_000),   # everything excluded at n = 1
-    (2.0, 5, 1001),         # the midpoint 1/2 passes level 1
-    (2.0, 1, 100_001),
-    (2.0, 3, 2 ** 21),      # the runs around 0/1 and 1/1 touch at 1/2
-    (2.0, 2, 2 ** 21 + 1),  # ... with the midpoint 1/2 between them
-    (2.0, 40, 4097 + 40 * 41),
-    (2.0 - 2 ** -51, 2, 1_000_001),
-    (1.9999999999999, 1, 2 ** 21 - 1),
-    (1.999, 20, 50_000),
-    (1e-10, 500, 100_000),
-    (5e-12, 200, 2 ** 17),
-] + _seeded_cases(36)
-
-
-class TestCountedGrid:
-    @pytest.mark.parametrize("C,n_max,grid", COUNT_CASES)
-    def test_counted_equals_dense(self, C, n_max, grid):
-        params = DioParams(C, n_max, grid)
-        assert dio_measure(params).estimate == dense_estimate(params)
-
-    @pytest.mark.parametrize("C,n_max,grid", [(0.1, 300, 100_000), (0.2, 3000, 20_000),
-                                              (1.5, 40, 50_001), (1e-10, 400, 2 ** 16)])
-    def test_runs_folded_into_mask_equal_dense(self, C, n_max, grid, monkeypatch):
-        # fold the runs into the mask at the first merge
-        monkeypatch.setattr(diophantine, "_MASK_SHARE", 2 * grid)
-        params = DioParams(C, n_max, grid)
-        assert dio_measure(params).estimate == dense_estimate(params)
-
-    def test_all_excluded_stops_early(self, monkeypatch):
-        levels = []
-        real = diophantine._passes
-        monkeypatch.setattr(diophantine, "_passes",
-                            lambda x, n, thresh: levels.append(n) or real(x, n, thresh))
-        assert dio_measure(DioParams(2.0, 10_000, 100_000)).estimate == 0.0
-        assert max(levels) <= 2
-
-    @pytest.mark.parametrize("C,n_max,grid", [(2.0, 1, 10 ** 10), (2.0, 1000, 100_000),
-                                              (1.9999999999999, 1, 10 ** 12),
-                                              (2.0, 3, MAX_GRID)])
-    def test_crest_counted_without_a_dense_row(self, C, n_max, grid, monkeypatch):
-        # at C near 2 the level-1 runs touch at 1/2, or the rounding of sin
-        # on its crest passes thousands of cells there; the settle windows
-        # merge and widen instead of testing every midpoint
-        rows = []
-
-        def dense(g):
-            rows.append(g)
-            raise MemoryError(f"a dense row of {g} cells")
-
-        monkeypatch.setattr(diophantine, "_midpoints", dense)
-        est = dio_measure(DioParams(C, n_max, grid)).estimate
-        assert rows == []
-        if n_max == 1:
-            # level 1 passes one block of cells around 1/2; beyond the ones
-            # evaluated here, cells fail by far more than the rounding
-            cells = np.arange(grid // 2 - 10 ** 6, grid // 2 + 10 ** 6)
-            near = diophantine._passes((cells + 0.5) / grid, 1, C)
-            assert not near[:1000].any() and not near[-1000:].any()
-            assert est == int(np.count_nonzero(near)) / grid > 0.0
-        else:
-            assert est == 0.0
-
-    def test_grid_above_bound_rejected(self):
-        DioParams(0.1, 10, MAX_GRID)
-        with pytest.raises(ValueError):
-            DioParams(0.1, 10, MAX_GRID + 1)
-
     def test_grid_beyond_memory(self):
-        # ten billion cells: counting needs no array of the grid's size
-        m = dio_measure(DioParams(0.1, 2, 10 ** 10))
-        exact, _ = exact_measure(DioParams(0.1, 2))
-        assert abs(m.estimate - exact) <= 5 / 10 ** 10
+        # ten billion cells: the measure tests no grid
+        params = DioParams(0.1, 2, 10 ** 10)
+        assert dio_measure(params).estimate == exact_measure(params)[0]
+
+    @pytest.mark.parametrize("n_max", [1, 2, 7, 60, 1000])
+    def test_analytic_lower_below_exact_measure(self, n_max):
+        # proven for C <= 1 at every cutoff, empty above
+        for C in [0.01, 0.05, 0.2] + list(np.linspace(0.4, 2.0, 17)):
+            params = DioParams(float(C), n_max)
+            lower = dio_measure(params).analytic_lower
+            exact, err = exact_measure(params)
+            if C <= ANALYTIC_C_MAX:
+                assert lower == 1.0 - C * ZETA3 / math.pi
+                assert exact - err >= lower
+            else:
+                assert lower is None
+
+    def test_formula_fails_above_the_range(self):
+        # the union bound C / (pi n^3) per level undercounts asin(y) / y
+        assert exact_measure(DioParams(2.0, 1))[0] == 0.0 < 1.0 - 2.0 * ZETA3 / math.pi
+        exact, err = exact_measure(DioParams(1.4, 60))
+        assert exact + err < 1.0 - 1.4 * ZETA3 / math.pi
 
 
 def union_oracle(C, n_max):
@@ -260,16 +176,12 @@ class TestExactMeasure:
         blocked, err_blocked = exact_measure(DioParams(0.2, 300))
         assert abs(blocked - whole) <= err + err_blocked
 
-    @pytest.mark.parametrize("C,n_max,grid,tol", [
-        # criterion 4's settings: the midpoint grid aliases by 1.45e-3 there,
-        # C / n^2.5 in place of C / n^3 moves the estimate by 4.0e-3 and a
-        # dropped factor 2 by 3.7e-2
-        (0.1, 1000, 100_000, 2.5e-3),
-        # the benchmark's settings: 4.6e-5 against 2.5e-3 and 3.5e-2
-        (0.1, 60, 600_000, 5e-4),
+    @pytest.mark.parametrize("C,n_max,grid", [
+        (0.1, 1000, 100_000),  # criterion 4's settings
+        (0.1, 60, 600_000),    # the benchmark's settings
+        (2.0, 5, 1000),        # nothing passes level 1
     ])
-    def test_estimate_tracks_exact_measure(self, C, n_max, grid, tol):
+    def test_estimate_tracks_exact_measure(self, C, n_max, grid):
         params = DioParams(C, n_max, grid)
-        exact, err = exact_measure(params)
-        assert abs(dio_measure(params).estimate - exact) <= tol
-        assert exact >= analytic_lower_bound(C)
+        m = dio_measure(params)
+        assert (m.estimate, m.exact_error) == exact_measure(params)

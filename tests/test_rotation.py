@@ -87,6 +87,16 @@ class TestIsLocked:
             d = fam.lift(t, chk.witness) - chk.witness
             assert abs(d) <= 1e-8
 
+    def test_lock_grid_capped(self):
+        assert [rotation.lock_grid_size(q) for q in (1, 20, 21, 30, 31, 140)] == [
+            4096, 4096, 8192, 8192, 16384, rotation.MAX_LOCK_GRID]
+        for q in (141, 189, 10 ** 30):
+            with pytest.raises(ValueError, match="q <= 140"):
+                rotation.lock_grid_size(q)
+        # the grid is chosen before any orbit is evaluated
+        with pytest.raises(ValueError):
+            is_locked(arnold_family(0.1), 0.45, 85, 189)
+
 
 class TestClassify:
     def test_rigid_golden_is_irrational_candidate(self):
