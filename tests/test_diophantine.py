@@ -98,11 +98,6 @@ class TestMeasure:
             m = dio_measure(DioParams(c, 300, 20_000))
             assert m.analytic_lower - m.grid_error <= m.estimate <= 1.0
 
-    def test_grid_beyond_memory(self):
-        # ten billion cells: the measure tests no grid
-        params = DioParams(0.1, 2, 10 ** 10)
-        assert dio_measure(params).estimate == exact_measure(params)[0]
-
     @pytest.mark.parametrize("n_max", [1, 2, 7, 60, 1000])
     def test_analytic_lower_below_exact_measure(self, n_max):
         # proven for C <= 1 at every cutoff, empty above
@@ -121,6 +116,71 @@ class TestMeasure:
         assert exact_measure(DioParams(2.0, 1))[0] == 0.0 < 1.0 - 2.0 * ZETA3 / math.pi
         exact, err = exact_measure(DioParams(1.4, 60))
         assert exact + err < 1.0 - 1.4 * ZETA3 / math.pi
+
+
+def dense_estimate(params):
+    """Every midpoint tested at every level: the count of ``grid`` cell
+    midpoints that ``grid_error`` refers to."""
+    xs = (np.arange(params.grid) + 0.5) / params.grid
+    mask = np.ones(xs.shape, dtype=bool)
+    for n in range(1, params.n_max + 1):
+        mask &= 2.0 * np.abs(np.sin(np.pi * n * xs)) >= params.C / n ** 3
+        if not mask.any():
+            break
+    return float(np.mean(mask))
+
+
+def _seeded_cases(count, seed=606):
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        C = float(np.exp(rng.uniform(math.log(1e-11), math.log(2.0))))
+        grid = int(rng.choice([rng.integers(1, 5000), rng.integers(5000, 100_000)]))
+        out.append((C, int(rng.integers(1, 200)), grid))
+    return out
+
+
+COUNT_CASES = [
+    (0.1, 60, 600_000),     # the benchmark's settings
+    (0.05, 300, 100_000),   # midpoints on p/n at n = 64, 128, 192, 256
+    (0.1, 130, 100_000),
+    (0.3, 200, 2 ** 16),
+    (0.02, 100, 2 ** 10),
+    (0.1, 1000, 1000),
+    (0.2, 3000, 20_000),
+    (0.3, 300, 100),
+    (1.0, 50, 17),
+    (0.5, 40, 1),
+    (2.0, 1000, 100_000),   # everything excluded at n = 1
+    (2.0, 5, 1001),         # the midpoint 1/2 passes level 1
+    (2.0, 1, 100_001),
+    (2.0, 3, 2 ** 21),      # the intervals around 0/1 and 1/1 touch at 1/2
+    (2.0, 2, 2 ** 21 + 1),  # ... with the midpoint 1/2 between them
+    (2.0, 40, 4097 + 40 * 41),
+    (2.0 - 2 ** -51, 2, 1_000_001),
+    (1.9999999999999, 1, 2 ** 21 - 1),
+    (1.999, 20, 50_000),
+    (1e-10, 500, 100_000),
+    (5e-12, 200, 2 ** 17),
+] + _seeded_cases(36)
+
+
+class TestCountedGrid:
+    @pytest.mark.parametrize("C,n_max,grid", COUNT_CASES)
+    def test_counted_equals_dense(self, C, n_max, grid):
+        # inside [0, 1] the excluded set is the two ends [0, h_1) and
+        # (1 - h_1, 1], where a midpoint count errs by at most half a cell
+        # each, and at most n_max (n_max - 1) / 2 interior intervals (n - 1
+        # more at level n), where it errs by at most one cell each; so a
+        # count of the grid lies within grid_error of the exact measure
+        params = DioParams(C, n_max, grid)
+        m = dio_measure(params)
+        assert abs(dense_estimate(params) - m.estimate) <= m.grid_error + m.exact_error
+
+    def test_grid_beyond_memory(self):
+        # ten billion cells: the measure tests no grid
+        params = DioParams(0.1, 2, 10 ** 10)
+        assert dio_measure(params).estimate == exact_measure(params)[0]
 
 
 def union_oracle(C, n_max):
