@@ -44,7 +44,13 @@ class TPoly:
         object.__setattr__(self, "coeffs", _as_float_tuple(self.coeffs) or (0.0,))
 
     def __call__(self, t):
-        return P.polyval(t, self.coeffs)
+        # numpy.polynomial.polynomial.polyval's own float operations, without
+        # its array set-up: bit-identical, signed zeros and infinities included
+        c = self.coeffs
+        out = c[-1] + t * 0
+        for i in range(2, len(c) + 1):
+            out = c[-i] + out * t
+        return out
 
     def deriv(self) -> "TPoly":
         if len(self.coeffs) == 1:
@@ -222,27 +228,31 @@ class StageStack:
         R sin(w y + phi), with R = hypot(a, b) and phi = atan2(a, b) taken
         once at t: one transcendental per harmonic and step.  Its rounding
         is counted in ``rotation.is_locked``.
+
+        At a 0-d t the coefficients are kept as Python floats, and a 0-d
+        theta (a float or a 0-d array) advances on them with ``math.sin``:
+        the same float operations as the array path, a float out.  A sine
+        of +-inf, where numpy's gives nan, makes that step return nan.
         """
         t = np.asarray(t, dtype=float)
+        scalar = not t.ndim
+        if scalar:
+            t = float(t)
         data = []
         for w, const, harm in self.stack:
             phased = []
             for j, a, b in harm:
                 at, bt = a(t), b(t)
-                phased.append((TAU * j, np.arctan2(at, bt), np.hypot(at, bt)))
+                phi, r = np.arctan2(at, bt), np.hypot(at, bt)
+                if scalar:
+                    phi, r = float(phi), float(r)
+                phased.append((TAU * j, phi, r))
             data.append((w * t + const(t), phased))
 
-        def step(theta):
+        def array_step(theta):
             y, s = theta, None
             for drift, phased in data:
                 acc = y + drift
-                # a 0-d orbit stays on numpy scalars: the same operations,
-                # but in-place ufuncs on 0-d arrays cost about 5x per step
-                if not acc.ndim:
-                    for w, phi, r in phased:
-                        acc += r * np.sin(w * y + phi)
-                    y = acc
-                    continue
                 if s is None:
                     s = np.empty_like(acc)
                 for w, phi, r in phased:
@@ -252,6 +262,23 @@ class StageStack:
                     s *= r
                     acc += s
                 y = acc
+            return y
+
+        if not scalar:
+            return array_step
+
+        def step(theta):
+            if getattr(theta, "ndim", 0):
+                return array_step(theta)
+            y = float(theta)
+            try:
+                for drift, phased in data:
+                    acc = y + drift
+                    for w, phi, r in phased:
+                        acc += r * math.sin(w * y + phi)
+                    y = acc
+            except ValueError:  # math.sin(+-inf)
+                return math.nan
             return y
 
         return step

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__, io, rotation, skew, windows
-from .diophantine import DioParams, dio_measure
+from .diophantine import MAX_N_MAX, DioParams, dio_measure
 from .errors import (
     CircledynError,
     DegenerateFamily,
@@ -265,6 +265,9 @@ def cmd_tongues(cfg: RunConfig) -> int:
 
 
 def cmd_dio(cfg: RunConfig) -> int:
+    if cfg.nmax > MAX_N_MAX:
+        raise InputError(f"--nmax must be <= 2^16 = {MAX_N_MAX} for dio, whose exact "
+                         f"measure unions nmax (nmax + 3) / 2 intervals, got {cfg.nmax}")
     raw = cfg.values.get("C")
     if not raw:
         raise InputError("--C is required (one value or a comma list)")

@@ -19,13 +19,17 @@ ZETA3 = 1.2020569031595943
 ANALYTIC_C_MAX = 1.0
 # intervals per block of the exact union
 _BLOCK = 1 << 18
+# Largest frequency cutoff.  exact_measure unions n_max (n_max + 3) / 2
+# intervals, about 2^31 at this cap: some 100 s of CPU in 80 MB.
+MAX_N_MAX = 1 << 16
 # unit roundoff of float64
 _U = 2.0 ** -53
 
 
 @dataclass(frozen=True)
 class DioParams:
-    """Level C in (0, 2], frequency cutoff n_max >= 1, and ``grid`` >= 1.
+    """Level C in (0, 2], frequency cutoff 1 <= n_max <= ``MAX_N_MAX``, and
+    ``grid`` >= 1.
 
     The measure is exact and tests no grid; ``grid`` only sets the
     ``grid_error`` column of :class:`DioMeasure`.
@@ -38,8 +42,8 @@ class DioParams:
     def __post_init__(self):
         if not 0.0 < self.C <= 2.0:
             raise ValueError("C must lie in (0, 2]: beyond 2 the condition is empty")
-        if self.n_max < 1:
-            raise ValueError("n_max must be >= 1")
+        if not 1 <= self.n_max <= MAX_N_MAX:
+            raise ValueError(f"n_max must lie in [1, {MAX_N_MAX}]")
         if self.grid < 1:
             raise ValueError("grid must be >= 1")
 

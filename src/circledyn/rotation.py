@@ -37,7 +37,7 @@ EPS = 2.0 ** -52
 PHASE_ULPS = 1.0 + math.pi + 0.5 * math.pi + 4.0 + 0.5
 # Largest theta grid of a lock check.  A check holds about five float64
 # arrays of the grid's size at once: the thetas, the orbit and the stage
-# sum and scratch of _lift_q_displacement's step, and the displacement.  At
+# sum and scratch of _q_disp's step, and the displacement.  At
 # 2^24 points that is 670 MB; beyond it (q > 140) memory, not resolution,
 # would limit a run.
 MAX_LOCK_GRID = 2 ** 24
@@ -123,13 +123,18 @@ def rho_estimate(fam, t, theta0: float = 0.0, n_iter: int = DEFAULT_N_ITER) -> R
     )
 
 
-def _lift_q_displacement(fam, t, q: int, p: int, thetas):
-    out = np.asarray(thetas, dtype=float).copy()
-    start = np.asarray(thetas, dtype=float)
-    step = fam.step_factory(t)
+def _q_disp(step, q: int, p: int, thetas):
+    """D(theta) = lift^q(theta) - theta - p, with ``step`` one application
+    of the lift (a ``step_factory`` closure); a float or an array of
+    thetas, which the steps leave unchanged."""
+    out = thetas
     for _ in range(q):
         out = step(out)
-    return out - start - p
+    return out - thetas - p
+
+
+def _lift_q_displacement(fam, t, q: int, p: int, thetas):
+    return _q_disp(fam.step_factory(t), q, p, np.asarray(thetas, dtype=float))
 
 
 def _rounding_rate(fam, lip: float) -> float:
@@ -140,15 +145,16 @@ def _rounding_rate(fam, lip: float) -> float:
             + (2.0 + PHASE_ULPS / TAU) * (lip - 1.0))
 
 
-def _lock_decision(fam, t, p: int, q: int, n: int, stride: int, margin: float) -> LockCheck:
+def _lock_decision(step, p: int, q: int, n: int, stride: int, margin: float) -> LockCheck:
     """The decision rule on D sampled at theta = i / n for every
-    ``stride``-th i: a sign change or |D| <= ``WITNESS_TOL`` locks, D clear
-    of zero by ``margin`` everywhere is not locked, and anything else is
-    unresolved.  A lock's witness is bisected from the first 1/n cell with a
-    sign change; on a sub-grid, that cell is found among the fine points
-    inside the first sub-grid cell with one, evaluated in one call."""
+    ``stride``-th i, with ``step`` the lift at the checked t: a sign change
+    or |D| <= ``WITNESS_TOL`` locks, D clear of zero by ``margin``
+    everywhere is not locked, and anything else is unresolved.  A lock's
+    witness is bisected from the first 1/n cell with a sign change; on a
+    sub-grid, that cell is found among the fine points inside the first
+    sub-grid cell with one, evaluated in one call."""
     thetas = np.arange(0, n, stride) / n
-    disp = _lift_q_displacement(fam, t, q, p, thetas)
+    disp = _q_disp(step, q, p, thetas)
     i_min = int(np.argmin(np.abs(disp)))
     if abs(disp[i_min]) <= WITNESS_TOL:
         return LockCheck(LOCKED, float(thetas[i_min] % 1.0))
@@ -159,7 +165,7 @@ def _lock_decision(fam, t, p: int, q: int, n: int, stride: int, margin: float) -
         i = int(flips[0])
         k, f_lo = i * stride, disp[i]
         if stride > 1:
-            inner = _lift_q_displacement(fam, t, q, p, np.arange(k + 1, k + stride) / n)
+            inner = _q_disp(step, q, p, np.arange(k + 1, k + stride) / n)
             vals = np.concatenate(([f_lo], inner, [disp[(i + 1) % disp.size]]))
             j = int(np.nonzero(np.sign(vals[:-1]) != np.sign(vals[1:]))[0][0])
             k, f_lo = k + j, vals[j]
@@ -167,7 +173,7 @@ def _lock_decision(fam, t, p: int, q: int, n: int, stride: int, margin: float) -
         hi = lo + 1.0 / n
         for _ in range(80):
             mid = 0.5 * (lo + hi)
-            f_mid = float(_lift_q_displacement(fam, t, q, p, mid))
+            f_mid = _q_disp(step, q, p, mid)
             if abs(f_mid) <= WITNESS_TOL:
                 return LockCheck(LOCKED, mid % 1.0)
             if (f_mid > 0) == (f_lo > 0):
@@ -222,11 +228,13 @@ def is_locked(fam, t, p: int, q: int, grid: int | None = None) -> LockCheck:
     The argument is then off by at most eps (2 (2 pi j) |y| + 3 pi / 2):
     eps 2 pi j |y| from w, eps/2 2 pi j |y| from the product w y, eps/2
     (2 pi j |y| + pi) from the sum with |phi| <= pi, and eps pi from phi.
-    With R off by eps R, sin good to 4 ulp and the product R sin rounded,
-    harmonic j is off by at most eps R (2 (2 pi j) |y| + PHASE_ULPS), and
-    R <= |a_j| + |b_j|.  Summed over the harmonics, with j >= 1, that is at most eps (2
-    s_i |y| + PHASE_ULPS s_i / 2 pi); the stage's H_i + 1 additions round
-    by at most eps (Y + 1) each, and sum s_i <= L - 1.  So one application
+    With R off by eps R, sin good to 4 ulp (numpy's on arrays, libm's
+    ``math.sin`` on the float orbit of one t's rho estimate or of a
+    bisection step) and the product R sin rounded, harmonic j is off by
+    at most eps R (2 (2 pi j) |y| + PHASE_ULPS), and R <= |a_j| + |b_j|.
+    Summed over the harmonics, with j >= 1, that is at most eps (2 s_i |y|
+    + PHASE_ULPS s_i / 2 pi); the stage's H_i + 1 additions round by at
+    most eps (Y + 1) each, and sum s_i <= L - 1.  So one application
     of the lift rounds by at most eps r (Y + 1); later stages amplify that
     by at most L^q, and the final subtractions add eps (Y + |p| + 1).  So
     the full grid then clears zero by ``margin`` as well, and the full-grid
@@ -242,6 +250,7 @@ def is_locked(fam, t, p: int, q: int, grid: int | None = None) -> LockCheck:
     if math.gcd(abs(p), q) != 1:
         raise ValueError("p/q must be reduced")
     n = grid or lock_grid_size(q)
+    step = fam.step_factory(t)
     lip = fam.dtheta_lift_bound(t)
     lip_q = lip ** q
     margin = (1.0 + lip_q) / n
@@ -252,10 +261,10 @@ def is_locked(fam, t, p: int, q: int, grid: int | None = None) -> LockCheck:
         y = 1.0 + q * (sum(abs(w * t + float(c(t))) for w, c, _ in fam.stack) + lip - 1.0)
         rho = 2.0 * EPS * (lip_q * q * rate * (y + 1.0) + y + abs(p) + 1.0)
         slack = (lip_q - 1.0) * (s / n) / 2.0 + rho
-        chk = _lock_decision(fam, t, p, q, n, s, margin + slack)
+        chk = _lock_decision(step, p, q, n, s, margin + slack)
         if chk.status != UNRESOLVED:
             return chk
-    return _lock_decision(fam, t, p, q, n, 1, margin)
+    return _lock_decision(step, p, q, n, 1, margin)
 
 
 @_quiet

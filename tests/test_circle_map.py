@@ -52,6 +52,21 @@ class TestTPoly:
         assert p.deriv().coeffs == (-2.0, 6.0)
         assert p.abs_bound() == 6.0
 
+    @pytest.mark.parametrize("deg", range(5))
+    def test_call_is_polyval_bit_for_bit(self, deg):
+        # signed zeros, overflow to inf and inf * 0 = nan all come out of
+        # the same float operations, in the same order
+        values = [0.0, -0.0, 1e308, -1e308, math.inf, -math.inf, 0.37, -2.5]
+        for coeffs in [(0.3, -0.0, 2.5, -1e-3, 7.0), (-0.0, 0.0, -0.0, -0.0, -0.0),
+                       (0.0, -1.5, 0.0, 3.0, -0.0)]:
+            c = coeffs[:deg + 1]
+            p = TPoly(c)
+            for t in values + [np.asarray(v) for v in values] + [np.array(values)]:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    got, want = p(t), np.polynomial.polynomial.polyval(t, c)
+                assert np.shape(got) == np.shape(want), (c, t)
+                assert np.asarray(got, float).tobytes() == np.asarray(want).tobytes(), (c, t)
+
     def test_compose_affine(self):
         p = TPoly((0.0, 1.0, 1.0))  # t + t^2
         q = p.compose_affine(0.2, 0.4)  # p(0.2 + 0.4 s)

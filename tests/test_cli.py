@@ -11,8 +11,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from circledyn import cli
 from circledyn import io as cio
 from circledyn.cli import main
+from circledyn.diophantine import MAX_N_MAX
 
 TAU = 2 * math.pi
 
@@ -206,6 +208,19 @@ class TestExitCodes:
         argv = [a.format(family=arnold_file, skew=skew_file) for a in argv]
         assert main(argv + ["--out", str(out), "--workers", "1"]) == 2
         assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("nmax", [MAX_N_MAX + 1, 10 ** 12, 10 ** 400],
+                             ids=["cap+1", "1e12", "1e400"])
+    def test_dio_nmax_cap(self, nmax, tmp_path, capsys, monkeypatch):
+        # rejected before any measure is taken
+        def unmeasured(params):
+            raise AssertionError(f"measured {params}")
+
+        monkeypatch.setattr(cli, "dio_measure", unmeasured)
+        out = tmp_path / "outdir"
+        assert main(["dio", "--C", "0.1", "--nmax", str(nmax), "--out", str(out)]) == 2
+        assert "--nmax" in capsys.readouterr().err
         assert not out.exists()
 
     def test_tol_bound(self, arnold_file, tmp_path, capsys):
@@ -463,7 +478,7 @@ FUZZ_ARGV = {
                  {"--R": option(reals(0.01, 0.99, ["1e-300", "0.9999999999999999"]),
                                 "0", "1", "-0.5", "1.5"),
                   "--t-range": T_RANGE}),
-    "dio": argv("dio", {"--nmax": ints(1, 3, "0", "-1"),
+    "dio": argv("dio", {"--nmax": ints(1, 3, "0", "-1", str(MAX_N_MAX + 1)),
                         "--C": real_list(0.001, 2.0, ["2", "1e-300", "5e-324"],
                                          "0", "-1", "2.0000000000000004")},
                 # the measure tests no grid, so any grid size is cheap

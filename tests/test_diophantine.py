@@ -73,6 +73,9 @@ class TestMembership:
             DioParams(2.5, 10)
         with pytest.raises(ValueError):
             DioParams(0.1, 0)
+        with pytest.raises(ValueError):
+            DioParams(0.1, diophantine.MAX_N_MAX + 1)
+        DioParams(0.1, diophantine.MAX_N_MAX)
 
 
 class TestMeasure:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -262,19 +263,19 @@ class TestTwoLevelLockCheck:
     def test_most_checks_skip_the_full_grid(self, monkeypatch):
         fams = first_per_period(arnold_skew(2, c3_scaled_amplitude(0.05)), 3)
         calls, grids = [], []
-        real_check, real_disp = rotation.is_locked, rotation._lift_q_displacement
+        real_check, real_disp = rotation.is_locked, rotation._q_disp
 
         def check(fam, t, p, q, grid=None):
             calls.append(q)
             return real_check(fam, t, p, q, grid)
 
-        def disp(fam, t, q, p, thetas):
+        def disp(step, q, p, thetas):
             if np.size(thetas) == rotation.lock_grid_size(q):
                 grids.append(q)
-            return real_disp(fam, t, q, p, thetas)
+            return real_disp(step, q, p, thetas)
 
         monkeypatch.setattr(rotation, "is_locked", check)
-        monkeypatch.setattr(rotation, "_lift_q_displacement", disp)
+        monkeypatch.setattr(rotation, "_q_disp", disp)
         ts = np.random.default_rng(2024).random(300)
         for fam in fams:
             classify_batch(fam, ts)
@@ -293,14 +294,14 @@ class TestTwoLevelLockCheck:
         ts = np.concatenate([np.random.default_rng(11).random(12), [0.0, 0.5]])
         locks = [c for c in full_grid_checks(fam, ts) if c[3] == LOCKED]
         assert locks
-        real_disp = rotation._lift_q_displacement
+        real_disp, real_q = rotation._lift_q_displacement, rotation._q_disp
         calls = []
 
         def disp(*args):
             calls.append(1)
-            return real_disp(*args)
+            return real_q(*args)
 
-        monkeypatch.setattr(rotation, "_lift_q_displacement", disp)
+        monkeypatch.setattr(rotation, "_q_disp", disp)
         totals, witnesses = [], []
         for stride in (rotation.LOCK_COARSE_STRIDE, 1):
             monkeypatch.setattr(rotation, "LOCK_COARSE_STRIDE", stride)
@@ -317,6 +318,44 @@ class TestTwoLevelLockCheck:
             ends = real_disp(fam, t, q, p, np.array([k, k + 1]) / n)
             at_w = abs(real_disp(fam, t, q, p, w))
             assert ends[0] * ends[1] <= 0 or at_w <= rotation.WITNESS_TOL
+
+    @pytest.mark.parametrize("make", [lambda: arnold_family(0.1), two_harmonic_family,
+                                      three_stage_family, sampled_family],
+                             ids=["arnold", "two-harmonic", "three-stage", "sampled"])
+    def test_one_step_closure_per_decision_level(self, make, monkeypatch):
+        # the sub-grid, the fine inner points and every bisection step of a
+        # check run at one t, so they share one step_factory closure
+        fam = make()
+        ts = np.concatenate([np.random.default_rng(11).random(12), [0.0, 0.5]])
+        checks = full_grid_checks(fam, ts)
+        builds, levels, bisect = [], [], []
+        real_factory = StageStack.step_factory
+        real_decision, real_q = rotation._lock_decision, rotation._q_disp
+
+        def factory(self, t):
+            builds.append(t)
+            return real_factory(self, t)
+
+        def decision(*args):
+            levels.append(1)
+            return real_decision(*args)
+
+        def q_disp(step, q, p, thetas):
+            if np.ndim(thetas) == 0:
+                bisect.append(1)
+            return real_q(step, q, p, thetas)
+
+        monkeypatch.setattr(StageStack, "step_factory", factory)
+        monkeypatch.setattr(rotation, "_lock_decision", decision)
+        monkeypatch.setattr(rotation, "_q_disp", q_disp)
+        longest = 0
+        for t, p, q, _ in checks:
+            for counted in (builds, levels, bisect):
+                counted.clear()
+            is_locked(fam, t, p, q)
+            assert 1 <= len(builds) <= len(levels), (t, p, q, len(builds), len(levels))
+            longest = max(longest, len(bisect))
+        assert longest >= 5  # some witness bisection ran several steps
 
 
 def exact_step(fam, t: float, y: float):
@@ -415,6 +454,44 @@ class TestPhaseKernel:
                 nxt = float(step(np.asarray(y)))
                 gap = abs(mpmath.mpf(nxt) - exact_step(fam, t, y))
                 assert gap <= step_bound(fam, t, y), (t, y)
+
+    @pytest.mark.parametrize("make", [phased_arnold, two_harmonic_family, four_stage_family],
+                             ids=["phased-arnold", "two-harmonic", "four-stage"])
+    def test_float_orbit_equals_array_orbit(self, make):
+        # a 0-d t and theta advance on Python floats with math.sin; each
+        # orbit must equal its element of the array-path orbit bit for bit
+        fam = make()
+        rng = np.random.default_rng(406)
+        ts = np.concatenate([rng.random(6), [0.0, 1.0],
+                             rng.uniform(-1e7, 1e7, 4), [1e7, -1e7]])
+        thetas = rng.uniform(-1.0, 1.0, ts.size)
+        want = thetas
+        step = fam.step_factory(ts)
+        for _ in range(4096):
+            want = step(want)
+        for t, theta, w in zip(ts, thetas, want):
+            step = fam.step_factory(float(t))
+            y, ys = np.asarray(theta), np.full(2, theta)  # a float and an array orbit at t
+            for _ in range(4096):
+                y, ys = step(y), step(ys)
+            assert type(y) is float, type(y)
+            assert np.float64(y).tobytes() == w.tobytes(), (t, theta, y, w)
+            assert ys.tobytes() == np.full(2, w).tobytes(), (t, theta)
+
+    @pytest.mark.parametrize("make", [phased_arnold, two_harmonic_family, four_stage_family],
+                             ids=["phased-arnold", "two-harmonic", "four-stage"])
+    def test_float_orbit_overflows_quietly(self, make):
+        # math.sin(+-inf) raises where numpy's sin gives nan; the float
+        # path must end non-finite without an exception or a warning
+        fam = make()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for t in (1e308, -1.797e308):
+                step = fam.step_factory(t)
+                y = 0.25
+                for _ in range(4096):
+                    y = step(y)
+                assert not math.isfinite(y), (t, y)
 
     def test_rate_counts_the_phase_form_by_hand(self):
         # one stage with two harmonics: 3 additions; the argument w y + phi
