@@ -318,7 +318,7 @@ def cmd_theoremA(cfg: RunConfig) -> int:
     fams = skew.first_per_period(F, cfg.nmax)
     with _Pool(_workers(cfg)) as pool:
         res = intersection_measure(fams, cfg.samples, q_max=cfg.qmax, seed=cfg.seed,
-                                   n_iter=n_iter, map_fn=pool.map)
+                                   n_iter=n_iter, map_fn=pool)
         r_star = max(res.norms)
         ec = eta_curve(
             [r_star * k / 4.0 for k in range(1, 5)],
@@ -337,8 +337,10 @@ def cmd_theoremA(cfg: RunConfig) -> int:
         "intersection.csv": ("intersection", inter_rows),
         "eta.csv": ("eta", eta_rows),
     }
+    classified = [(i + 1, c) for i, c in enumerate(res.classified)]
     _finish(
         cfg, files, inputs={"skew": cfg.input},
+        report_tables={"intersection_classified": (("N", "classified"), classified)},
         hypotheses={
             "norms": list(res.norms),
             "windings": list(res.windings),

@@ -40,10 +40,12 @@ def norm_value(fam) -> float:
 class IntersectionResult:
     """Monte Carlo measure of parameters locked for every one of the first N
     families, N = 1..len(families); unresolved samples tracked as an
-    optimistic/pessimistic interval."""
+    optimistic/pessimistic interval.  ``classified[k]`` counts the samples
+    that family k + 1 was classified on."""
 
     mu_locked: tuple
     mu_pessimistic: tuple
+    classified: tuple
     norms: tuple
     windings: tuple
     windings_increasing: bool
@@ -55,9 +57,8 @@ class IntersectionResult:
         return self.windings_increasing and all(v < 1.0 for v in self.norms)
 
 
-def _classify_family(args):
-    fam, ts, q_max, n_iter = args
-    results = rotation.classify_batch(fam, ts, q_max=q_max, n_iter=n_iter)
+def _classify_family(fam, ts, q_max, n_iter, map_fn=map):
+    results = rotation.classify_batch(fam, ts, q_max=q_max, n_iter=n_iter, map_fn=map_fn)
     locked = np.array([r.classification == rotation.LOCKED for r in results])
     unresolved = np.array([r.classification == rotation.UNRESOLVED for r in results])
     return locked, unresolved
@@ -71,6 +72,15 @@ def intersection_measure(families, t_samples: int, q_max: int = 30, seed: int = 
     All families are evaluated against one shared seeded t sample (common
     random numbers), so the intersection indicators are exact set
     intersections and mu_N is nonincreasing by construction.
+
+    The families run in order, and family k is classified only on the
+    samples that families 1..k-1 all left locked or unresolved; a family
+    with no such sample is not classified.  A sample that an earlier family
+    certified as not locked is already out of both the locked and the
+    pessimistic intersection, so neither indicator changes, and
+    ``classify_batch`` decides each value as it would alone.  ``map_fn``
+    splits each family's samples into blocks, one per worker
+    (see ``classify_batch``).
 
     Raises HypothesisViolation when any family norm reaches 1; a
     non-increasing winding sequence is recorded (``windings_increasing``)
@@ -91,19 +101,22 @@ def intersection_measure(families, t_samples: int, q_max: int = 30, seed: int = 
     increasing = all(b > a for a, b in zip(windings, windings[1:]))
 
     ts = make_rng(seed).random(t_samples)
-    per_family = list(map_fn(_classify_family,
-                             [(f, ts, q_max, n_iter) for f in families]))
     locked_all = np.ones(t_samples, dtype=bool)
     pess_all = np.ones(t_samples, dtype=bool)
-    mu_locked, mu_pess = [], []
-    for locked, unresolved in per_family:
-        locked_all &= locked
-        pess_all &= locked | unresolved
+    mu_locked, mu_pess, classified = [], [], []
+    for fam in families:
+        alive = np.flatnonzero(pess_all)
+        classified.append(int(alive.size))
+        if alive.size:
+            locked, unresolved = _classify_family(fam, ts[alive], q_max, n_iter, map_fn)
+            # locked_all is within pess_all, so both stay false off `alive`
+            locked_all[alive] &= locked
+            pess_all[alive] = locked | unresolved
         mu_locked.append(float(np.mean(locked_all)))
         mu_pess.append(float(np.mean(pess_all)))
     return IntersectionResult(
-        tuple(mu_locked), tuple(mu_pess), norms, windings, increasing,
-        seed, t_samples,
+        tuple(mu_locked), tuple(mu_pess), tuple(classified), norms, windings,
+        increasing, seed, t_samples,
     )
 
 
@@ -149,7 +162,7 @@ def sample_family(rng: np.random.Generator, r: float) -> CircleFamily:
 
 
 def _eta_task(args):
-    return float(np.mean(_classify_family(args)[0]))
+    return float(np.mean(_classify_family(*args)[0]))
 
 
 def eta_curve(r_grid, sample_families_per_r: int, q_max: int = 30, seed: int = 0,

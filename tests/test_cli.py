@@ -396,6 +396,25 @@ class TestDeterminism:
         serial, parallel = (read(os.path.join(out, "rho.csv")) for out in outs)
         assert serial == parallel and len(serial.splitlines()) == 602
 
+    def test_theoremA_parallel_split_matches_serial(self, skew_file, tmp_path):
+        # at seed 4, 8 of 300 samples survive family 1, so two workers split
+        # the survivors of families 2 and 3 into real blocks
+        args = ["theoremA", "--input", skew_file, "--nmax", "3", "--samples", "300",
+                "--qmax", "20", "--eta-families", "1", "--eta-samples", "50",
+                "--seed", "4"]
+        outs = [str(tmp_path / f"w{w}") for w in (1, 2)]
+        for out, workers in zip(outs, ("1", "2")):
+            assert main(args + ["--out", out, "--workers", workers]) == 0
+        for out in outs:
+            table = json.loads(read(os.path.join(out, "report.json")))["tables"]
+            rows = table["intersection_classified"]["rows"]
+            assert table["intersection_classified"]["header"] == ["N", "classified"]
+            assert [r[0] for r in rows] == ["1", "2", "3"] and rows[0][1] == "300"
+            assert int(rows[1][1]) >= 2
+        for fname in ("intersection.csv", "eta.csv"):
+            serial, parallel = (read(os.path.join(out, fname)) for out in outs)
+            assert serial == parallel, fname
+
 
 class TestConsoleEntry:
     def test_module_invocation(self, tmp_path):

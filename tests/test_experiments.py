@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from circledyn import rotation
+from circledyn.circle_map import TPoly
 from circledyn.errors import HypothesisViolation
 from circledyn.experiments import (
     eta_curve,
@@ -11,13 +13,69 @@ from circledyn.experiments import (
     sample_family,
 )
 from circledyn.gallery import arnold_skew, c3_scaled_amplitude
-from circledyn.skew import first_per_period
+from circledyn.skew import SkewMap, first_per_period
 
 AMP = c3_scaled_amplitude(0.05)
+XAMP = c3_scaled_amplitude(0.075)
+# x-dependent fibers: harmonics (jx, jy) = (0, 1) and (1, 1), so the
+# restricted families over circles of one period differ
+XDEP_SKEW = SkewMap(2, ((0, 1, TPoly((0.0,)), TPoly((XAMP,))),
+                        (1, 1, TPoly((0.0,)), TPoly((XAMP,)))), label="xdep")
+NESTED_MAPS = {"arnold": arnold_skew(2, AMP), "xdep": XDEP_SKEW}
+# at 300 samples and q_max 20, seed 4 leaves both locked and unresolved
+# samples to families 2-4 of either map; seed 2 leaves none to families 3-4
+NESTED_SEEDS = (4, 2)
+NESTED_SAMPLES, NESTED_QMAX = 300, 20
 
 
 def restricted_list(amp, n_max):
     return first_per_period(arnold_skew(2, amp), n_max)
+
+
+class TwoBlocks:
+    """A serial map_fn that asks for two worker blocks."""
+
+    workers = 2
+
+    def __call__(self, fn, items):
+        return list(map(fn, items))
+
+
+@pytest.fixture(scope="module")
+def flat_reference():
+    """Per (map, seed): the families, the shared samples, and each family's
+    locked and unresolved indicators from classifying every sample."""
+    cache = {}
+
+    def get(name, seed):
+        if (name, seed) not in cache:
+            fams = first_per_period(NESTED_MAPS[name], 4)
+            ts = make_rng(seed).random(NESTED_SAMPLES)
+            inds = []
+            for fam in fams:
+                cls = [r.classification for r in
+                       rotation.classify_batch(fam, ts, q_max=NESTED_QMAX)]
+                inds.append((np.array([c == rotation.LOCKED for c in cls]),
+                             np.array([c == rotation.UNRESOLVED for c in cls])))
+            cache[name, seed] = fams, ts, inds
+        return cache[name, seed]
+
+    return get
+
+
+def flat_accumulation(inds):
+    """The intersection over every family's full classification: mu_locked,
+    mu_pessimistic, and the pessimistic mask before each family."""
+    locked_all = np.ones(inds[0][0].size, dtype=bool)
+    pess_all = locked_all.copy()
+    mu_locked, mu_pess, before = [], [], []
+    for locked, unresolved in inds:
+        before.append(pess_all.copy())
+        locked_all &= locked
+        pess_all &= locked | unresolved
+        mu_locked.append(float(np.mean(locked_all)))
+        mu_pess.append(float(np.mean(pess_all)))
+    return tuple(mu_locked), tuple(mu_pess), before
 
 
 class TestIntersectionMeasure:
@@ -52,6 +110,55 @@ class TestIntersectionMeasure:
         assert a.mu_pessimistic == b.mu_pessimistic
         c = intersection_measure(fams, 400, q_max=20, seed=10)
         assert a.mu_locked != c.mu_locked or a.mu_pessimistic != c.mu_pessimistic
+
+
+class TestNestedIntersection:
+    @pytest.mark.parametrize("map_fn", [map, TwoBlocks()], ids=["map", "two-blocks"])
+    @pytest.mark.parametrize("seed", NESTED_SEEDS)
+    @pytest.mark.parametrize("name", sorted(NESTED_MAPS))
+    def test_equals_flat_classification(self, name, seed, map_fn, flat_reference):
+        fams, _, inds = flat_reference(name, seed)
+        mu_locked, mu_pess, before = flat_accumulation(inds)
+        res = intersection_measure(fams, NESTED_SAMPLES, q_max=NESTED_QMAX, seed=seed,
+                                   map_fn=map_fn)
+        assert res.mu_locked == mu_locked
+        assert res.mu_pessimistic == mu_pess
+        assert res.classified == tuple(int(b.sum()) for b in before)
+
+    def test_reference_reaches_every_case(self, flat_reference):
+        # the oracle must see survivors that are locked, survivors that are
+        # unresolved, and families left with no survivor
+        for name in NESTED_MAPS:
+            _, _, inds = flat_reference(name, 4)
+            _, _, before = flat_accumulation(inds)
+            for (locked, unresolved), b in zip(inds[1:], before[1:]):
+                assert (b & locked).any() and (b & unresolved).any()
+            _, _, before = flat_accumulation(flat_reference(name, 2)[2])
+            assert not before[-1].any()
+
+    @pytest.mark.parametrize("seed", NESTED_SEEDS)
+    @pytest.mark.parametrize("name", sorted(NESTED_MAPS))
+    def test_each_family_gets_only_the_survivors(self, name, seed, flat_reference,
+                                                 monkeypatch):
+        fams, ts, inds = flat_reference(name, seed)
+        _, _, before = flat_accumulation(inds)
+        calls = []
+        real = rotation.classify_batch
+
+        def spy(fam, values, **kw):
+            calls.append((fam, np.array(values)))
+            return real(fam, values, **kw)
+
+        monkeypatch.setattr(rotation, "classify_batch", spy)
+        res = intersection_measure(fams, NESTED_SAMPLES, q_max=NESTED_QMAX, seed=seed)
+        expected = [(fam, ts[b]) for fam, b in zip(fams, before) if b.any()]
+        assert len(calls) == len(expected)
+        for (fam, got), (want_fam, want) in zip(calls, expected):
+            assert fam is want_fam
+            assert np.array_equal(got, want)
+        for k, b in enumerate(before):
+            if not b.any():
+                assert res.mu_locked[k] == 0.0 and res.mu_pessimistic[k] == 0.0
 
 
 class TestEtaCurve:
