@@ -10,7 +10,6 @@ from .circle_map import (
     StageStack,
     TPoly,
     TrigPoly,
-    c3_norm,
     family_norm,
 )
 from .diophantine import (
@@ -25,10 +24,8 @@ from .errors import (
     CircledynError,
     DegenerateFamily,
     DegenerateFiber,
-    EmptyBin,
     HypothesisViolation,
     InputError,
-    InsufficientData,
     NoLockInBracket,
 )
 from .experiments import (
@@ -47,7 +44,6 @@ from .rotation import (
     LockCheck,
     RotationResult,
     classify,
-    equidistribution_test,
     is_locked,
     rho_estimate,
 )
@@ -68,7 +64,6 @@ from .windows import (
     Window,
     enumerate_windows,
     locked_measure,
-    scaling_fit,
     tongue_diagram,
     window_boundaries,
 )

@@ -134,9 +134,6 @@ class TrigPoly:
             s += abs(self.const)
         return float(s)
 
-    def max_harmonic(self) -> int:
-        return self.harmonics[-1][0] if self.harmonics else 0
-
     def __add__(self, other: "TrigPoly") -> "TrigPoly":
         return TrigPoly(self.const + other.const, self.harmonics + other.harmonics)
 
@@ -146,44 +143,14 @@ def _grid_for(max_j: int, grid: int) -> int:
     return max(int(grid), 8 * max_j + 8, 16)
 
 
-def c3_norm(p: TrigPoly, grid: int = DEFAULT_THETA_GRID) -> float:
-    """C3 norm of a trigonometric polynomial: max over orders 0..3 of sup |p^(k)|.
-
-    Each sup is a dense-grid maximum plus the margin grid_spacing *
-    (coefficient bound of the next derivative), so the result is a
-    certified upper bound of the true norm.
-    """
-    return _max_c3_norm((p,), grid)
-
-
-def _max_c3_norm(polys, grid: int = DEFAULT_THETA_GRID) -> float:
-    """Largest :func:`c3_norm` of ``polys``.  cos and sin of 2 pi j x are
-    computed once per harmonic j and grid size, for every derivative order
-    and polynomial."""
-    tables = {}
-    out = 0.0
-    for p in polys:
-        n = _grid_for(p.max_harmonic(), grid)
-        xs = np.arange(n) / n
-        for k in range(4):
-            dk = p.deriv(k)
-            vals = np.full(n, dk.const)
-            for j, a, b in dk.harmonics:
-                if (j, n) not in tables:
-                    w = (TAU * j) * xs
-                    tables[j, n] = (np.cos(w), np.sin(w))
-                cos, sin = tables[j, n]
-                vals += a * cos + b * sin
-            out = max(out, float(np.max(np.abs(vals))) + p.deriv_bound(k + 1) / n)
-    return out
-
-
 @dataclass(frozen=True)
 class FamilyNorm:
     """Norm data for a parameterized family: C3 norm of the periodic part and
-    the C0 norm of its t-derivative.  ``c0_dt`` is a certified upper bound;
-    so is ``c3_g`` from :func:`family_norm`, but ``skew.restricted_norm``
-    certifies its theta sup only at 33 grid values of t."""
+    the C0 norm of its t-derivative.  ``c0_dt`` is a certified upper bound.
+    Both kinds of ``c3_g`` come from ``StageStack.c3_sup``: from
+    :func:`family_norm` it is certified in t by a t margin; from
+    ``skew.restricted_norm`` the theta sup is certified at C3_T_GRID values
+    of t, and the sup over t is a grid estimate."""
 
     c3_g: float
     c0_dt: float
@@ -193,14 +160,69 @@ class FamilyNorm:
         return max(self.c3_g, self.c0_dt)
 
 
-def _dy_bound(harmonics, t=None) -> float:
-    """Coefficient bound for sup |d/dy| of one stage's periodic part: over
-    t in [0, 1], or at a single t when one is given."""
-    if t is None:
-        return sum(TAU * j * (a.abs_bound() + b.abs_bound()) for j, a, b in harmonics)
-    return sum(
-        TAU * j * (abs(float(a(t))) + abs(float(b(t)))) for j, a, b in harmonics
-    )
+def _stage_bound(const, harm, k: int, t=None, dt: bool = False):
+    """Coefficient bound sum_j (2 pi j)^k (|a_j| + |b_j|), plus |c| at k = 0,
+    dominating sup_y |d^k/dy^k| of one stage's periodic part, or of its t
+    derivative with ``dt``: over t in [0, 1], or at the value or array
+    ``t`` when one is given."""
+    def size(p):
+        if dt:
+            p = p.deriv()
+        return p.abs_bound() if t is None else abs(p(t))
+    s = sum(((TAU * j) ** k * (size(a) + size(b)) for j, a, b in harm), 0.0)
+    return s + size(const) if k == 0 else s
+
+
+def _trig(harm, y):
+    """cos and sin of 2 pi j y for each harmonic j of a stage."""
+    out = []
+    for j, _, _ in harm:
+        x = (TAU * j) * y
+        out.append((np.cos(x), np.sin(x)))
+    return out
+
+
+def _stage_derivs(const, harm, col, y, orders: int, trig=None):
+    """The y-derivatives of orders 0 .. orders - 1 of one stage's periodic
+    part at parameter rows ``col`` and points ``y``, with the float
+    expressions of ``TrigPoly.deriv`` and ``TrigPoly.__call__`` on the
+    ``at(t)`` snapshots.  ``trig`` is ``_trig(harm, y)`` when it is already
+    known; cos and sin of each harmonic serve every order."""
+    shape = np.broadcast_shapes(col.shape, y.shape)
+    p = [np.zeros(shape) for _ in range(orders)]
+    p[0] += const(col)
+    for (j, a, b), (cos, sin) in zip(harm, trig if trig is not None else _trig(harm, y)):
+        a, b = a(col), b(col)
+        for pk in p:
+            pk += a * cos + b * sin
+            a, b = TAU * j * b, -TAU * j * a
+    return p
+
+
+def _c3_rows(stack, ys, col, first):
+    """Sup over the y grid ``ys`` of |lift - y - winding t| and of |d1 - 1|,
+    |d2| and |d3|, the composed y-derivatives, for each t of the column
+    ``col``: a (4, len(col)) array.  ``first`` is ``_trig`` of the first
+    stage on ``ys``, whose input does not depend on t.
+
+    lift - y - winding t is accumulated as the sum of the stages' periodic
+    parts, and the first stage's derivatives are taken as they are, so for
+    one stage every row is that part's own.  A row does not depend on the
+    others.
+    """
+    v = ys
+    for i, (w, const, harm) in enumerate(stack):
+        p = _stage_derivs(const, harm, col, v, 4, None if i else first)
+        if i:
+            l1 = 1.0 + p[1]
+            d1, d2, d3 = (l1 * d1, l1 * d2 + p[2] * d1 ** 2,
+                          l1 * d3 + 3.0 * p[2] * d1 * d2 + p[3] * d1 ** 3)
+            dev = dev + p[0]
+        else:
+            dev, d1, d2, d3 = p[0], 1.0 + p[1], p[2], p[3]
+        if i + 1 < len(stack):
+            v = v + w * col + p[0]
+    return np.array([np.max(np.abs(g), axis=1) for g in (dev, d1 - 1.0, d2, d3)])
 
 
 class StageStack:
@@ -211,8 +233,8 @@ class StageStack:
     Subclasses expose them as ``stack``, a tuple of (winding w, const TPoly
     c, harmonics (j, TPoly a_j, TPoly b_j)).  A :class:`CircleFamily` is one
     stage; a restricted skew-product map is one winding-1 stage per fiber
-    along the periodic orbit.  Evaluation, bounds and the diffeomorphism
-    scan are written once, here, so both kinds share them.
+    along the periodic orbit.  Evaluation, bounds, the C3 grid and the
+    diffeomorphism scan are written once, here, so both kinds share them.
     """
 
     degenerate = DegenerateFamily  # raised by check_diffeo
@@ -300,17 +322,14 @@ class StageStack:
     def g_sup_bound(self) -> float:
         """Bound for sup_{t, theta} |lift - theta - winding * t| from
         coefficient sums."""
-        return sum(
-            const.abs_bound() + sum(a.abs_bound() + b.abs_bound() for _, a, b in harm)
-            for _, const, harm in self.stack
-        )
+        return sum(_stage_bound(const, harm, 0) for _, const, harm in self.stack)
 
     def dtheta_lift_bound(self, t=None) -> float:
         """Bound for sup |d/dtheta lift|, the product of the stage ranges
         1 + sup |p_i'|; tighter when a single t is given."""
         out = 1.0
-        for _, _, harm in self.stack:
-            out *= 1.0 + _dy_bound(harm, t)
+        for _, const, harm in self.stack:
+            out *= 1.0 + float(_stage_bound(const, harm, 1, t))
         return out
 
     def dt_sup_bound(self) -> float:
@@ -323,32 +342,71 @@ class StageStack:
         """
         dev = 0.0
         for i, (w, const, harm) in enumerate(self.stack):
-            dtp = const.deriv().abs_bound() + sum(
-                a.deriv().abs_bound() + b.deriv().abs_bound() for _, a, b in harm
-            )
+            dtp = _stage_bound(const, harm, 0, dt=True)
             ub, lb = w + dtp, w - dtp
-            for _, _, later in self.stack[i + 1:]:
-                s = _dy_bound(later)
+            for _, c, later in self.stack[i + 1:]:
+                s = _stage_bound(c, later, 1)
                 ub *= 1.0 + s
                 lb *= max(0.0, 1.0 - s)
             dev += max(ub - w, w - lb) if i + 1 < len(self.stack) else dtp
         return dev
+
+    def c3_sup(self, t_grid: int, y_grid: int) -> float:
+        """Max over ``t_grid`` values of t in [0, 1] of the C3(y) norm of
+        lift - (y + winding t): the max over orders 0..3 of the sup over y.
+
+        Each theta sup is certified: the maximum on a uniform grid of at
+        least ``y_grid`` points (more for high harmonics), plus the grid
+        spacing times the composed coefficient bound of the next
+        derivative at that t.  Between the t values nothing is certified;
+        ``family_norm`` adds a t margin.  The grid runs in blocks of about
+        4096 (t, y) points.
+        """
+        max_j = max((j for _, _, harm in self.stack for j, _, _ in harm), default=0)
+        y_grid = _grid_for(max_j, y_grid)
+        ys = np.arange(y_grid) / y_grid
+        ts = np.linspace(0.0, 1.0, t_grid)
+        first = _trig(self.stack[0][2], ys)
+        rows = max(1, 4096 // y_grid)
+        sups = np.concatenate([_c3_rows(self.stack, ys, ts[i:i + rows, None], first)
+                               for i in range(0, ts.size, rows)], axis=1)
+        bounds = [[_stage_bound(const, harm, k, ts) + np.zeros(ts.size) for k in range(1, 5)]
+                  for _, const, harm in self.stack]
+        out = 0.0
+        # per t: the bounds (s1, l2, l3, l4) of every stage, as Python floats
+        for i, stages in enumerate(np.array(bounds).transpose(2, 0, 1).tolist()):
+            margins = composed_deriv_bounds(stages)
+            out = max(out, *(float(s) + m / y_grid for s, m in zip(sups[:, i], margins)))
+        return out
 
     # -- validity -----------------------------------------------------------
 
     def check_diffeo(self):
         """Raise ``degenerate`` when 1 + d/dy p_i <= 0 is witnessed for a stage.
 
-        A coefficient bound < 1 certifies every stage outright; otherwise
-        the snapshot at each of DEFAULT_T_GRID values of t is scanned on a
-        dense theta grid (:meth:`ComposedCircleMap.check_diffeo`).
+        A coefficient bound < 1 over [0, 1] certifies every stage outright.
+        Otherwise, at each of DEFAULT_T_GRID values of t, every stage whose
+        bound at t is not < 1 is scanned on its own uniform grid of at least
+        DEFAULT_THETA_GRID points; the first failing t, and at it the first
+        failing stage, is reported.
         """
-        if all(_dy_bound(harm) < 1.0 for _, _, harm in self.stack):
+        if all(_stage_bound(c, harm, 1) < 1.0 for _, c, harm in self.stack):
             return
-        for t in np.linspace(0.0, 1.0, DEFAULT_T_GRID):
-            self.at(float(t)).check_diffeo(
-                self.degenerate, f" at t={float(t):.6g} of {self.label!r}"
-            )
+        ts = np.linspace(0.0, 1.0, DEFAULT_T_GRID)
+        scans = []
+        for _, const, harm in self.stack:
+            n = _grid_for(max((j for j, _, _ in harm), default=0), DEFAULT_THETA_GRID)
+            xs = np.arange(n) / n
+            certified = np.broadcast_to(_stage_bound(const, harm, 1, ts) < 1.0, ts.shape)
+            scans.append((const, harm, xs, _trig(harm, xs), certified))
+        for i, t in enumerate(ts):
+            for stage, (const, harm, xs, trig, certified) in enumerate(scans):
+                if certified[i]:
+                    continue
+                p1 = _stage_derivs(const, harm, ts[i:i + 1, None], xs, 2, trig)[1]
+                if float(np.min(1.0 + p1)) <= 0.0:
+                    raise self.degenerate(f"stage {stage + 1} is not a diffeomorphism"
+                                          f" at t={float(t):.6g} of {self.label!r}")
 
 
 @dataclass(frozen=True)
@@ -419,40 +477,33 @@ class CircleFamily(StageStack):
 def family_norm(f: CircleFamily, check: bool = True) -> FamilyNorm:
     """Norm of a family: sup_t of the C3 norm of g_t, and sup |dg/dt|.
 
-    The t sweep uses a grid of DEFAULT_T_GRID points with a Lipschitz-in-t
-    margin, so ``c3_g`` is a certified upper bound.  Raises DegenerateFamily
-    when the diffeomorphism condition fails on the scan grid; ``check=False``
-    skips that (used when measuring a raw family before rescaling it into
-    range).
+    ``c3_g`` is ``StageStack.c3_sup`` on DEFAULT_T_GRID values of t and a
+    theta grid of at least DEFAULT_THETA_GRID points, plus a Lipschitz-in-t
+    margin from the coefficient bounds of dg/dt, so it is a certified upper
+    bound.  Raises DegenerateFamily when the diffeomorphism condition fails
+    on the scan grid; ``check=False`` skips that (used when measuring a raw
+    family before rescaling it into range).
     """
     if check:
         f.check_diffeo()
-    ts = np.linspace(0.0, 1.0, DEFAULT_T_GRID)
-    c3 = _max_c3_norm([p for t in ts for _, p in f.at(float(t)).stages])
     # |d/dt of any theta-derivative up to order 3| bound for the t margin
-    dt_rate = 0.0
-    for k in range(4):
-        s = sum(
-            (TAU * j) ** k * (a.deriv().abs_bound() + b.deriv().abs_bound())
-            for j, a, b in f.harmonics
-        )
-        if k == 0:
-            s += f.const.deriv().abs_bound()
-        dt_rate = max(dt_rate, s)
-    c3 += dt_rate / (DEFAULT_T_GRID - 1)
+    dt_rate = max(_stage_bound(f.const, f.harmonics, k, dt=True) for k in range(4))
+    c3 = f.c3_sup(DEFAULT_T_GRID, DEFAULT_THETA_GRID) + dt_rate / (DEFAULT_T_GRID - 1)
     return FamilyNorm(c3_g=c3, c0_dt=f.dt_sup_bound())
 
 
 def composed_deriv_bounds(stage_bounds):
-    """Certified bounds (b1, b2, b3, b4) for the first four derivatives of
-    a composition of stages y -> y + c_i + p_i(y), applied in order, from
-    per-stage bounds (s1, l2, l3, l4) of sup |p_i^(k)|, k = 1..4: the
-    chain rule to order four, with l1 = 1 + s1 bounding a stage's
-    derivative."""
-    h = (1.0, 0.0, 0.0, 0.0)
+    """Certified bounds (e1, b2, b3, b4) for the first four y-derivatives of
+    lift(y) - y, for a composition of stages y -> y + c_i + p_i(y), applied
+    in order, from per-stage bounds (s1, l2, l3, l4) of sup |p_i^(k)|,
+    k = 1..4: the chain rule to order four, with l1 = 1 + s1 bounding a
+    stage's derivative.  e1 sums each stage's s1 times the bound h1 of the
+    derivative of the stages before it; for one stage it is s1 exactly."""
+    e1, h = 0.0, (1.0, 0.0, 0.0, 0.0)
     for s1, l2, l3, l4 in stage_bounds:
         l1 = 1.0 + s1
         h1, h2, h3, h4 = h
+        e1 += s1 * h1
         h = (
             l1 * h1,
             l1 * h2 + l2 * h1 ** 2,
@@ -460,7 +511,7 @@ def composed_deriv_bounds(stage_bounds):
             l1 * h4 + l2 * (4.0 * h1 * h3 + 3.0 * h2 ** 2)
             + 6.0 * l3 * h1 ** 2 * h2 + l4 * h1 ** 4,
         )
-    return h
+    return (e1,) + h[1:]
 
 
 @dataclass(frozen=True)
@@ -472,23 +523,3 @@ class ComposedCircleMap:
     """
 
     stages: tuple  # tuple of (c_i, TrigPoly p_i)
-
-    def theta_deriv_bounds(self):
-        """Certified bounds (b1, b2, b3, b4) for the composed derivatives."""
-        return composed_deriv_bounds(
-            [p.deriv_bound(k) for k in range(1, 5)] for _, p in self.stages)
-
-    def check_diffeo(self, error=DegenerateFamily, where: str = ""):
-        """Raise ``error`` when 1 + p_i' <= 0 on a dense theta grid for some
-        stage; a stage whose coefficient bound is < 1 is certified outright.
-
-        This is the one diffeomorphism scan: parameterized stacks run it on
-        the snapshot at each point of their t grid.
-        """
-        for i, (_, p) in enumerate(self.stages):
-            if p.deriv_bound(1) < 1.0:
-                continue
-            grid = _grid_for(p.max_harmonic(), DEFAULT_THETA_GRID)
-            xs = np.arange(grid) / grid
-            if float(np.min(1.0 + p.deriv(1)(xs))) <= 0.0:
-                raise error(f"stage {i + 1} is not a diffeomorphism{where}")

@@ -22,17 +22,5 @@ class NoLockInBracket(CircledynError):
     """No parameter in the supplied bracket certifies the requested lock."""
 
 
-class InsufficientData(CircledynError):
-    """Not enough usable data points for a fit."""
-
-
-class EmptyBin(CircledynError):
-    """An orbit histogram left at least one bin unvisited."""
-
-    def __init__(self, bin_index, message=None):
-        self.bin_index = bin_index
-        super().__init__(message or f"orbit never visited bin {bin_index}")
-
-
 class HypothesisViolation(CircledynError):
     """An experiment's standing hypotheses fail for the supplied inputs."""

@@ -2,12 +2,8 @@
 
 from __future__ import annotations
 
-import math
-
-from .circle_map import CircleFamily, TPoly
+from .circle_map import TAU, CircleFamily, TPoly
 from .skew import SkewMap
-
-TAU = 2.0 * math.pi
 
 
 def rigid_family(label: str = "rigid") -> CircleFamily:

@@ -17,7 +17,6 @@ import numpy as np
 
 from . import farey
 from .circle_map import TAU
-from .errors import EmptyBin
 
 LOCKED = "locked"
 NOT_LOCKED = "not_locked"
@@ -341,27 +340,3 @@ def classify_batch(fam, ts, q_max: int = 30, n_iter: int = CLASSIFY_N_ITER, map_
     task = functools.partial(_classify_block, fam, q_max, n_iter, rate)
     return [r for block in map_fn(task, np.array_split(ts, blocks)) for r in block]
 
-
-def equidistribution_test(fam, t, n_iter: int = 100_000, bins: int = 100) -> float:
-    """Histogram the orbit of 0 mod 1 and report the largest deviation
-    of a bin's mass from uniform.
-
-    Raises EmptyBin when some bin is never visited, which is the practical
-    signal of a lock misclassification.  The raw-orbit discrepancy is only
-    indicative: for a genuinely quasiperiodic map the invariant measure need
-    not be Lebesgue, so the asserted property is full support, not
-    equidistribution in the conjugated coordinate.
-    """
-    if bins < 1:
-        raise ValueError("bins must be >= 1")
-    step = fam.step_factory(t)
-    theta = np.asarray(0.0)
-    orbit = np.empty(n_iter)
-    for i in range(n_iter):
-        theta = step(theta)
-        orbit[i] = theta
-    counts, _ = np.histogram(orbit % 1.0, bins=bins, range=(0.0, 1.0))
-    empty = np.nonzero(counts == 0)[0]
-    if empty.size:
-        raise EmptyBin(int(empty[0]))
-    return float(np.max(np.abs(counts / n_iter - 1.0 / bins)))

@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import rotation
-from .circle_map import TAU, FamilyNorm, StageStack, TPoly, _grid_for, composed_deriv_bounds
+from .circle_map import TAU, FamilyNorm, StageStack, TPoly
 from .errors import DegenerateFiber
 
 # C3 sup of a restricted map: t values with a certified theta sup, y-grid floor
@@ -186,94 +186,27 @@ def restricted_family(F: SkewMap, circle: PeriodicCircle) -> RestrictedFamily:
     return rf
 
 
-def _c3_rows(rf: RestrictedFamily, ys, ts):
-    """Sup over the y grid ``ys`` of |lift - y - n t| and of |d1 - 1|, |d2|
-    and |d3|, the composed y-derivatives, for each t in ``ts``: a (4,
-    len(ts)) array.
-
-    Every t is a row of one (t, y) grid, evaluated with the float
-    expressions of ``TrigPoly.deriv`` and of the chain rule of the
-    ``at(t)`` snapshots, so a row does not depend on the others; cos and
-    sin of each stage harmonic are taken once for the four orders.
-    """
-    col = ts[:, None]
-    v = np.repeat(ys[None, :], ts.size, axis=0)
-    d1, d2, d3 = np.ones_like(v), np.zeros_like(v), np.zeros_like(v)
-    for w, const, harm in rf.stack:
-        # p_k: the k-th y-derivative of the stage's periodic part
-        p = [np.zeros_like(v) for _ in range(4)]
-        p[0] += const(col)
-        for j, a, b in harm:
-            a, b = a(col), b(col)
-            x = (TAU * j) * v
-            cos, sin = np.cos(x), np.sin(x)
-            for pk in p:
-                pk += a * cos + b * sin
-                a, b = TAU * j * b, -TAU * j * a
-        l1 = 1.0 + p[1]
-        d1, d2, d3 = (l1 * d1, l1 * d2 + p[2] * d1 ** 2,
-                      l1 * d3 + 3.0 * p[2] * d1 * d2 + p[3] * d1 ** 3)
-        v = v + w * col + p[0]
-    return np.array([np.max(np.abs(g), axis=1)
-                     for g in (v - ys - rf.winding * col, d1 - 1.0, d2, d3)])
-
-
-def _c3_sup(rf: RestrictedFamily, y_grid: int) -> float:
-    """Sup over C3_T_GRID values of t of the C3(y) norm of lift - (theta + n t).
-
-    Per parameter value the theta sup is certified: exact chain-rule
-    derivatives on a dense grid, each plus a Lipschitz margin from the
-    composed derivative bounds.  Between those t values nothing is
-    certified: the sup over t is a grid estimate.  The grid sups come from
-    :func:`_c3_rows`, in blocks of about 4096 grid points.  The margins
-    take each stage's coefficient bounds sum_j (2 pi j)^k (|a_j(t)| +
-    |b_j(t)|), k = 1..4, with the float operations of
-    ``TrigPoly.deriv_bound`` on the ``at(t)`` snapshot, from coefficients
-    evaluated once over the t grid; the composition runs on Python floats.
-    """
-    max_j = max((j for _, harm in rf.stages for j, _, _ in harm), default=0)
-    y_grid = _grid_for(max_j, y_grid)
-    ys = np.arange(y_grid) / y_grid
-    ts = np.linspace(0.0, 1.0, C3_T_GRID)
-    rows = max(1, 4096 // y_grid)
-    sups = np.concatenate([_c3_rows(rf, ys, ts[i:i + rows]) for i in range(0, ts.size, rows)],
-                          axis=1)
-    bounds = []
-    for _, _, harm in rf.stack:
-        sizes = [(TAU * j, np.abs(a(ts)) + np.abs(b(ts))) for j, a, b in harm]
-        bounds.append([sum((w ** k * s for w, s in sizes), np.zeros(ts.size))
-                       for k in range(1, 5)])
-    out = 0.0
-    # per t: the bounds (s1, l2, l3, l4) of every stage, as Python floats
-    for i, stages in enumerate(np.array(bounds).transpose(2, 0, 1).tolist()):
-        b1, b2, b3, b4 = composed_deriv_bounds(stages)
-        lb1 = 1.0
-        for s1, *_ in stages:
-            lb1 *= max(0.0, 1.0 - s1)
-        margins = (max(b1 - 1.0, 1.0 - lb1), b2, b3, b4)
-        out = max(out, *(float(s) + m / y_grid for s, m in zip(sups[:, i], margins)))
-    return out
-
-
 def a3_check(rf: RestrictedFamily, R: float, y_grid: int = C3_Y_GRID) -> tuple:
     """Estimate sup_t of the C3(y) norm of lift - (theta + n t) and compare
     against the closeness-to-identity threshold R.
 
-    The theta sup at each parameter value is certified (see ``_c3_sup``);
-    the sup over t is a grid estimate.  Returns (sup_c3, passes) with
-    passes = sup_c3 < R.
+    The sup is ``StageStack.c3_sup`` on C3_T_GRID values of t and a y grid
+    of at least ``y_grid`` points: the theta sup at each of those t is
+    certified, the sup over t is a grid estimate.  Returns (sup_c3, passes)
+    with passes = sup_c3 < R.
     """
     if not 0.0 < R < 1.0:
         raise ValueError("R must lie in (0, 1)")
-    sup = _c3_sup(rf, y_grid)
+    sup = rf.c3_sup(C3_T_GRID, y_grid)
     return sup, sup < R
 
 
 def restricted_norm(rf: RestrictedFamily) -> FamilyNorm:
     """Family norm of a restricted map: the C3(y) size of the periodic part
-    that ``a3_check`` compares against R (a grid estimate in t), and the
+    that ``a3_check`` compares against R, on the same C3_T_GRID x C3_Y_GRID
+    grid and without a t margin (a grid estimate in t), and the
     t-derivative deviation bound."""
-    return FamilyNorm(c3_g=_c3_sup(rf, C3_Y_GRID), c0_dt=rf.dt_sup_bound())
+    return FamilyNorm(c3_g=rf.c3_sup(C3_T_GRID, C3_Y_GRID), c0_dt=rf.dt_sup_bound())
 
 
 def winding_check(rf: RestrictedFamily) -> float:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import farey, rotation
-from .errors import InsufficientData, NoLockInBracket
+from .errors import NoLockInBracket
 
 MAX_BISECT = 64
 # edge predictor: rounds per edge, branch stride of its first pass,
@@ -67,8 +67,10 @@ class Window:
 @dataclass(frozen=True)
 class LockedMeasure:
     """Measure data for the locked parameter set at a given search depth:
-    a certified lower bound (sum of window widths), a Monte Carlo locked
-    fraction, and the separately tracked unresolved fraction."""
+    a certified lower bound on the measure of the locked t in [0, 1] (the
+    window widths, clipped to [0, 1] unless the family is 1-periodic in
+    t), a Monte Carlo locked fraction, and the separately tracked
+    unresolved fraction."""
 
     lower: float
     mc: float
@@ -308,12 +310,24 @@ def locked_measure(fam, q_max: int, mc_samples: int, tol: float = 1e-6,
     ``lower`` sums certified window widths (semi-computable from below at
     finite q_max); ``mc`` is the fraction of seeded uniform t samples that
     classify locked, with unresolved samples counted separately.
+
+    The windows of p in [0, q N) tile [0, 1) only when f_{t+1} = f_t + N:
+    an integer winding N and every coefficient free of t.  Otherwise a
+    window can reach below t = 0, and the one at p = q N is never
+    enumerated, so the widths are clipped to [0, 1] and the sum stays a
+    lower bound.
     """
     if mc_samples < 1:
         raise ValueError("mc_samples must be >= 1")
     if windows is None:
         windows = enumerate_windows(fam, q_max, tol=tol)
-    lower = sum(w.width for w in windows)
+    periodic = float(fam.winding).is_integer() and all(
+        len(c.coeffs) == 1 for _, const, harm in fam.stack
+        for c in (const,) + tuple(x for _, a, b in harm for x in (a, b)))
+    if periodic:
+        lower = sum(w.width for w in windows)
+    else:
+        lower = sum(max(0.0, min(w.t_hi, 1.0) - max(w.t_lo, 0.0)) for w in windows)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     ts = rng.random(mc_samples)
     results = rotation.classify_batch(fam, ts, q_max=q_max)
@@ -338,17 +352,3 @@ def tongue_diagram(profile, deltas, q_max: int, tol: float = 1e-6,
                                                  map_fn=map_fn)))
     return TongueDiagram(deltas, tuple(per_delta), profile.label, q_max, tol)
 
-
-def scaling_fit(windows) -> tuple:
-    """Least-squares slope of log width against log q over positive-width
-    windows; returns (exponent, r_squared).  Purely descriptive output."""
-    pts = [(w.q, w.width) for w in windows if w.width > 0.0]
-    if len(pts) < 3:
-        raise InsufficientData("need at least 3 windows of positive width")
-    x = np.log([q for q, _ in pts])
-    y = np.log([w for _, w in pts])
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - float(np.sum(resid ** 2)) / ss_tot
-    return float(slope), r2

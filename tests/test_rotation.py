@@ -8,7 +8,6 @@ import pytest
 
 from circledyn import farey, rotation
 from circledyn.circle_map import CircleFamily, StageStack, TPoly
-from circledyn.errors import EmptyBin
 from circledyn.experiments import sample_family
 from circledyn.gallery import arnold_family, arnold_skew, c3_scaled_amplitude, rigid_family
 from circledyn.rotation import (
@@ -18,7 +17,6 @@ from circledyn.rotation import (
     UNRESOLVED,
     classify,
     classify_batch,
-    equidistribution_test,
     is_locked,
     rho_estimate,
 )
@@ -540,17 +538,3 @@ class TestLargeParameter:
         res = classify_batch(arnold_family(0.1), [0.5, 1e20])
         assert None not in bounds
         assert res[1].classification == UNRESOLVED
-
-
-class TestEquidistribution:
-    def test_golden_rotation_visits_every_bin(self):
-        d = equidistribution_test(rigid_family(), GOLDEN, n_iter=100_000, bins=100)
-        assert d <= 0.01
-
-    def test_locked_map_raises_empty_bin(self):
-        with pytest.raises(EmptyBin):
-            equidistribution_test(arnold_family(0.1), 0.05, n_iter=5000, bins=50)
-
-    def test_rational_rotation_raises_for_three_bins(self):
-        with pytest.raises(EmptyBin):
-            equidistribution_test(rigid_family(), 0.5, n_iter=1000, bins=3)

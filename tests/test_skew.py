@@ -4,9 +4,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from circledyn.circle_map import CircleFamily, TPoly, c3_norm
+from circledyn.circle_map import (
+    DEFAULT_T_GRID,
+    DEFAULT_THETA_GRID,
+    CircleFamily,
+    TPoly,
+    composed_deriv_bounds,
+    family_norm,
+)
+from circledyn.experiments import sample_family
 from circledyn.errors import DegenerateFiber
-from circledyn.gallery import arnold_skew, c3_scaled_amplitude
+from circledyn.gallery import arnold_family, arnold_skew, c3_scaled_amplitude
 from circledyn.rotation import IRRATIONAL_CANDIDATE, classify
 from circledyn import skew
 from circledyn.skew import (
@@ -179,7 +187,11 @@ class TestA3Check:
         F = arnold_skew(2, amp)
         rf = restricted_family(F, periodic_circles(2, 1)[0])
         sup, ok = a3_check(rf, 0.5, y_grid=8192)
-        direct = c3_norm(rf.at(0.0).stages[0][1], grid=8192)
+        # the fiber is free of x and t: the circle family with its
+        # coefficients has the same single stage, and no t margin
+        (_, const, harm), = rf.stack
+        direct = family_norm(CircleFamily(1, const, harm)).c3_g
+        assert a3_check(rf, 0.5, y_grid=DEFAULT_THETA_GRID)[0] == direct
         assert sup == pytest.approx(direct, rel=1e-3)
         assert sup == pytest.approx(amp * TAU ** 3, rel=1e-2)
         assert ok
@@ -206,25 +218,40 @@ class TestA3Check:
         assert restricted_norm(rf).c3_g == a3_check(rf, 0.99)[0]
 
 
-def c3_sup_by_snapshots(rf, y_grid=skew.C3_Y_GRID):
-    """Oracle: the sup of ``a3_check`` taken one ``at(t)`` snapshot at a time."""
-    max_j = max((j for _, harm in rf.stages for j, _, _ in harm), default=0)
+def c3_sup_by_snapshots(fam, t_grid=skew.C3_T_GRID, y_grid=skew.C3_Y_GRID):
+    """Oracle: the grid C3 sup of ``a3_check`` and ``family_norm`` taken one
+    ``at(t)`` snapshot at a time: lift - y - winding t as the sum of the
+    stages' periodic parts, the exact chain rule, and margins from the
+    snapshot's ``TrigPoly.deriv_bound``."""
+    max_j = max((j for _, _, harm in fam.stack for j, _, _ in harm), default=0)
     y_grid = max(y_grid, 8 * max_j + 8, 16)
     ys = np.arange(y_grid) / y_grid
     sup = 0.0
-    for t in np.linspace(0.0, 1.0, skew.C3_T_GRID):
-        snap = rf.at(float(t))
-        v, d1, d2, d3 = deriv_tuple(snap, ys)
-        b1, b2, b3, b4 = snap.theta_deriv_bounds()
-        lb1 = 1.0
-        for _, p in snap.stages:
-            lb1 *= max(0.0, 1.0 - p.deriv_bound(1))
-        g_lip = max(b1 - 1.0, 1.0 - lb1)
-        sup = max(sup, float(np.max(np.abs(v - ys - rf.winding * float(t)))) + g_lip / y_grid,
-                  float(np.max(np.abs(d1 - 1.0))) + b2 / y_grid,
-                  float(np.max(np.abs(d2))) + b3 / y_grid,
-                  float(np.max(np.abs(d3))) + b4 / y_grid)
+    for t in np.linspace(0.0, 1.0, t_grid):
+        snap = fam.at(float(t))
+        v, dev = ys, 0.0
+        for c, p in snap.stages:
+            dev = dev + p(v)
+            v = v + c + p(v)
+        _, d1, d2, d3 = deriv_tuple(snap, ys)
+        margins = composed_deriv_bounds(
+            [p.deriv_bound(k) for k in range(1, 5)] for _, p in snap.stages)
+        sup = max(sup, *(float(np.max(np.abs(g))) + m / y_grid
+                         for g, m in zip((dev, d1 - 1.0, d2, d3), margins)))
     return sup
+
+
+def t_margin(fam):
+    """Oracle: the t margin of ``family_norm``, from the coefficient bounds
+    of d/dt of every theta-derivative up to order 3."""
+    rate = 0.0
+    for k in range(4):
+        s = sum((TAU * j) ** k * (a.deriv().abs_bound() + b.deriv().abs_bound())
+                for j, a, b in fam.harmonics)
+        if k == 0:
+            s += fam.const.deriv().abs_bound()
+        rate = max(rate, s)
+    return rate / (DEFAULT_T_GRID - 1)
 
 
 def xdep_skew(m, rng):
@@ -254,6 +281,78 @@ class TestC3Sup:
         for circle in periodic_circles(F.m, n_max):
             rf = restricted_family(F, circle)
             assert a3_check(rf, 0.5)[0] == c3_sup_by_snapshots(rf), circle
+
+    def test_composed_bounds_dominate_the_chain_rule(self):
+        ys = np.arange(1024) / 1024
+        for F in (xdep_skew(2, np.random.default_rng(3)), arnold_skew(2, 0.05)):
+            for circle in periodic_circles(F.m, 3):
+                rf = restricted_family(F, circle)
+                for t in (0.0, 0.4, 1.0):
+                    snap = rf.at(t)
+                    stages = [[p.deriv_bound(k) for k in range(1, 5)] for _, p in snap.stages]
+                    bounds = composed_deriv_bounds(stages)
+                    _, d1, d2, d3 = deriv_tuple(snap, ys)
+                    for g, bound in zip((d1 - 1.0, d2, d3), bounds):
+                        assert np.max(np.abs(g)) <= bound * (1 + 1e-12)
+                    if circle.n == 1:  # one stage: its own bounds, exactly
+                        assert bounds == tuple(stages[0])
+
+    @pytest.mark.parametrize("make", [
+        lambda: arnold_family(0.1),
+        lambda: sample_family(np.random.default_rng(5), 0.4),
+        lambda: sample_family(np.random.default_rng(8), 0.9),
+        # the constant binds, so the C0 row and its margin decide the norm
+        lambda: CircleFamily(1, TPoly((0.3, 0.01)), ((1, TPoly((1e-4,)), TPoly((0.0, 2e-5))),)),
+        lambda: CircleFamily(1, TPoly((0.0,)), ((1, TPoly((0.0,)), TPoly((0.15, -0.15))),
+                                                (3, TPoly((0.002, -0.001)), TPoly((0.0,))))),
+        lambda: arnold_family(0.07).renormalized(0.2, 0.6),
+    ], ids=["arnold", "sample-0.4", "sample-0.9", "constant", "t-dependent", "renormalized"])
+    def test_family_norm_equals_snapshot_chain_rule(self, make):
+        fam = make()
+        want = c3_sup_by_snapshots(fam, DEFAULT_T_GRID, DEFAULT_THETA_GRID) + t_margin(fam)
+        assert family_norm(fam).c3_g == want
+
+
+def first_failing_stage(fam):
+    """Oracle: the first (t, stage) at which 1 + p_i' <= 0 on the stage's
+    own DEFAULT_THETA_GRID points, scanning each ``at(t)`` snapshot of the
+    DEFAULT_T_GRID values of t in turn, or None."""
+    xs = np.arange(DEFAULT_THETA_GRID) / DEFAULT_THETA_GRID
+    for t in np.linspace(0.0, 1.0, DEFAULT_T_GRID):
+        for i, (_, p) in enumerate(fam.at(float(t)).stages):
+            if np.min(1.0 + p.deriv(1)(xs)) <= 0.0:
+                return float(t), i + 1
+    return None
+
+
+class TestCheckDiffeo:
+    def test_only_a_later_stage_fails(self):
+        # the (1, 1) coefficient 0.12 + 0.06 t tips only the fiber over
+        # x = 4/7 past 1 + p' > 0, the third stage of the circle at 1/7
+        F = SkewMap(2, ((1, 1, (0.12, 0.06), (0.0,)), (0, 1, (0.0,), (0.05,))), label="late")
+        circle = periodic_circles(2, 3)[3]
+        assert circle.x0 == Fraction(1, 7)
+        stages = tuple(F.fiber_stage(Fraction(k, 7)) for k in (1, 2, 4))
+        rf = skew.RestrictedFamily(F, circle, stages, label="late|1/7")
+        assert first_failing_stage(rf) == (0.1875, 3)
+        for k in (1, 2):  # the earlier stages alone never fail
+            alone = skew.RestrictedFamily(F, circle, (F.fiber_stage(Fraction(k, 7)),))
+            assert first_failing_stage(alone) is None
+        with pytest.raises(DegenerateFiber) as err:
+            restricted_family(F, circle)
+        assert str(err.value) == "stage 3 is not a diffeomorphism at t=0.1875 of 'late|1/7'"
+
+    def test_bound_above_one_with_passing_scan(self):
+        # |a| + |b| overstates the amplitude hypot(a, b) of a cos + b sin
+        fam = CircleFamily(1, TPoly((0.0,)), ((1, TPoly((0.1, 0.02)), TPoly((0.1,))),))
+        F = SkewMap(2, ((1, 1, (0.1,), (0.0,)), (0, 1, (0.0,), (0.1, 0.02))))
+        rf = skew.RestrictedFamily(F, periodic_circles(2, 1)[0], (F.fiber_stage(Fraction(0)),))
+        for stack in (fam, rf):
+            assert stack.dtheta_lift_bound() >= 2.0  # so the scan runs
+            assert first_failing_stage(stack) is None
+            stack.check_diffeo()
+        family_norm(fam)
+        restricted_family(F, periodic_circles(2, 1)[0])
 
 
 class TestStageStack:

@@ -5,14 +5,12 @@ import pytest
 
 from circledyn import rotation, windows
 from circledyn.circle_map import CircleFamily, TPoly
-from circledyn.errors import DegenerateFamily, InsufficientData, NoLockInBracket
+from circledyn.errors import DegenerateFamily, NoLockInBracket
 from circledyn.gallery import arnold_family, rigid_family
 from circledyn.rotation import LOCKED, NOT_LOCKED, UNRESOLVED, is_locked
 from circledyn.windows import (
-    Window,
     enumerate_windows,
     locked_measure,
-    scaling_fit,
     tongue_diagram,
     window_boundaries,
     window_for_rational,
@@ -250,6 +248,24 @@ class TestLockedMeasure:
         se = math.sqrt(max(lm.mc * (1 - lm.mc), 1e-12) / 2000)
         assert lm.lower <= lm.mc + lm.unresolved_frac + 3 * se + 1e-3
 
+    def test_t_dependent_lower_is_clipped_to_the_unit_interval(self):
+        # theta + t + 0.15 (1 - t) sin 2 pi theta: the 0/1 window reaches
+        # below t = 0, where no sample is drawn, and the 8/8 window near
+        # t = 1 is never enumerated
+        fam = CircleFamily(1, TPoly((0.0,)), ((1, TPoly((0.0,)), TPoly((0.15, -0.15))),))
+        ws = enumerate_windows(fam, 8, tol=1e-7)
+        assert ws[0].t_lo < 0.0
+        lm = locked_measure(fam, 8, 20_000, tol=1e-7, seed=3, windows=ws)
+        se = math.sqrt(lm.mc * (1 - lm.mc) / 20_000)
+        assert lm.lower <= lm.mc + lm.unresolved_frac + 3 * se
+
+    def test_t_free_lower_is_the_width_sum(self):
+        fam = arnold_family(0.1)
+        ws = enumerate_windows(fam, 6, tol=1e-7)
+        assert ws[0].t_lo < 0.0  # the 0/1 window straddles t = 0
+        lm = locked_measure(fam, 6, 10, tol=1e-7, windows=ws)
+        assert lm.lower == sum(w.width for w in ws)
+
 
 class TestTongueDiagram:
     def test_zero_amplitude_row_is_points(self):
@@ -268,25 +284,3 @@ class TestTongueDiagram:
     def test_degenerate_amplitude_propagates(self):
         with pytest.raises(DegenerateFamily):
             tongue_diagram(arnold_family(1.0), [0.2], 2)
-
-
-class TestScalingFit:
-    def test_synthetic_cubic_law(self):
-        ws = [Window(1, q, 0, 0, 0.7 * q ** -3.0, 0.0) for q in (2, 3, 5, 7, 9)]
-        exponent, r2 = scaling_fit(ws)
-        assert exponent == pytest.approx(-3.0, abs=1e-9)
-        assert r2 == pytest.approx(1.0, abs=1e-12)
-
-    def test_equal_widths_give_zero(self):
-        ws = [Window(1, q, 0, 0, 0.25, 0.0) for q in (2, 3, 5)]
-        exponent, _ = scaling_fit(ws)
-        assert exponent == pytest.approx(0.0, abs=1e-12)
-
-    def test_arnold_slope_negative(self):
-        ws = enumerate_windows(arnold_family(0.1), 8, tol=1e-9)
-        exponent, _ = scaling_fit(ws)
-        assert math.isfinite(exponent) and exponent < 0
-
-    def test_insufficient_data(self):
-        with pytest.raises(InsufficientData):
-            scaling_fit([Window(0, 1, 0, 0, 0.1, 0.0)])
