@@ -65,7 +65,9 @@ class TPoly:
         return TPoly(tuple(s * c for c in self.coeffs))
 
     def __add__(self, other: "TPoly") -> "TPoly":
-        return TPoly(P.polyadd(self.coeffs, other.coeffs))
+        # a sum beyond the float range ends in inf, quietly; callers check it
+        with np.errstate(over="ignore", invalid="ignore"):
+            return TPoly(P.polyadd(self.coeffs, other.coeffs))
 
     def plus_const(self, c: float) -> "TPoly":
         coeffs = list(self.coeffs)
@@ -417,7 +419,9 @@ class CircleFamily(StageStack):
     harmonic coefficients are :class:`TPoly` polynomials in t.  ``winding``
     is a positive integer for ordinary families; t-renormalized families
     (see :meth:`renormalized`) may carry a non-integer winding.  As a
-    :class:`StageStack` it is a single stage.
+    :class:`StageStack` it is a single stage.  Entries with equal j are
+    merged into one, their coefficients summed, as in the ``at(t)``
+    snapshot.
     """
 
     winding: float = 1
@@ -426,16 +430,17 @@ class CircleFamily(StageStack):
     label: str = ""
 
     def __post_init__(self):
-        harm = []
+        merged = {}
         for j, a, b in self.harmonics:
             j = int(j)
             if j <= 0:
                 raise ValueError("harmonic index must be a positive integer")
             a = a if isinstance(a, TPoly) else TPoly(a)
             b = b if isinstance(b, TPoly) else TPoly(b)
-            harm.append((j, a, b))
-        harm.sort(key=lambda h: h[0])
-        object.__setattr__(self, "harmonics", tuple(harm))
+            if j in merged:
+                a, b = merged[j][0] + a, merged[j][1] + b
+            merged[j] = (a, b)
+        object.__setattr__(self, "harmonics", tuple((j,) + merged[j] for j in sorted(merged)))
         const = self.const if isinstance(self.const, TPoly) else TPoly(self.const)
         object.__setattr__(self, "const", const)
 

@@ -238,14 +238,16 @@ def cmd_windows(cfg: RunConfig) -> int:
         ws = windows.enumerate_windows(fam, cfg.qmax, tol=cfg.tol, grid=cfg.grid or None,
                                        map_fn=pool.map)
     lm = windows.locked_measure(fam, cfg.qmax, cfg.samples, tol=cfg.tol, seed=cfg.seed,
-                                windows=ws)
+                                windows=ws, n_iter=cfg.niter or rotation.CLASSIFY_N_ITER)
     files = {
         "windows.csv": ("windows", [
             (w.p, w.q, w.t_lo, w.t_hi, w.width, w.bracket_radius) for w in ws
         ]),
         "measure.csv": ("measure", [(cfg.qmax, lm.lower, lm.mc, lm.unresolved_frac, cfg.seed)]),
     }
-    _finish(cfg, files, inputs={"family": cfg.input})
+    _finish(cfg, files, inputs={"family": cfg.input},
+            report_tables={"mc_iterates": (("samples", "iterates"),
+                                           [(cfg.samples, lm.iterates)])})
     return 0
 
 
@@ -338,9 +340,11 @@ def cmd_theoremA(cfg: RunConfig) -> int:
         "eta.csv": ("eta", eta_rows),
     }
     classified = [(i + 1, c) for i, c in enumerate(res.classified)]
+    iterates = [(i + 1, n) for i, n in enumerate(res.iterates)]
     _finish(
         cfg, files, inputs={"skew": cfg.input},
-        report_tables={"intersection_classified": (("N", "classified"), classified)},
+        report_tables={"intersection_classified": (("N", "classified"), classified),
+                       "intersection_iterates": (("N", "iterates"), iterates)},
         hypotheses={
             "norms": list(res.norms),
             "windings": list(res.windings),

@@ -41,11 +41,13 @@ class IntersectionResult:
     """Monte Carlo measure of parameters locked for every one of the first N
     families, N = 1..len(families); unresolved samples tracked as an
     optimistic/pessimistic interval.  ``classified[k]`` counts the samples
-    that family k + 1 was classified on."""
+    that family k + 1 was classified on, and ``iterates[k]`` the orbit
+    iterates that took."""
 
     mu_locked: tuple
     mu_pessimistic: tuple
     classified: tuple
+    iterates: tuple
     norms: tuple
     windings: tuple
     windings_increasing: bool
@@ -58,10 +60,13 @@ class IntersectionResult:
 
 
 def _classify_family(fam, ts, q_max, n_iter, map_fn=map):
-    results = rotation.classify_batch(fam, ts, q_max=q_max, n_iter=n_iter, map_fn=map_fn)
+    """Locked and unresolved indicators of a retiring sweep over ``ts``,
+    and its orbit iterates."""
+    results = rotation.classify_batch(fam, ts, q_max=q_max, n_iter=n_iter, map_fn=map_fn,
+                                      retire=True)
     locked = np.array([r.classification == rotation.LOCKED for r in results])
     unresolved = np.array([r.classification == rotation.UNRESOLVED for r in results])
-    return locked, unresolved
+    return locked, unresolved, sum(r.n_iter for r in results)
 
 
 def intersection_measure(families, t_samples: int, q_max: int = 30, seed: int = 0,
@@ -78,9 +83,10 @@ def intersection_measure(families, t_samples: int, q_max: int = 30, seed: int = 
     with no such sample is not classified.  A sample that an earlier family
     certified as not locked is already out of both the locked and the
     pessimistic intersection, so neither indicator changes, and
-    ``classify_batch`` decides each value as it would alone.  ``map_fn``
-    splits each family's samples into blocks, one per worker
-    (see ``classify_batch``).
+    ``classify_batch`` decides each value as it would alone.  Its sweep
+    retires the samples whose error bars rule out every candidate early
+    (``retire``), so ``n_iter`` is a cap.  ``map_fn`` splits each family's
+    samples into blocks, one per worker (see ``classify_batch``).
 
     Raises HypothesisViolation when any family norm reaches 1; a
     non-increasing winding sequence is recorded (``windings_increasing``)
@@ -103,19 +109,21 @@ def intersection_measure(families, t_samples: int, q_max: int = 30, seed: int = 
     ts = make_rng(seed).random(t_samples)
     locked_all = np.ones(t_samples, dtype=bool)
     pess_all = np.ones(t_samples, dtype=bool)
-    mu_locked, mu_pess, classified = [], [], []
+    mu_locked, mu_pess, classified, iterates = [], [], [], []
     for fam in families:
         alive = np.flatnonzero(pess_all)
         classified.append(int(alive.size))
+        iterates.append(0)
         if alive.size:
-            locked, unresolved = _classify_family(fam, ts[alive], q_max, n_iter, map_fn)
+            locked, unresolved, iterates[-1] = _classify_family(fam, ts[alive], q_max,
+                                                                n_iter, map_fn)
             # locked_all is within pess_all, so both stay false off `alive`
             locked_all[alive] &= locked
             pess_all[alive] = locked | unresolved
         mu_locked.append(float(np.mean(locked_all)))
         mu_pess.append(float(np.mean(pess_all)))
     return IntersectionResult(
-        tuple(mu_locked), tuple(mu_pess), tuple(classified), norms, windings,
+        tuple(mu_locked), tuple(mu_pess), tuple(classified), tuple(iterates), norms, windings,
         increasing, seed, t_samples,
     )
 
@@ -170,7 +178,8 @@ def eta_curve(r_grid, sample_families_per_r: int, q_max: int = 30, seed: int = 0
               map_fn=map) -> EtaCurve:
     """Empirical eta(r): sample random families at each norm level r and take
     the largest Monte Carlo locked fraction, then apply an isotonic cleanup
-    (eta is a sup over nested classes, so it must be nondecreasing)."""
+    (eta is a sup over nested classes, so it must be nondecreasing).  The
+    sweeps retire samples early, as in :func:`intersection_measure`."""
     rs = sorted(float(r) for r in r_grid)
     ts = make_rng(seed, 0).random(mc_samples)
     tasks = []
@@ -200,7 +209,8 @@ def renormalization_check(families, J, q_max: int = 30, seed: int = 0,
     """Search the family list for the first member whose locked set fills
     less than eta_hat of the interval J.
 
-    The ratio is the Monte Carlo locked fraction within J.  When the list
+    The ratio is the Monte Carlo locked fraction within J, from a retiring
+    sweep (see :func:`intersection_measure`).  When the list
     is exhausted, n_found is None and the best (smallest) ratio is
     reported.  eta_hat defaults to a small eta_curve run at the largest
     family norm in the list.
@@ -216,7 +226,7 @@ def renormalization_check(families, J, q_max: int = 30, seed: int = 0,
     ts = a + (b - a) * make_rng(seed, 2).random(mc_samples)
     best = np.inf
     for i, fam in enumerate(families):
-        results = rotation.classify_batch(fam, ts, q_max=q_max)
+        results = rotation.classify_batch(fam, ts, q_max=q_max, retire=True)
         ratio = float(np.mean([r.classification == rotation.LOCKED for r in results]))
         if ratio < eta_hat:
             return RenormResult(i + 1, ratio, eta_hat)

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import functools
 import math
+
+import numpy as np
 
 
 def farey_sequence(q_max: int):
@@ -66,3 +69,29 @@ def fractions_in_interval(lo: float, hi: float, q_max: int):
         for p, q in _unit_interval_fractions(u, v, q_max):
             found.add((p + base * q, q))
     return sorted(found, key=lambda f: (f[1], f[0]))
+
+
+@functools.lru_cache(maxsize=8)
+def _unit_values(q_max: int):
+    """The values p / q of the reduced fractions in [0, 1] with q <= q_max,
+    ascending, as the floats that Stern-Brocot descent compares."""
+    vals = np.array([p / q for p, q in farey_sequence(q_max)] + [1.0])
+    vals.flags.writeable = False
+    return vals
+
+
+def holds_fraction(lo, hi, q_max: int):
+    """Elementwise ``bool(fractions_in_interval(lo, hi, q_max))`` for arrays
+    of finite interval ends.
+
+    With base = floor(lo), a nonempty [lo, hi] holds a fraction iff it
+    holds base + x for the least of the sorted unit values x >= lo - base,
+    that is iff x <= hi - base: the float comparisons of
+    :func:`fractions_in_interval`, so the answers agree exactly.  (The unit
+    values end at 1, so a bar reaching base + 1 always holds one.)
+    """
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    base = np.floor(lo)
+    vals = _unit_values(q_max)
+    x = vals[np.searchsorted(vals, lo - base)]  # lo - base <= 1.0 = vals[-1]
+    return (lo <= hi) & (x <= hi - base)

@@ -150,14 +150,29 @@ def _harmonics(d: dict, where: str, keys, low):
     return tuple(out)
 
 
+def _finite_sums(harmonics, where: str, keys):
+    """Entries with equal indices are summed, which can overflow: raise
+    for a merged entry (indices, TPoly a, TPoly b) with a non-finite
+    coefficient."""
+    for *idx, a, b in harmonics:
+        if not all(math.isfinite(c) for c in a.coeffs + b.coeffs):
+            names, values = ", ".join(keys), ", ".join(map(str, idx))
+            if len(keys) > 1:
+                names, values = f"({names})", f"({values})"
+            raise InputError(f"{where}: harmonics with {names} = {values} "
+                             "sum to a non-finite coefficient")
+
+
 def family_from_dict(d: dict, where: str = "family") -> CircleFamily:
     _object(d, where, "the top level")
-    return CircleFamily(
+    fam = CircleFamily(
         _integer(d.get("winding", 1), where, "winding", 1),
         _tpoly(d.get("const", 0.0), where, "const"),
         _harmonics(d, where, ("j",), 1),
         label=str(d.get("label", "")),
     )
+    _finite_sums(fam.harmonics, where, ("j",))
+    return fam
 
 
 def load_family(path) -> CircleFamily:
@@ -173,11 +188,7 @@ def skew_from_dict(d: dict, where: str = "skew map") -> SkewMap:
         _harmonics(d, where, ("jx", "jy"), None),
         label=str(d.get("label", "")),
     )
-    # entries with equal (jx, jy) are summed, which can overflow
-    for jx, jy, a, b in F.harmonics:
-        if not all(math.isfinite(c) for c in a.coeffs + b.coeffs):
-            raise InputError(f"{where}: harmonics with (jx, jy) = ({jx}, {jy}) "
-                             "sum to a non-finite coefficient")
+    _finite_sums(F.harmonics, where, ("jx", "jy"))
     return F
 
 

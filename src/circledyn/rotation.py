@@ -42,6 +42,9 @@ PHASE_ULPS = 1.0 + math.pi + 0.5 * math.pi + 4.0 + 0.5
 MAX_LOCK_GRID = 2 ** 24
 DEFAULT_N_ITER = 10_000
 CLASSIFY_N_ITER = 4096
+# iterate counts at which a retiring sweep (classify_batch(retire=True))
+# stops to retire the samples whose error bars hold no candidate fraction
+RETIRE_CHECKPOINTS = (256, 512, 1024, 2048)
 
 
 @dataclass(frozen=True)
@@ -266,10 +269,19 @@ def is_locked(fam, t, p: int, q: int, grid: int | None = None) -> LockCheck:
     return _lock_decision(step, p, q, n, 1, margin)
 
 
+def _drift(rate, n: int, disp):
+    """Bound eps r (Y + 1), Y = n |disp| + 1, on the rounding drift of the
+    mean displacement ``disp`` after n iterates (see :func:`_decide`); for
+    floats or arrays."""
+    return EPS * rate * (n * abs(disp) + 2.0)
+
+
 @_quiet
-def _decide(fam, t, disp: float, n_iter: int, q_max: int, rate: float | None) -> RotationResult:
+def _decide(fam, t, disp: float, n_iter: int, q_max: int, rate: float | None,
+            bar=(-math.inf, math.inf)) -> RotationResult:
     """Try every candidate p/q within the 1/n_iter error bar of the mean
-    displacement ``disp``, cheapest denominator first.
+    displacement ``disp``, and within ``bar`` (the intersected error bars
+    of a retiring sweep's checkpoints), cheapest denominator first.
 
     Each iterate of the orbit rounds by about eps r Y, where Y = n_iter
     |disp| + 1 bounds the lift values and, as derived in :func:`is_locked`
@@ -281,16 +293,17 @@ def _decide(fam, t, disp: float, n_iter: int, q_max: int, rate: float | None) ->
     error eps 2 pi j |y| (from w, the product w y and the sum with phi),
     and eps R PHASE_ULPS for R, phi, the sum, sin and the product, with
     sum_j R_j <= (L - 1) / 2 pi (``rate``, or at t when it is None).  The
-    mean displacement then drifts by up to eps r (Y + 1).  Where that
-    reaches the error bar (large |t|, where the lift values keep few
-    fractional bits), or the orbit overflowed, nothing is tested and the
-    result is unresolved.
+    mean displacement then drifts by up to eps r (Y + 1) (``_drift``).
+    Where that reaches the error bar (large |t|, where the lift values keep
+    few fractional bits), or the orbit overflowed, nothing is tested and
+    the result is unresolved.
     """
     err = 1.0 / n_iter
     if rate is None:
         rate = _rounding_rate(fam, fam.dtheta_lift_bound(t))
-    unresolved = not EPS * rate * (n_iter * abs(disp) + 2.0) < err
-    for p, q in [] if unresolved else farey.fractions_in_interval(disp - err, disp + err, q_max):
+    unresolved = not _drift(rate, n_iter, disp) < err
+    lo, hi = max(disp - err, bar[0]), min(disp + err, bar[1])
+    for p, q in [] if unresolved else farey.fractions_in_interval(lo, hi, q_max):
         chk = is_locked(fam, t, p, q)
         if chk.status == LOCKED:
             pr, qr = (p % q, q) if q > 1 else (0, 1)
@@ -318,14 +331,67 @@ def classify(fam, t, q_max: int = 30, n_iter: int = CLASSIFY_N_ITER) -> Rotation
     return _decide(fam, t, base.displacement, n_iter, q_max, rate)
 
 
-def _classify_block(fam, q_max: int, n_iter: int, rate, ts):
-    disps = displacement_batch(fam, ts, n_iter=n_iter)
-    return [_decide(fam, float(t), float(d), n_iter, q_max, rate) for t, d in zip(ts, disps)]
+@_quiet
+def _classify_block(fam, q_max: int, n_iter: int, rate, retire: bool, ts):
+    """``classify_batch`` on one block of values.  The survivors of a
+    retiring sweep stay compressed in ``live``, with their intersected bars
+    in ``lo``, ``hi``; the step is rebuilt on them after each checkpoint
+    that retired some."""
+    rates = (np.full(ts.size, rate) if rate is not None else
+             np.array([_rounding_rate(fam, fam.dtheta_lift_bound(float(t))) for t in ts]))
+    out = [None] * ts.size
+    live = np.arange(ts.size)
+    lo, hi = np.full(ts.size, -math.inf), np.full(ts.size, math.inf)
+    theta, done = np.zeros(ts.size), 0
+    step = fam.step_factory(ts)
+    for n in [c for c in RETIRE_CHECKPOINTS if retire and c < n_iter]:
+        for _ in range(n - done):
+            theta = step(theta)
+        done = n
+        disp = theta / n
+        drift = _drift(rates[live], n, disp)
+        ok = drift < 1.0 / n  # _decide's rounding guard at n
+        k = live[ok]
+        lo[k] = np.maximum(lo[k], disp[ok] - (1.0 / n + drift[ok]))
+        hi[k] = np.minimum(hi[k], disp[ok] + (1.0 / n + drift[ok]))
+        empty = np.zeros(live.size, dtype=bool)
+        empty[ok] = ~farey.holds_fraction(lo[k], hi[k], q_max)
+        if not empty.any():
+            continue
+        for i, d in zip(live[empty].tolist(), disp[empty].tolist()):
+            out[i] = RotationResult(d % 1.0, 1.0 / n, n, IRRATIONAL_CANDIDATE,
+                                    displacement=d)
+        live, theta = live[~empty], theta[~empty]
+        if not live.size:
+            return out
+        step = fam.step_factory(ts[live])
+    for _ in range(n_iter - done):
+        theta = step(theta)
+    for i, d in zip(live.tolist(), (theta / n_iter).tolist()):
+        out[i] = _decide(fam, float(ts[i]), d, n_iter, q_max, float(rates[i]),
+                         (float(lo[i]), float(hi[i])))
+    return out
 
 
-def classify_batch(fam, ts, q_max: int = 30, n_iter: int = CLASSIFY_N_ITER, map_fn=map):
+def classify_batch(fam, ts, q_max: int = 30, n_iter: int = CLASSIFY_N_ITER, map_fn=map,
+                   retire: bool = False):
     """Classify many parameter values; the rho sweep is vectorized and the
     (rare) lock checks run per sample.  Returns a list of RotationResult.
+
+    ``retire`` stops the sweep at each of ``RETIRE_CHECKPOINTS`` below
+    ``n_iter``.  The displacement inequality puts rho in the bar d_n +- 1/n
+    at every n; widened by the rounding drift (``_drift``, where
+    ``_decide``'s guard holds at n) and intersected with the earlier bars,
+    it is rigorous, so a sample whose bar holds no p/q with q <= q_max is
+    final: an ``irrational_candidate`` with ``n_iter`` = n and error bound
+    1/n, which leaves the sweep.  The others run on to ``n_iter``, where
+    ``_decide`` tries only the candidates inside their intersected bar.  A
+    locked p/q lies in every bar, so locks keep their (p, q, witness), and
+    a survivor's mean displacement is bit for bit the full sweep's.  The
+    only class that can change is ``unresolved`` (a candidate that the full
+    sweep left undecided, or a failed rounding guard at ``n_iter``), to
+    ``irrational_candidate``.  Callers that only count classes opt in;
+    ``n_iter`` is then a cap.
 
     ``map_fn`` lets a caller substitute a worker pool.  The values go out
     in one block per worker, the pool's ``workers`` attribute (one block
@@ -337,6 +403,5 @@ def classify_batch(fam, ts, q_max: int = 30, n_iter: int = CLASSIFY_N_ITER, map_
     rate = (_rounding_rate(fam, fam.dtheta_lift_bound())
             if np.all((ts >= 0.0) & (ts <= 1.0)) else None)
     blocks = max(1, min(getattr(map_fn, "workers", 1), ts.size))
-    task = functools.partial(_classify_block, fam, q_max, n_iter, rate)
+    task = functools.partial(_classify_block, fam, q_max, n_iter, rate, retire)
     return [r for block in map_fn(task, np.array_split(ts, blocks)) for r in block]
-

@@ -70,11 +70,13 @@ class LockedMeasure:
     a certified lower bound on the measure of the locked t in [0, 1] (the
     window widths, clipped to [0, 1] unless the family is 1-periodic in
     t), a Monte Carlo locked fraction, and the separately tracked
-    unresolved fraction."""
+    unresolved fraction.  ``iterates`` counts the orbit iterates of the
+    Monte Carlo sweep."""
 
     lower: float
     mc: float
     unresolved_frac: float
+    iterates: int
 
 
 @dataclass(frozen=True)
@@ -84,13 +86,6 @@ class TongueDiagram:
     label: str = ""
     q_max: int = 0
     tol: float = 0.0
-
-
-def _disp_extremum(fam, t, p: int, q: int, thetas, edge: str):
-    """B_plus(t) for edge 'lo', B_minus(t) for 'hi', with the displacement
-    array it was taken from."""
-    disp = rotation._lift_q_displacement(fam, t, q, p, thetas)
-    return float(np.max(disp) if edge == "lo" else np.min(disp)), disp
 
 
 def _bisect(u, v, tol, positive):
@@ -136,9 +131,10 @@ def _illinois(fam, p, q, edge, thetas, idx, a, b, fa, fb, width):
     return idx, a, b
 
 
-def _predict_root(fam, p, q, edge, thetas, u, du, v, dv, tol):
+def _predict_root(fam, p, q, edge, thetas, u, du, v, dv, tol, disp_at):
     """Estimate of the B root inside [u, v] from the branches D(theta_i, t),
-    given the displacement arrays ``du``, ``dv`` at u and v.
+    given the displacement arrays ``du``, ``dv`` at u and v.  A pass over
+    every branch at one t is a B evaluation, taken by ``disp_at``.
 
     Every branch is increasing in t, so the root of B_plus (lo edge) is the
     least branch root and that of B_minus (hi edge) the greatest.  A large
@@ -157,7 +153,10 @@ def _predict_root(fam, p, q, edge, thetas, u, du, v, dv, tol):
         near = np.zeros_like(in_branch)
         near[(idx[:, None] + np.arange(-PREDICT_STRIDE, PREDICT_STRIDE + 1)) % thetas.size] = True
         idx = np.flatnonzero(near & in_branch)
-        ft = rotation._lift_q_displacement(fam, t, q, p, thetas[idx])
+        if idx.size == thetas.size:
+            ft = disp_at(t)
+        else:
+            ft = rotation._lift_q_displacement(fam, t, q, p, thetas[idx])
         pos = ft > 0.0
         a, fa = np.where(pos, u, t), np.where(pos, du[idx], ft)
         b, fb = np.where(pos, t, v), np.where(pos, ft, dv[idx])
@@ -167,9 +166,11 @@ def _predict_root(fam, p, q, edge, thetas, u, du, v, dv, tol):
     return 0.5 * (a.max() + b.max())
 
 
-def _edge_root(fam, p, q, edge, t_seed, radius0, tol, grid):
+def _edge_root(fam, p, q, edge, t_seed, radius0, tol, thetas, disp_at):
     """Root of B_plus (edge='lo') or B_minus (edge='hi'), bracketed by
     geometric expansion around t_seed and then bisected to radius <= tol.
+    ``disp_at(t)`` is the displacement array D(thetas, t) of which B is
+    the max (lo edge) or the min (hi edge).
 
     B is strictly increasing in t when the t-derivative bound is below the
     winding.  The bisection then evaluates B only at midpoints strictly
@@ -179,22 +180,25 @@ def _edge_root(fam, p, q, edge, t_seed, radius0, tol, grid):
     evaluate.  The result equals plain bisection's bit for bit whatever
     the prediction, which only decides what is evaluated.
     """
-    thetas = np.arange(grid) / grid
+    def extremum(t):
+        disp = disp_at(t)
+        return float(np.max(disp) if edge == "lo" else np.min(disp)), disp
+
     r = max(radius0, 4.0 * tol)
     u, v = t_seed - r, t_seed + r
-    (fu, du), (fv, dv) = (_disp_extremum(fam, t, p, q, thetas, edge) for t in (u, v))
+    (fu, du), (fv, dv) = extremum(u), extremum(v)
     for _ in range(64):
         if fu < 0.0:
             break
         r *= 2.0
         u = t_seed - r
-        fu, du = _disp_extremum(fam, u, p, q, thetas, edge)
+        fu, du = extremum(u)
     for _ in range(64):
         if fv > 0.0:
             break
         r *= 2.0
         v = t_seed + r
-        fv, dv = _disp_extremum(fam, v, p, q, thetas, edge)
+        fv, dv = extremum(v)
     if fu >= 0.0 or fv <= 0.0:
         raise NoLockInBracket(
             f"could not bracket the {edge} edge of the {p}/{q} window near t={t_seed:g}"
@@ -208,12 +212,12 @@ def _edge_root(fam, p, q, edge, t_seed, radius0, tol, grid):
     def positive(t):
         if monotone and not ends[0][0] < t < ends[1][0]:
             return t >= ends[1][0]
-        val, disp = _disp_extremum(fam, t, p, q, thetas, edge)
+        val, disp = extremum(t)
         ends[1 if val > 0.0 else 0] = (t, disp)
         return val > 0.0
 
     for _ in range(PREDICT_ROUNDS if monotone else 0):
-        est = _predict_root(fam, p, q, edge, thetas, *ends[0], *ends[1], tol)
+        est = _predict_root(fam, p, q, edge, thetas, *ends[0], *ends[1], tol, disp_at)
         cell = _bisect(u, v, tol, lambda mid: mid > est)
         for t in cell:
             positive(t)
@@ -230,13 +234,26 @@ def window_for_rational(fam, p: int, q: int, tol: float = 1e-6,
     The seed defaults to the rigid-rotation prediction p / (q * winding);
     expansion of the bisection bracket absorbs the periodic-part offset.
     Windows narrower than tol collapse to width-0 markers.
+
+    Both edges start from t = seed +- r and expand along seed +- r 2^k, and
+    B_plus and B_minus are the max and the min of one displacement array
+    D(theta_i, t).  So the edges share the arrays they evaluate: each t is
+    evaluated once per window.  The arrays are dropped with the window.
     """
     grid = grid or rotation.lock_grid_size(q)
     n = fam.winding
     seed = t_seed if t_seed is not None else p / (q * n)
     radius0 = fam.g_sup_bound() / n + 4.0 * tol
-    t_lo, r_lo = _edge_root(fam, p, q, "lo", seed, radius0, tol, grid)
-    t_hi, r_hi = _edge_root(fam, p, q, "hi", seed, radius0, tol, grid)
+    thetas = np.arange(grid) / grid
+    evals = {}
+
+    def disp_at(t):
+        if t not in evals:
+            evals[t] = rotation._lift_q_displacement(fam, t, q, p, thetas)
+        return evals[t]
+
+    t_lo, r_lo = _edge_root(fam, p, q, "lo", seed, radius0, tol, thetas, disp_at)
+    t_hi, r_hi = _edge_root(fam, p, q, "hi", seed, radius0, tol, thetas, disp_at)
     radius = max(r_lo, r_hi)
     width = t_hi - t_lo
     # each edge is known to +-tol, so width <= 2 tol is indistinguishable
@@ -304,12 +321,17 @@ def enumerate_windows(fam, q_max: int, tol: float = 1e-6,
 
 
 def locked_measure(fam, q_max: int, mc_samples: int, tol: float = 1e-6,
-                   seed: int = 0, windows: list | None = None) -> LockedMeasure:
+                   seed: int = 0, windows: list | None = None,
+                   n_iter: int = rotation.CLASSIFY_N_ITER) -> LockedMeasure:
     """Certified-below plus Monte Carlo measure of the locked parameter set.
 
     ``lower`` sums certified window widths (semi-computable from below at
     finite q_max); ``mc`` is the fraction of seeded uniform t samples that
-    classify locked, with unresolved samples counted separately.
+    classify locked, with unresolved samples counted separately.  The
+    samples are classified by a retiring sweep of at most ``n_iter``
+    iterates (``classify_batch`` with ``retire``): a sample whose error bar
+    holds no candidate at one of ``rotation.RETIRE_CHECKPOINTS`` is an
+    irrational candidate from then on.
 
     The windows of p in [0, q N) tile [0, 1) only when f_{t+1} = f_t + N:
     an integer winding N and every coefficient free of t.  Otherwise a
@@ -330,10 +352,11 @@ def locked_measure(fam, q_max: int, mc_samples: int, tol: float = 1e-6,
         lower = sum(max(0.0, min(w.t_hi, 1.0) - max(w.t_lo, 0.0)) for w in windows)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     ts = rng.random(mc_samples)
-    results = rotation.classify_batch(fam, ts, q_max=q_max)
+    results = rotation.classify_batch(fam, ts, q_max=q_max, n_iter=n_iter, retire=True)
     locked = sum(r.classification == rotation.LOCKED for r in results)
     unres = sum(r.classification == rotation.UNRESOLVED for r in results)
-    return LockedMeasure(lower, locked / mc_samples, unres / mc_samples)
+    return LockedMeasure(lower, locked / mc_samples, unres / mc_samples,
+                         sum(r.n_iter for r in results))
 
 
 def tongue_diagram(profile, deltas, q_max: int, tol: float = 1e-6,

@@ -207,6 +207,20 @@ class TestFamilyNorm:
         with pytest.raises(DegenerateFamily):
             family_norm(arnold_family(0.2))  # 0.2 * 2 pi > 1
 
+    def test_repeated_harmonic_index_is_merged(self):
+        # j = 1 listed twice: the bounds and the orbits are those of the
+        # summed entry, as in the at(t) snapshot, not of the entries apart
+        dup = CircleFamily(1, TPoly((0.0,)), (
+            (1, TPoly((0.01, 0.003)), TPoly((0.02,))),
+            (2, TPoly((0.003,)), TPoly((0.001,))),
+            (1, TPoly((0.013,)), TPoly((-0.007, 0.001)))))
+        merged = CircleFamily(1, TPoly((0.0,)), (
+            (1, TPoly((0.023, 0.003)), TPoly((0.02 - 0.007, 0.001))),
+            (2, TPoly((0.003,)), TPoly((0.001,)))))
+        assert dup.harmonics == merged.harmonics
+        assert family_norm(dup).c3_g == family_norm(merged).c3_g
+        assert family_norm(dup).c3_g == pytest.approx(13.072359, abs=1e-6)
+
 
 class TestComposedCircleMap:
     def test_equivariance_and_diffeo(self):

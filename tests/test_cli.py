@@ -250,9 +250,12 @@ class TestExitCodes:
         ("rho", '{"harmonics": [{"j": 1000000000, "b": [1e-12]}]}'),
         ("rho", '{"harmonics": [{"j": 1025, "b": [0.1]}]}'),
         ("skew", '{"m": 2, "harmonics": [{"jx": 0, "jy": -1025, "b": [0.001]}]}'),
+        ("rho", '{"harmonics": [{"j": 1, "b": [1e308]}, {"j": 1, "b": [1e308]}]}'),
+        ("skew", '{"m": 2, "harmonics": [{"jx": 0, "jy": 1, "a": [0, -1e308]},'
+                 ' {"jx": 0, "jy": 1, "a": [0, -1e308]}]}'),
     ], ids=["j-str", "j-float", "j-bool", "top-list", "harmonics-object", "harmonic-int",
             "coeff-nan", "const-inf", "skew-coeff-nan", "skew-jx-str", "skew-jy-float", "nested-too-deep",
-            "j-huge", "j-over-cap", "skew-jy-below-cap"])
+            "j-huge", "j-over-cap", "skew-jy-below-cap", "j-sum-overflow", "skew-sum-overflow"])
     def test_bad_definition_file_exit_2(self, cmd, text, tmp_path, capsys):
         path = tmp_path / "def.json"
         path.write_text(text)
@@ -307,6 +310,18 @@ class TestWindowsCommand:
         assert len(lines) == 3
         m = read(os.path.join(out, "measure.csv")).strip().splitlines()
         assert m[0] == "q_max,lower,mc,unresolved,seed"
+        # the Monte Carlo work goes into the report, not into a CSV
+        table = json.loads(read(os.path.join(out, "report.json")))["tables"]["mc_iterates"]
+        assert table["header"] == ["samples", "iterates"]
+        samples, iterates = (int(v) for v in table["rows"][0])
+        assert samples == 200 and 256 * 200 <= iterates < 4096 * 200
+
+    def test_niter_caps_the_monte_carlo_sweep(self, arnold_file, tmp_path):
+        out = str(tmp_path / "w")
+        assert main(["windows", "--input", arnold_file, "--qmax", "2", "--niter", "300",
+                     "--out", out, "--samples", "50", "--workers", "1"]) == 0
+        table = json.loads(read(os.path.join(out, "report.json")))["tables"]["mc_iterates"]
+        assert 256 * 50 <= int(table["rows"][0][1]) <= 300 * 50
 
 
 class TestDioCommand:
@@ -411,6 +426,11 @@ class TestDeterminism:
             assert table["intersection_classified"]["header"] == ["N", "classified"]
             assert [r[0] for r in rows] == ["1", "2", "3"] and rows[0][1] == "300"
             assert int(rows[1][1]) >= 2
+            iterates = table["intersection_iterates"]
+            assert iterates["header"] == ["N", "iterates"]
+            assert [r[0] for r in iterates["rows"]] == ["1", "2", "3"]
+            for (_, n), (_, it) in zip(rows, iterates["rows"]):
+                assert 256 * int(n) <= int(it) <= 4096 * int(n)
         for fname in ("intersection.csv", "eta.csv"):
             serial, parallel = (read(os.path.join(out, fname)) for out in outs)
             assert serial == parallel, fname

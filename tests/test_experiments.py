@@ -44,7 +44,8 @@ class TwoBlocks:
 @pytest.fixture(scope="module")
 def flat_reference():
     """Per (map, seed): the families, the shared samples, and each family's
-    locked and unresolved indicators from classifying every sample."""
+    locked and unresolved indicators and orbit iterates from classifying
+    every sample with the retiring sweep that intersection_measure uses."""
     cache = {}
 
     def get(name, seed):
@@ -53,10 +54,11 @@ def flat_reference():
             ts = make_rng(seed).random(NESTED_SAMPLES)
             inds = []
             for fam in fams:
-                cls = [r.classification for r in
-                       rotation.classify_batch(fam, ts, q_max=NESTED_QMAX)]
+                res = rotation.classify_batch(fam, ts, q_max=NESTED_QMAX, retire=True)
+                cls = [r.classification for r in res]
                 inds.append((np.array([c == rotation.LOCKED for c in cls]),
-                             np.array([c == rotation.UNRESOLVED for c in cls])))
+                             np.array([c == rotation.UNRESOLVED for c in cls]),
+                             np.array([r.n_iter for r in res])))
             cache[name, seed] = fams, ts, inds
         return cache[name, seed]
 
@@ -69,7 +71,7 @@ def flat_accumulation(inds):
     locked_all = np.ones(inds[0][0].size, dtype=bool)
     pess_all = locked_all.copy()
     mu_locked, mu_pess, before = [], [], []
-    for locked, unresolved in inds:
+    for locked, unresolved, _ in inds:
         before.append(pess_all.copy())
         locked_all &= locked
         pess_all &= locked | unresolved
@@ -124,6 +126,8 @@ class TestNestedIntersection:
         assert res.mu_locked == mu_locked
         assert res.mu_pessimistic == mu_pess
         assert res.classified == tuple(int(b.sum()) for b in before)
+        assert res.iterates == tuple(int(n_iter[b].sum()) for (_, _, n_iter), b
+                                     in zip(inds, before))
 
     def test_reference_reaches_every_case(self, flat_reference):
         # the oracle must see survivors that are locked, survivors that are
@@ -131,7 +135,7 @@ class TestNestedIntersection:
         for name in NESTED_MAPS:
             _, _, inds = flat_reference(name, 4)
             _, _, before = flat_accumulation(inds)
-            for (locked, unresolved), b in zip(inds[1:], before[1:]):
+            for (locked, unresolved, _), b in zip(inds[1:], before[1:]):
                 assert (b & locked).any() and (b & unresolved).any()
             _, _, before = flat_accumulation(flat_reference(name, 2)[2])
             assert not before[-1].any()

@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from circledyn import farey, rotation
+from circledyn import farey, rotation, windows
 from circledyn.circle_map import CircleFamily, StageStack, TPoly
 from circledyn.experiments import sample_family
 from circledyn.gallery import arnold_family, arnold_skew, c3_scaled_amplitude, rigid_family
@@ -538,3 +538,104 @@ class TestLargeParameter:
         res = classify_batch(arnold_family(0.1), [0.5, 1e20])
         assert None not in bounds
         assert res[1].classification == UNRESOLVED
+
+
+class TwoBlocks:
+    """A serial map_fn that asks for two worker blocks."""
+
+    workers = 2
+
+    def __call__(self, fn, items):
+        return list(map(fn, items))
+
+
+def retire_samples(fam, q_max, seed):
+    """Seeded t in [0, 1], t within a few 1e-4 of the edges of the windows
+    with q <= q_max (where lock checks are left unresolved), and t near
+    1e8, where the rounding guard fails at CLASSIFY_N_ITER iterates but
+    holds at the first checkpoint."""
+    rng = np.random.default_rng(seed)
+    ws = windows.enumerate_windows(fam, q_max, tol=1e-6)
+    edges = np.array([e for w in ws if w.width > 0 for e in (w.t_lo, w.t_hi)])
+    near = np.clip(edges + rng.normal(0.0, 3e-4, edges.size), 0.0, 1.0)
+    return np.concatenate([rng.random(150), near, 1e8 + rng.random(3)])
+
+
+RETIRE_FAMILIES = {"arnold": lambda: arnold_family(0.1), "two-harmonic": two_harmonic_family,
+                   "three-stage": three_stage_family, "sampled": sampled_family}
+
+
+class TestRetiringSweep:
+    """``classify_batch(retire=True)`` stops iterating a sample once its
+    intersected error bar holds no candidate fraction."""
+
+    def test_certified_window_samples_are_never_retired(self):
+        # every t of a certified inner window [t_lo + r, t_hi - r] has
+        # rho = p/q, which lies in every rigorous bar
+        fam, q_max = arnold_family(0.1), 8
+        ws = [w for w in windows.enumerate_windows(fam, q_max, tol=1e-7) if w.width > 0]
+        ts = np.concatenate([np.linspace(w.t_lo + w.bracket_radius, w.t_hi - w.bracket_radius, 9)
+                             for w in ws])
+        full = classify_batch(fam, ts, q_max=q_max)
+        ret = classify_batch(fam, ts, q_max=q_max, retire=True)
+        assert all(r.n_iter == rotation.CLASSIFY_N_ITER for r in ret)
+        assert ret == full
+        assert sum(r.classification == LOCKED for r in ret) >= 0.9 * ts.size
+
+    @pytest.mark.parametrize("name", sorted(RETIRE_FAMILIES))
+    def test_classes_equal_the_full_sweep_but_unresolved(self, name):
+        fam, q_max = RETIRE_FAMILIES[name](), 8
+        ts = retire_samples(fam, 6, seed=sorted(RETIRE_FAMILIES).index(name))
+        full = classify_batch(fam, ts, q_max=q_max)
+        ret = classify_batch(fam, ts, q_max=q_max, retire=True)
+        n_iter = rotation.CLASSIFY_N_ITER
+        assert all(r.n_iter == n_iter for r in full)
+        changed = retired = 0
+        for a, b in zip(full, ret):
+            if b.n_iter < n_iter:
+                retired += 1
+                assert b.n_iter in rotation.RETIRE_CHECKPOINTS
+                assert b.classification == IRRATIONAL_CANDIDATE
+                assert b.error_bound == 1.0 / b.n_iter
+            else:  # a survivor's mean displacement is the full sweep's, bit for bit
+                assert b.displacement == a.displacement
+            if a.classification == LOCKED:
+                assert b == a
+            elif b.classification != a.classification:
+                changed += 1
+                assert (a.classification, b.classification) == (UNRESOLVED, IRRATIONAL_CANDIDATE)
+        assert sum(a.classification == LOCKED for a in full) > 0
+        assert sum(a.classification == UNRESOLVED for a in full) > changed
+        assert retired > ts.size / 2
+        if name == "arnold":  # t-free, so its guard holds at 1e8 and 256 iterates
+            assert changed > 0
+
+    @pytest.mark.parametrize("q_max", [1, 2, 5, 12, 30])
+    def test_emptiness_agrees_with_fraction_search(self, q_max):
+        rng = np.random.default_rng(q_max)
+        mid = np.concatenate([rng.uniform(-3.0, 3.0, 300),
+                              rng.integers(-3, 4, 200) + rng.normal(0.0, 2e-3, 200)])
+        half = np.concatenate([rng.choice([1 / 256, 1 / 512, 1 / 1024, 1 / 2048], 400),
+                               rng.uniform(-0.01, 0.2, 100)])
+        lo, hi = mid - half, mid + half
+        # bars that end exactly on a fraction, or on the next float past it
+        fr = np.array([p / q for p, q in farey.farey_sequence(q_max)])
+        at = rng.choice(fr, 100) + rng.integers(-2, 3, 100)
+        lo = np.concatenate([lo, at, np.nextafter(at, np.inf), at - 1e-3, fr - 1e-3])
+        hi = np.concatenate([hi, at + 1e-3, at + 1e-3, np.nextafter(at, -np.inf), fr])
+        # just below an integer, lo - floor(lo) rounds to 1, and hi - floor(lo)
+        # can too when hi < lo
+        lo = np.concatenate([lo, [-1e-17, -1e-17, 2.0 - 1e-16]])
+        hi = np.concatenate([hi, [-2e-17, -1e-17, 2.0 - 2e-16]])
+        got = farey.holds_fraction(lo, hi, q_max)
+        want = [bool(farey.fractions_in_interval(a, b, q_max)) for a, b in zip(lo, hi)]
+        assert got.tolist() == want
+        assert 0 < sum(want) < len(want)
+
+    @pytest.mark.parametrize("name", ["arnold", "three-stage"])
+    def test_two_blocks_equal_one(self, name):
+        fam = RETIRE_FAMILIES[name]()
+        ts = np.random.default_rng(7).random(200)
+        serial = classify_batch(fam, ts, q_max=10, retire=True)
+        assert classify_batch(fam, ts, q_max=10, retire=True, map_fn=TwoBlocks()) == serial
+        assert any(r.n_iter < rotation.CLASSIFY_N_ITER for r in serial)

@@ -81,24 +81,24 @@ class TestEnumerateWindows:
 
 class TestBoundaryMonotonicity:
     def test_displacement_extrema_increase_in_t(self):
-        from circledyn.windows import _disp_extremum
-
         fam = arnold_family(0.1)
         thetas = np.arange(2048) / 2048
         for q, p in [(1, 0), (2, 1), (3, 1)]:
             ts = np.sort(RNG.uniform(0, 1, 8))
-            los = [_disp_extremum(fam, float(t), p, q, thetas, "hi")[0] for t in ts]
-            his = [_disp_extremum(fam, float(t), p, q, thetas, "lo")[0] for t in ts]
+            disps = [rotation._lift_q_displacement(fam, float(t), q, p, thetas) for t in ts]
+            los = [float(np.min(d)) for d in disps]
+            his = [float(np.max(d)) for d in disps]
             assert all(a < b for a, b in zip(los, los[1:]))
             assert all(a < b for a, b in zip(his, his[1:]))
 
 
-def plain_edge_root(fam, p, q, edge, t_seed, radius0, tol, grid):
-    """The edge solver as it was before the branch predictor: geometric
-    expansion, then bisection that evaluates B at every midpoint."""
+def plain_edge_root(fam, p, q, edge, t_seed, radius0, tol, thetas, disp_at):
+    """The edge solver as it was before the branch predictor and before
+    the edges of a window shared their evaluations: geometric expansion,
+    then bisection that evaluates B at every midpoint."""
 
     def B(t):
-        disp = rotation._lift_q_displacement(fam, t, q, p, np.arange(grid) / grid)
+        disp = rotation._lift_q_displacement(fam, t, q, p, thetas)
         lo, hi = float(np.min(disp)), float(np.max(disp))
         return hi if edge == "lo" else lo
 
@@ -133,14 +133,15 @@ def plain_edge_root(fam, p, q, edge, t_seed, radius0, tol, grid):
 
 
 def count_grid_evals(m):
-    """List that records the q of each full-grid B evaluation (a scalar t
-    over the whole theta grid) once ``m`` has patched the displacement."""
+    """List that records the (p, q, t) of each full-grid B evaluation (a
+    scalar t over the whole theta grid) once ``m`` has patched the
+    displacement."""
     calls = []
     real = rotation._lift_q_displacement
 
     def counting(fam, t, q, p, thetas):
         if np.ndim(t) == 0 and np.size(thetas) == rotation.lock_grid_size(q):
-            calls.append(q)
+            calls.append((p, q, float(t)))
         return real(fam, t, q, p, thetas)
 
     m.setattr(rotation, "_lift_q_displacement", counting)
@@ -148,8 +149,8 @@ def count_grid_evals(m):
 
 
 def edge_windows(monkeypatch, fam, q_max, tol, edge_root=None, predict=None):
-    """Windows of every p/q with q <= q_max, and the number of full-grid B
-    evaluations they took."""
+    """Windows of every p/q with q <= q_max, and the (p, q, t) of the
+    full-grid B evaluations they took."""
     with monkeypatch.context() as m:
         calls = count_grid_evals(m)
         if edge_root is not None:
@@ -158,7 +159,7 @@ def edge_windows(monkeypatch, fam, q_max, tol, edge_root=None, predict=None):
             m.setattr(windows, "_predict_root", predict)
         out = [window_for_rational(fam, p, q, tol)
                for p, q in windows.lift_rationals(q_max, fam.winding)]
-    return out, len(calls)
+    return out, calls
 
 
 def as_bits(ws):
@@ -188,25 +189,36 @@ class TestEdgeReplay:
                              + [(name, 1e-9) for name in EDGE_FAMILIES])
     def test_bit_identical_to_plain_bisection(self, monkeypatch, name, tol):
         fam, q_max = EDGE_FAMILIES[name]
-        new, n_new = edge_windows(monkeypatch, fam, q_max, tol)
-        old, n_old = edge_windows(monkeypatch, fam, q_max, tol, edge_root=plain_edge_root)
+        new, new_calls = edge_windows(monkeypatch, fam, q_max, tol)
+        old, old_calls = edge_windows(monkeypatch, fam, q_max, tol, edge_root=plain_edge_root)
         assert as_bits(new) == as_bits(old)
         if name == "uncertified":
-            assert n_new == n_old
+            # the same t are evaluated, each once per window: plain bisection
+            # evaluates seed +- r in both edges, at least
+            shared = len(old_calls) - len(set(old_calls))
+            assert shared >= 2 * len(new)
+            assert set(new_calls) == set(old_calls)
+            assert len(new_calls) == len(old_calls) - shared
         if name == "rigid":
             assert all(w.width == 0.0 for w in new)
 
+    @pytest.mark.parametrize("name", sorted(EDGE_FAMILIES))
+    def test_no_full_grid_t_evaluated_twice(self, monkeypatch, name):
+        fam, q_max = EDGE_FAMILIES[name]
+        _, calls = edge_windows(monkeypatch, fam, q_max, 1e-9)
+        assert len(calls) == len(set(calls))
+
     @pytest.mark.parametrize("wrong", ["nan", "lower-end", "upper-end"])
     def test_wrong_prediction_costs_only_evaluations(self, monkeypatch, wrong):
-        def predict(fam, p, q, edge, thetas, u, du, v, dv, tol):
+        def predict(fam, p, q, edge, thetas, u, du, v, dv, tol, disp_at):
             return {"nan": math.nan, "lower-end": u, "upper-end": v}[wrong]
 
         fam = arnold_family(0.1)
-        good, n_good = edge_windows(monkeypatch, fam, 5, 1e-8)
-        bad, n_bad = edge_windows(monkeypatch, fam, 5, 1e-8, predict=predict)
+        good, good_calls = edge_windows(monkeypatch, fam, 5, 1e-8)
+        bad, bad_calls = edge_windows(monkeypatch, fam, 5, 1e-8, predict=predict)
         old, _ = edge_windows(monkeypatch, fam, 5, 1e-8, edge_root=plain_edge_root)
         assert as_bits(bad) == as_bits(good) == as_bits(old)
-        assert n_bad >= n_good
+        assert len(bad_calls) >= len(good_calls)
 
     def test_evaluation_budget(self, monkeypatch):
         calls = count_grid_evals(monkeypatch)
