@@ -85,6 +85,19 @@ class TPoly:
 TPOLY_ZERO = TPoly((0.0,))
 
 
+def merge_terms(terms) -> list:
+    """Sorted (key, a, b) with a and b as TPoly; the coefficients of terms
+    that share a key are summed in their input order."""
+    merged = {}
+    for key, a, b in terms:
+        a = a if isinstance(a, TPoly) else TPoly(a)
+        b = b if isinstance(b, TPoly) else TPoly(b)
+        if key in merged:
+            a, b = merged[key][0] + a, merged[key][1] + b
+        merged[key] = (a, b)
+    return [(key,) + merged[key] for key in sorted(merged)]
+
+
 @dataclass(frozen=True)
 class TrigPoly:
     """Finite real trigonometric polynomial, 1-periodic by construction.
@@ -430,17 +443,10 @@ class CircleFamily(StageStack):
     label: str = ""
 
     def __post_init__(self):
-        merged = {}
-        for j, a, b in self.harmonics:
-            j = int(j)
-            if j <= 0:
-                raise ValueError("harmonic index must be a positive integer")
-            a = a if isinstance(a, TPoly) else TPoly(a)
-            b = b if isinstance(b, TPoly) else TPoly(b)
-            if j in merged:
-                a, b = merged[j][0] + a, merged[j][1] + b
-            merged[j] = (a, b)
-        object.__setattr__(self, "harmonics", tuple((j,) + merged[j] for j in sorted(merged)))
+        if any(int(j) <= 0 for j, _, _ in self.harmonics):
+            raise ValueError("harmonic index must be a positive integer")
+        harm = merge_terms((int(j), a, b) for j, a, b in self.harmonics)
+        object.__setattr__(self, "harmonics", tuple(harm))
         const = self.const if isinstance(self.const, TPoly) else TPoly(self.const)
         object.__setattr__(self, "const", const)
 

@@ -1,10 +1,15 @@
 """Command-line front end.
 
-Subcommands: rho, windows, tongues, dio, skew, theoremA.  Option precedence
-is flags > environment (CIRCLEDYN_<NAME>) > config file > defaults; the
-effective configuration is dumped into every output directory.  All outputs
-are computed first and then written atomically, so failures leave no
-partial files.
+Subcommands: rho, windows, tongues, dio, skew, theoremA.  One table,
+``_OPTIONS``, declares every option: its type, default, range, help and the
+subcommands that take it.  It generates each subcommand's flags, and a
+subcommand reads only its own options from the environment
+(CIRCLEDYN_<NAME>) and the config file, where a key that names no option is
+an input error.  Precedence is flags > environment > config file >
+defaults; the effective configuration is dumped into every output directory
+as ``run_config.json``, which ``--config`` reads back.  All outputs are
+computed first and then written atomically, so failures leave no partial
+files.
 
 Exit codes: 0 success, 2 input error, 3 degenerate map, 4 hypothesis
 violation.
@@ -21,6 +26,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,39 +43,68 @@ from .experiments import eta_curve, intersection_measure
 
 ENV_PREFIX = "CIRCLEDYN_"
 
-_DEFAULTS = {
-    "seed": 0,
-    "workers": 0,  # 0 = available parallelism
-    "qmax": 30,
-    "tol": 1e-6,
-    "grid": 0,  # 0 = per-command default
-    "niter": 0,  # 0 = per-command default
-    "out": "out",
-    "label": "",
+_COMMANDS = {
+    "rho": "rotation numbers with error bars along a t sweep",
+    "windows": "certified locking windows plus measure summary",
+    "tongues": "windows across an amplitude grid",
+    "dio": "Diophantine membership measure",
+    "skew": "periodic circles, C3 filter, quasiperiodic search",
+    "theoremA": "intersection-measure decay experiment over restricted families",
+}
+_ALL = tuple(_COMMANDS)
+_LOCKING = tuple(c for c in _ALL if c != "dio")  # the subcommands that run lock checks
+# keys that RunConfig.dump adds to the options, so that a dump reads back
+_DUMP_KEYS = ("subcommand", "tool_version")
+
+
+class _Option(NamedTuple):
+    """An option: its type, its default in each subcommand that takes it
+    (None leaves it unset there) and its help.  An int must lie in [least,
+    most], a float in the open (least, most); ``most`` is by subcommand, with
+    no cap where it has no entry."""
+
+    type: type
+    defaults: dict
+    help: str
+    least: float = -math.inf
+    most: dict = {}
+    required: bool = False
+
+
+_OPTIONS = {
+    "input": _Option(str, dict.fromkeys(_LOCKING), "definition file (JSON)", required=True),
+    "out": _Option(str, dict.fromkeys(_ALL, "out"), "output directory"),
+    "seed": _Option(int, dict.fromkeys(_ALL, 0), "RNG seed recorded in outputs", least=0),
+    "workers": _Option(int, dict.fromkeys(_ALL, 0),
+                       "worker processes; 0 = all cores, 1 = serial reference", least=0),
+    "qmax": _Option(int, dict.fromkeys(_ALL, 30), "largest lock denominator searched", least=1,
+                    most=dict.fromkeys(_LOCKING, rotation.MAX_LOCK_Q)),
+    "tol": _Option(float, dict.fromkeys(_ALL, 1e-6), "window bracket tolerance", least=0.0),
+    "grid": _Option(int, dict.fromkeys(_ALL, 0),
+                    "grid resolution override; 0 = the subcommand's default", least=0,
+                    most=dict.fromkeys(_LOCKING, rotation.MAX_LOCK_GRID)),
+    "niter": _Option(int, dict.fromkeys(_ALL, 0),
+                     "rotation-estimate iterate count; 0 = the subcommand's default", least=0),
+    "t": _Option(str, dict.fromkeys(("rho", "skew")), "comma list of parameter values"),
+    "t_range": _Option(str, dict.fromkeys(("rho", "skew")), "a:b:n uniform sweep"),
+    "samples": _Option(int, {"windows": 2000, "theoremA": 10_000}, "Monte Carlo sample count",
+                       least=1),
+    "deltas": _Option(str, {"tongues": None}, "comma list or a:b:n amplitude grid",
+                      required=True),
+    "C": _Option(str, {"dio": None}, "comma list of constants C", required=True),
+    "nmax": _Option(int, {"dio": 1000, "skew": 4, "theoremA": 6},
+                    "frequency cutoff (dio) or largest circle period", least=1,
+                    most={"dio": MAX_N_MAX}),
+    "R": _Option(float, {"skew": 0.5}, "closeness-to-identity threshold", least=0.0,
+                 most={"skew": 1.0}),
+    "eta_families": _Option(int, {"theoremA": 8}, "sampled families per norm level", least=1),
+    "eta_samples": _Option(int, {"theoremA": 2000}, "Monte Carlo samples per sampled family",
+                           least=1),
 }
 
-# per-subcommand defaults, merged over the common ones before any other
-# layer, so that an explicit 0 reaches the range check
-_COMMAND_DEFAULTS = {
-    "windows": {"samples": 2000},
-    "dio": {"nmax": 1000},
-    "skew": {"nmax": 4, "R": 0.5},
-    "theoremA": {"nmax": 6, "samples": 10_000, "eta_families": 8, "eta_samples": 2000},
-}
 
-# smallest allowed value of each integer option; 0 means "default" for
-# grid and niter and "all cores" for workers
-_AT_LEAST = {
-    "qmax": 1, "nmax": 1, "samples": 1, "eta_families": 1, "eta_samples": 1,
-    "niter": 0, "grid": 0, "workers": 0, "seed": 0,
-}
-
-_TYPES = {
-    "seed": int, "workers": int, "qmax": int, "grid": int, "niter": int,
-    "tol": float, "R": float, "nmax": int, "samples": int,
-    "eta_families": int, "eta_samples": int, "t": str, "t_range": str,
-    "deltas": str, "C": str, "input": str, "out": str, "label": str,
-}
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
 
 
 @dataclass
@@ -87,9 +122,7 @@ class RunConfig:
             raise AttributeError(name)
 
     def dump(self, outdir):
-        payload = dict(sorted(self.values.items()))
-        payload["subcommand"] = self.subcommand
-        payload["tool_version"] = __version__
+        payload = {**self.values, "subcommand": self.subcommand, "tool_version": __version__}
         io._atomic_write(
             os.path.join(outdir, "run_config.json"),
             (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode(),
@@ -98,19 +131,24 @@ class RunConfig:
 
 def _coerce(key: str, value, where: str):
     try:
-        return _TYPES.get(key, str)(value)
+        return _OPTIONS[key].type(value)
     except (TypeError, ValueError):
         raise InputError(f"{where}: bad value for {key!r}: {value!r}")
 
 
-def _check_ranges(values: dict):
-    for key, low in _AT_LEAST.items():
-        if key in values and values[key] < low:
-            raise InputError(f"--{key.replace('_', '-')} must be >= {low}, got {values[key]}")
-    if not (math.isfinite(values["tol"]) and values["tol"] > 0.0):
-        raise InputError(f"--tol must be finite and > 0, got {values['tol']}")
-    if "R" in values and not 0.0 < values["R"] < 1.0:
-        raise InputError(f"--R must lie in (0, 1), got {values['R']}")
+def _check_ranges(sub: str, values: dict):
+    """The range of every option and the presence of the required ones,
+    checked once after the layers are merged and before any file is read."""
+    for key, value in values.items():
+        opt = _OPTIONS[key]
+        lo, hi = opt.least, opt.most.get(sub, math.inf)
+        if opt.type is int and not lo <= value <= hi:
+            limit = f">= {lo}" if value < lo else f"<= {hi} for {sub}"
+            raise InputError(f"{_flag(key)} must be {limit}, got {value}")
+        if opt.type is float and not lo < value < hi:
+            raise InputError(f"{_flag(key)} must lie in ({lo:g}, {hi:g}), got {value}")
+        if opt.required and not value:
+            raise InputError(f"{_flag(key)} is required")
 
 
 def _check_window_tol(cfg: RunConfig, winding):
@@ -124,40 +162,28 @@ def _check_window_tol(cfg: RunConfig, winding):
                          f"winding {winding} and --qmax {cfg.qmax}, got {cfg.tol}")
 
 
-def _check_lock_grid(cfg: RunConfig):
-    """Lock checks at denominators up to --qmax, and on --grid points when
-    it is given, must stay within ``rotation.MAX_LOCK_GRID``."""
-    try:
-        rotation.lock_grid_size(cfg.qmax)
-    except ValueError as e:
-        raise InputError(f"--qmax: {e}")
-    if cfg.grid > rotation.MAX_LOCK_GRID:
-        raise InputError(f"--grid must be <= 2^24 = {rotation.MAX_LOCK_GRID} for lock "
-                         f"checks, got {cfg.grid}")
-
-
 def _merge_config(sub: str, args: argparse.Namespace) -> RunConfig:
-    values = {**_DEFAULTS, **_COMMAND_DEFAULTS.get(sub, {})}
-    cfg_path = getattr(args, "config", None)
-    if cfg_path:
-        raw = io.load_json(cfg_path)
+    own = [key for key, opt in _OPTIONS.items() if sub in opt.defaults]
+    values = {key: _OPTIONS[key].defaults[sub] for key in own}
+    if args.config:
+        raw = io.load_json(args.config)
         if not isinstance(raw, dict):
-            raise InputError(f"{cfg_path}: a config file must hold one JSON object")
+            raise InputError(f"{args.config}: a config file must hold one JSON object")
         for k, v in raw.items():
             key = k.replace("-", "_")
-            if v is not None:
-                values[key] = _coerce(key, v, cfg_path)
-    for key in _TYPES:
+            if key not in _OPTIONS and key not in _DUMP_KEYS:
+                raise InputError(f"{args.config}: {k!r} names no option")
+            if key in own and v is not None:
+                values[key] = _coerce(key, v, args.config)
+    for key in own:
         env = os.environ.get(ENV_PREFIX + key.upper())
         if env is not None:
             values[key] = _coerce(key, env, ENV_PREFIX + key.upper())
-    for key, val in vars(args).items():
-        if key in ("config", "func") or val is None:
-            continue
         # argparse hands a list, not a number, to ``--qmax=--``
-        values[key] = _coerce(key, val, f"--{key.replace('_', '-')}")
-    _check_ranges(values)
-    return RunConfig(sub, values)
+        if getattr(args, key) is not None:
+            values[key] = _coerce(key, getattr(args, key), _flag(key))
+    _check_ranges(sub, values)
+    return RunConfig(sub, {k: v for k, v in values.items() if v is not None})
 
 
 def _workers(cfg: RunConfig) -> int:
@@ -207,11 +233,9 @@ def _floats(raw: str, flag: str, sweep: bool = False) -> list:
 
 
 def _parse_t_values(cfg: RunConfig):
-    ts = []
-    if cfg.values.get("t"):
-        ts += _floats(str(cfg.t), "--t")
+    ts = _floats(cfg.t, "--t") if cfg.values.get("t") else []
     if cfg.values.get("t_range"):
-        ts += _floats(str(cfg.t_range), "--t-range", sweep=True)
+        ts += _floats(cfg.t_range, "--t-range", sweep=True)
     if not ts:
         raise InputError("no parameter values: pass --t and/or --t-range")
     return ts
@@ -254,10 +278,7 @@ def cmd_windows(cfg: RunConfig) -> int:
 def cmd_tongues(cfg: RunConfig) -> int:
     profile = io.load_family(cfg.input)
     _check_window_tol(cfg, profile.winding)
-    raw = cfg.values.get("deltas")
-    if not raw:
-        raise InputError("--deltas is required (comma list or a:b:n)")
-    deltas = _floats(str(raw), "--deltas", sweep=":" in str(raw))
+    deltas = _floats(cfg.deltas, "--deltas", sweep=":" in cfg.deltas)
     with _Pool(_workers(cfg)) as pool:
         td = windows.tongue_diagram(profile, deltas, cfg.qmax, tol=cfg.tol,
                                     grid=cfg.grid or None, map_fn=pool.map)
@@ -267,14 +288,8 @@ def cmd_tongues(cfg: RunConfig) -> int:
 
 
 def cmd_dio(cfg: RunConfig) -> int:
-    if cfg.nmax > MAX_N_MAX:
-        raise InputError(f"--nmax must be <= 2^16 = {MAX_N_MAX} for dio, whose exact "
-                         f"measure unions nmax (nmax + 3) / 2 intervals, got {cfg.nmax}")
-    raw = cfg.values.get("C")
-    if not raw:
-        raise InputError("--C is required (one value or a comma list)")
     try:
-        params = [DioParams(c, cfg.nmax, cfg.grid or 100_000) for c in _floats(str(raw), "--C")]
+        params = [DioParams(c, cfg.nmax, cfg.grid or 100_000) for c in _floats(cfg.C, "--C")]
     except ValueError as e:
         raise InputError(f"--C: {e}")
     rows, exact = [], []
@@ -289,6 +304,10 @@ def cmd_dio(cfg: RunConfig) -> int:
 
 def cmd_skew(cfg: RunConfig) -> int:
     F = io.load_skew(cfg.input)
+    # every m >= 2 passes the cap by the 64th power, so no huge power is taken
+    if F.m ** min(cfg.nmax, 64) - 1 > skew.MAX_CIRCLES:
+        raise InputError(f"--nmax must keep m^nmax - 1 <= {skew.MAX_CIRCLES} for skew, "
+                         f"got nmax {cfg.nmax} for m = {F.m}")
     ts = _parse_t_values(cfg)
     n_iter = cfg.niter or rotation.CLASSIFY_N_ITER
     checks = skew.circle_checks(F, cfg.nmax, cfg.R)
@@ -322,15 +341,9 @@ def cmd_theoremA(cfg: RunConfig) -> int:
         res = intersection_measure(fams, cfg.samples, q_max=cfg.qmax, seed=cfg.seed,
                                    n_iter=n_iter, map_fn=pool)
         r_star = max(res.norms)
-        ec = eta_curve(
-            [r_star * k / 4.0 for k in range(1, 5)],
-            cfg.eta_families,
-            q_max=cfg.qmax,
-            seed=cfg.seed,
-            mc_samples=cfg.eta_samples,
-            n_iter=n_iter,
-            map_fn=pool.map,
-        )
+        ec = eta_curve([r_star * k / 4.0 for k in range(1, 5)], cfg.eta_families,
+                       q_max=cfg.qmax, seed=cfg.seed, mc_samples=cfg.eta_samples,
+                       n_iter=n_iter, map_fn=pool.map)
     inter_rows = [
         (i + 1, mu, mp) for i, (mu, mp) in enumerate(zip(res.mu_locked, res.mu_pessimistic))
     ]
@@ -367,7 +380,7 @@ def _finish(cfg: RunConfig, files: dict, inputs: dict, hypotheses: dict | None =
     report = io.ExperimentReport(
         experiment=cfg.subcommand,
         tool_version=__version__,
-        inputs={**inputs, "config": {k: v for k, v in sorted(cfg.values.items())}},
+        inputs={**inputs, "config": dict(sorted(cfg.values.items()))},
         input_hashes={
             name: io.hash_file(path)
             for name, path in inputs.items()
@@ -394,61 +407,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument("--version", action="version", version=f"circledyn {__version__}")
     sub = ap.add_subparsers(dest="subcommand", required=True)
-
-    def common(p, needs_input=True):
-        if needs_input:
-            p.add_argument("--input", help="definition file (JSON)")
-        p.add_argument("--out", help="output directory (default ./out)")
+    for name, text in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
         p.add_argument("--config", help="JSON config file; flags override it")
-        p.add_argument("--seed", type=int, help="RNG seed recorded in outputs")
-        p.add_argument("--workers", type=int,
-                       help="worker processes; 0 = all cores, 1 = serial reference")
-        p.add_argument("--qmax", type=int, help="largest lock denominator searched")
-        p.add_argument("--tol", type=float, help="window bracket tolerance")
-        p.add_argument("--grid", type=int, help="grid resolution override")
-        p.add_argument("--niter", type=int, help="rotation-estimate iterate count")
-
-    p = sub.add_parser("rho", help="rotation numbers with error bars along a t sweep")
-    common(p)
-    p.add_argument("--t", help="comma list of parameter values")
-    p.add_argument("--t-range", dest="t_range", help="a:b:n uniform sweep")
-    p.set_defaults(func=cmd_rho)
-
-    p = sub.add_parser("windows", help="certified locking windows plus measure summary")
-    common(p)
-    p.add_argument("--samples", type=int, help="Monte Carlo sample count")
-    p.set_defaults(func=cmd_windows)
-
-    p = sub.add_parser("tongues", help="windows across an amplitude grid")
-    common(p)
-    p.add_argument("--deltas", help="comma list or a:b:n amplitude grid")
-    p.set_defaults(func=cmd_tongues)
-
-    p = sub.add_parser("dio", help="Diophantine membership measure")
-    common(p, needs_input=False)
-    p.add_argument("--C", help="comma list of constants C")
-    p.add_argument("--nmax", type=int, help="frequency cutoff (default 1000)")
-    p.set_defaults(func=cmd_dio)
-
-    p = sub.add_parser("skew", help="periodic circles, C3 filter, quasiperiodic search")
-    common(p)
-    p.add_argument("--nmax", type=int, help="largest circle period (default 4)")
-    p.add_argument("--R", type=float, help="closeness-to-identity threshold (default 0.5)")
-    p.add_argument("--t", help="comma list of parameter values")
-    p.add_argument("--t-range", dest="t_range", help="a:b:n uniform sweep")
-    p.set_defaults(func=cmd_skew)
-
-    p = sub.add_parser("theoremA", help="intersection-measure decay experiment "
-                                        "over restricted families")
-    common(p)
-    p.add_argument("--nmax", type=int, help="restrict to periods 1..nmax (default 6)")
-    p.add_argument("--samples", type=int, help="Monte Carlo sample count")
-    p.add_argument("--eta-families", dest="eta_families", type=int,
-                   help="sampled families per norm level")
-    p.add_argument("--eta-samples", dest="eta_samples", type=int,
-                   help="Monte Carlo samples per sampled family")
-    p.set_defaults(func=cmd_theoremA)
-
+        for key, opt in _OPTIONS.items():
+            if name in opt.defaults:
+                default = opt.defaults[name]
+                p.add_argument(_flag(key), dest=key, type=None if opt.type is str else opt.type,
+                               help=opt.help if default is None else f"{opt.help} (default {default})")
+        p.set_defaults(func=globals()["cmd_" + name])
     return ap
 
 
@@ -457,15 +424,7 @@ def main(argv=None) -> int:
     try:
         cfg = _merge_config(args.subcommand, args)
         cfg.t0 = time.time()
-        if args.subcommand != "dio":
-            if cfg.values.get("input") is None:
-                raise InputError("--input is required")
-            _check_lock_grid(cfg)
-        code = args.func(cfg)
-        return code
-    except InputError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        return args.func(cfg)
     except (DegenerateFamily, DegenerateFiber) as e:
         print(f"degenerate map: {e}", file=sys.stderr)
         return 3

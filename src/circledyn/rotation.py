@@ -37,9 +37,10 @@ PHASE_ULPS = 1.0 + math.pi + 0.5 * math.pi + 4.0 + 0.5
 # Largest theta grid of a lock check.  A check holds about five float64
 # arrays of the grid's size at once: the thetas, the orbit and the stage
 # sum and scratch of _q_disp's step, and the displacement.  At
-# 2^24 points that is 670 MB; beyond it (q > 140) memory, not resolution,
-# would limit a run.
+# 2^24 points that is 670 MB; beyond it memory, not resolution, would limit
+# a run.  MAX_LOCK_Q is the largest q whose grid fits.
 MAX_LOCK_GRID = 2 ** 24
+MAX_LOCK_Q = 140
 DEFAULT_N_ITER = 10_000
 CLASSIFY_N_ITER = 4096
 # iterate counts at which a retiring sweep (classify_batch(retire=True))
@@ -75,13 +76,12 @@ class LockCheck:
 
 def lock_grid_size(q: int) -> int:
     """Theta-grid resolution policy: 4096 for q <= 20, doubled per
-    additional 10 in q, up to ``MAX_LOCK_GRID`` (q <= 140); a larger q
-    raises ValueError."""
-    doublings = max(0, -((20 - q) // 10))  # ceil((q - 20) / 10) in integers
-    if 4096 << min(doublings, 64) > MAX_LOCK_GRID:  # no huge shift for a huge q
+    additional 10 in q, up to ``MAX_LOCK_GRID`` (q <= ``MAX_LOCK_Q``); a
+    larger q raises ValueError."""
+    if q > MAX_LOCK_Q:
         raise ValueError(f"q = {q} needs a lock grid above {MAX_LOCK_GRID} points; "
-                         f"q <= 140 stays within it")
-    return 4096 << doublings
+                         f"q <= {MAX_LOCK_Q} stays within it")
+    return 4096 << max(0, -((20 - q) // 10))  # ceil((q - 20) / 10) doublings
 
 
 def _quiet(fn):

@@ -16,12 +16,18 @@ from fractions import Fraction
 import numpy as np
 
 from . import rotation
-from .circle_map import TAU, FamilyNorm, StageStack, TPoly
+from .circle_map import TAU, FamilyNorm, StageStack, TPoly, merge_terms
 from .errors import DegenerateFiber
 
 # C3 sup of a restricted map: t values with a certified theta sup, y-grid floor
 C3_T_GRID = 33
 C3_Y_GRID = 1024
+# Largest m^nmax - 1 for which the skew subcommand checks every circle of
+# period <= nmax.  There are fewer than 2 (m^nmax - 1) + 1 of them, and
+# restricting and C3-checking one costs about 5 ms per period (2-core VM):
+# m = 2, nmax = 11 took 200 s and 76 MB for 4,011 circles.  At this cap,
+# m = 2 and nmax = 12 give 8,031 circles with 88,529 periods: some 7 minutes.
+MAX_CIRCLES = 2 ** 12
 
 
 @dataclass(frozen=True)
@@ -40,21 +46,8 @@ class SkewMap:
     def __post_init__(self):
         if self.m < 2:
             raise ValueError("base m must be an integer >= 2")
-        merged = {}
-        for jx, jy, a, b in self.harmonics:
-            jx, jy = int(jx), int(jy)
-            a = a if isinstance(a, TPoly) else TPoly(a)
-            b = b if isinstance(b, TPoly) else TPoly(b)
-            if (jx, jy) in merged:
-                pa, pb = merged[(jx, jy)]
-                merged[(jx, jy)] = (pa + a, pb + b)
-            else:
-                merged[(jx, jy)] = (a, b)
-        object.__setattr__(
-            self,
-            "harmonics",
-            tuple((jx, jy) + merged[(jx, jy)] for jx, jy in sorted(merged)),
-        )
+        harm = merge_terms(((int(jx), int(jy)), a, b) for jx, jy, a, b in self.harmonics)
+        object.__setattr__(self, "harmonics", tuple((jx, jy, a, b) for (jx, jy), a, b in harm))
 
     def g(self, t, x, y):
         t = np.asarray(t, dtype=float)
@@ -76,7 +69,7 @@ class SkewMap:
             + sgn(jy) (b cos phi - a sin phi) sin(2 pi |jy| y).
         """
         const = TPoly((0.0,))
-        merged = {}
+        terms = []
         for jx, jy, a, b in self.harmonics:
             phase = float(Fraction(jx) * x % 1)
             c, s = math.cos(TAU * phase), math.sin(TAU * phase)
@@ -84,14 +77,9 @@ class SkewMap:
             by = (b.scaled(c) + a.scaled(-s)).scaled(1.0 if jy >= 0 else -1.0)
             if jy == 0:
                 const = const + ay
-                continue
-            key = abs(jy)
-            if key in merged:
-                pa, pb = merged[key]
-                merged[key] = (pa + ay, pb + by)
             else:
-                merged[key] = (ay, by)
-        return const, tuple((j,) + merged[j] for j in sorted(merged))
+                terms.append((abs(jy), ay, by))
+        return const, tuple(merge_terms(terms))
 
 
 def skew_apply(F: SkewMap, t, xy):
@@ -226,12 +214,18 @@ def winding_check(rf: RestrictedFamily) -> float:
 
 def first_per_period(F: SkewMap, n_max: int) -> list:
     """One restricted family per period 1..n_max, over the first circle of
-    that period in (n, k) order; its t-winding number is the period."""
-    out = {}
-    for circle in periodic_circles(F.m, n_max):
-        if circle.n not in out:
-            out[circle.n] = restricted_family(F, circle)
-    return list(out.values())
+    that period in (n, k) order; its t-winding number is the period.
+
+    That circle is x0 = 0 for n = 1 and x0 = 1 / (m^n - 1) for n >= 2: for
+    0 < d < n, m^d x0 = m^d / (m^n - 1) lies in (x0, 1), so n is its minimal
+    period, and k = 0 at level n is the period-1 circle.  No other circle is
+    built.
+    """
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
+    circles = [PeriodicCircle(0, 1, Fraction(0))]
+    circles += [PeriodicCircle(1, n, Fraction(1, F.m ** n - 1)) for n in range(2, n_max + 1)]
+    return [restricted_family(F, c) for c in circles]
 
 
 def circle_checks(F: SkewMap, n_max: int, R: float) -> list:

@@ -1,8 +1,10 @@
+import argparse
 import contextlib
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -552,3 +554,140 @@ def test_fuzzed_options_keep_the_exit_contract(cmd, arnold_file, skew_file, tmp_
             assert not os.path.exists(out) or not os.listdir(out), args
 
     check()
+
+
+# -- the option table ---------------------------------------------------------
+
+COMMON_FLAGS = ["--out", "--config", "--seed", "--workers", "--qmax", "--tol", "--grid",
+                "--niter"]
+FLAGS = {
+    "rho": ["--input", *COMMON_FLAGS, "--t", "--t-range"],
+    "windows": ["--input", *COMMON_FLAGS, "--samples"],
+    "tongues": ["--input", *COMMON_FLAGS, "--deltas"],
+    "dio": [*COMMON_FLAGS, "--C", "--nmax"],
+    "skew": ["--input", *COMMON_FLAGS, "--nmax", "--R", "--t", "--t-range"],
+    "theoremA": ["--input", *COMMON_FLAGS, "--nmax", "--samples", "--eta-families",
+                 "--eta-samples"],
+}
+
+
+def parser_flags():
+    """The long flags of each subcommand's parser, --help left out."""
+    subs = next(a for a in cli.build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+    return {name: {s for a in p._actions for s in a.option_strings if s != "--help"} - {"-h"}
+            for name, p in subs.choices.items()}
+
+
+def test_each_subcommand_keeps_its_flags():
+    assert parser_flags() == {name: set(flags) for name, flags in FLAGS.items()}
+
+
+def test_man_page_lists_each_subcommand_flags():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    page = read(os.path.join(root, "docs", "circledyn.1.md"))
+    synopsis = page.split("## SYNOPSIS")[1].split("## ")[0]
+    common = page.split("## COMMON OPTIONS")[1].split("\n\n")[1]
+    common_flags = set(re.findall(r"`(--[\w-]+)", common))
+    for name, flags in parser_flags().items():
+        line = re.search(rf"^circledyn {name} .*$", synopsis, re.M).group(0)
+        own = set(re.findall(r"--[\w-]+", line))
+        # --input is common to the subcommands whose SYNOPSIS line names it
+        assert flags == own | (common_flags - {"--input"}), name
+
+
+class TestOptionLayers:
+    def test_env_of_another_subcommand_is_ignored(self, arnold_file, tmp_path, monkeypatch):
+        monkeypatch.setenv("CIRCLEDYN_NMAX", "0")
+        out = tmp_path / "o"
+        assert main(["rho", "--input", arnold_file, "--t", "0.05", "--qmax", "3",
+                     "--out", str(out), "--workers", "1"]) == 0
+        assert "nmax" not in json.loads(read(out / "run_config.json"))
+
+    def test_env_of_another_subcommand_is_not_recorded(self, arnold_file, tmp_path,
+                                                       monkeypatch):
+        monkeypatch.setenv("CIRCLEDYN_T", "0.3")
+        out = tmp_path / "o"
+        assert main(["windows", "--input", arnold_file, "--qmax", "2", "--samples", "5",
+                     "--out", str(out), "--workers", "1"]) == 0
+        assert "t" not in json.loads(read(out / "run_config.json"))
+
+    @pytest.mark.parametrize("key", ["qmx", "label", "config", "t range"])
+    def test_unknown_config_key_exit_2(self, key, arnold_file, tmp_path, capsys):
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"qmax": 3, key: 5}))
+        out = tmp_path / "o"
+        assert main(["rho", "--input", arnold_file, "--t", "0.05", "--config", str(conf),
+                     "--out", str(out), "--workers", "1"]) == 2
+        err = capsys.readouterr().err
+        assert str(conf) in err and repr(key) in err
+        assert not out.exists()
+
+    def test_config_key_of_another_subcommand_is_not_recorded(self, arnold_file, tmp_path):
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"qmax": 3, "samples": 7, "eta-samples": 0, "C": "x"}))
+        out = tmp_path / "o"
+        assert main(["rho", "--input", arnold_file, "--t", "0.05", "--config", str(conf),
+                     "--out", str(out), "--workers", "1"]) == 0
+        cfg = json.loads(read(out / "run_config.json"))
+        assert cfg["qmax"] == 3
+        assert not {"samples", "eta_samples", "eta-samples", "C"} & set(cfg)
+
+    def test_no_label_option(self, arnold_file, tmp_path):
+        out = tmp_path / "o"
+        assert main(["rho", "--input", arnold_file, "--t", "0.05", "--qmax", "3",
+                     "--out", str(out), "--workers", "1"]) == 0
+        config = json.loads(read(out / "report.json"))["inputs"]["config"]
+        assert "label" not in json.loads(read(out / "run_config.json"))
+        assert "label" not in config and "subcommand" not in config
+
+    @pytest.mark.parametrize("argv", [
+        ["rho", "--input", "{family}", "--t", "0.05,0.3", "--t-range", "0:1:3", "--qmax", "5",
+         "--niter", "500"],
+        ["windows", "--input", "{family}", "--qmax", "3", "--samples", "20", "--seed", "4"],
+        ["tongues", "--input", "{family}", "--deltas", "0:1:3", "--qmax", "3"],
+        ["dio", "--C", "0.1,0.2", "--nmax", "20", "--grid", "500"],
+        ["skew", "--input", "{skew}", "--t", "0.3", "--nmax", "2", "--qmax", "5",
+         "--niter", "300", "--R", "0.4"],
+        ["theoremA", "--input", "{skew}", "--nmax", "2", "--samples", "20", "--qmax", "5",
+         "--eta-families", "1", "--eta-samples", "10", "--niter", "300"],
+    ], ids=["rho", "windows", "tongues", "dio", "skew", "theoremA"])
+    def test_replay_of_run_config(self, argv, arnold_file, skew_file, tmp_path):
+        # a dump passed back with --config, and nothing else, runs again
+        argv = [a.format(family=arnold_file, skew=skew_file) for a in argv]
+        first = tmp_path / "first"
+        assert main(argv + ["--out", str(first), "--workers", "1"]) == 0
+        conf = first / "run_config.json"
+        dumped = json.loads(read(conf))
+        assert dumped["subcommand"] == argv[0]
+        assert main([argv[0], "--config", str(conf)] + ["--out", str(tmp_path / "again")]) == 0
+        csvs = sorted(f for f in os.listdir(first) if f.endswith(".csv"))
+        assert csvs and csvs == sorted(f for f in os.listdir(tmp_path / "again")
+                                       if f.endswith(".csv"))
+        for fname in csvs:
+            assert read(first / fname) == read(tmp_path / "again" / fname), fname
+        again = json.loads(read(tmp_path / "again" / "run_config.json"))
+        assert {**again, "out": None} == {**dumped, "out": None}
+
+
+class TestSkewCircleCap:
+    @pytest.mark.parametrize("nmax", [13, 10 ** 400], ids=["13", "1e400"])
+    def test_exit_2_before_any_circle(self, nmax, skew_file, tmp_path, capsys, monkeypatch):
+        def unbuilt(*args):
+            raise AssertionError(f"circle built: {args}")
+
+        monkeypatch.setattr(cli.skew, "periodic_circles", unbuilt)
+        monkeypatch.setattr(cli.skew, "restricted_family", unbuilt)
+        out = tmp_path / "o"
+        assert main(["skew", "--input", skew_file, "--t", "0.1", "--nmax", str(nmax),
+                     "--out", str(out), "--workers", "1"]) == 2
+        assert "--nmax" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_cap_admits_m2_nmax_12(self, skew_file, tmp_path, monkeypatch):
+        # 2^12 - 1 <= MAX_CIRCLES: the circles would be checked
+        checked = []
+        monkeypatch.setattr(cli.skew, "circle_checks", lambda F, n, R: checked.append(n) or [])
+        assert main(["skew", "--input", skew_file, "--t", "0.1", "--nmax", "12",
+                     "--out", str(tmp_path / "o"), "--workers", "1"]) == 0
+        assert checked == [12] and 2 ** 12 - 1 <= cli.skew.MAX_CIRCLES < 2 ** 13 - 1

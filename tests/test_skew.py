@@ -97,6 +97,55 @@ class TestPeriodicCircles:
             assert (2 ** c.n * c.x0 - c.x0) % 1 == 0
 
 
+class TestFirstPerPeriod:
+    @pytest.mark.parametrize("m", [2, 3, 5])
+    def test_equals_enumeration(self, m):
+        F = arnold_skew(m, c3_scaled_amplitude(0.05))
+        for n_max in range(1, 7):
+            first = {}
+            for c in periodic_circles(m, n_max):
+                first.setdefault(c.n, c)
+            assert [rf.circle for rf in skew.first_per_period(F, n_max)] == list(first.values())
+
+    def test_builds_no_other_circle(self, monkeypatch):
+        def enumerated(*args):
+            raise AssertionError("periodic_circles called")
+
+        monkeypatch.setattr(skew, "periodic_circles", enumerated)
+        fams = skew.first_per_period(arnold_skew(2, c3_scaled_amplitude(0.05)), 40)
+        assert [rf.winding for rf in fams] == list(range(1, 41))
+        assert fams[-1].circle.x0 == Fraction(1, 2 ** 40 - 1)
+        assert brute_minimal_period(fams[-1].circle.x0, 2) == 40
+        with pytest.raises(ValueError):
+            skew.first_per_period(arnold_skew(2, 0.0), 0)
+
+
+class TestHarmonicMerge:
+    def test_equal_indices_summed_in_input_order(self):
+        # a + b + c in float differs from a + (b + c) here: the order shows
+        a, b, c = 0.1, 0.2, 0.3
+        assert (a + b) + c != a + (b + c)
+        F = SkewMap(2, ((0, 1, (a,), (c,)), (1, 2, (0.5,), (0.0,)), (0, 1, (b,), (b,)),
+                        (0, 1, (c,), (a,))))
+        assert F.harmonics[0][:2] == (0, 1) and F.harmonics[1][:2] == (1, 2)
+        assert F.harmonics[0][2].coeffs == ((a + b) + c,)
+        assert F.harmonics[0][3].coeffs == ((c + b) + a,)
+        fam = CircleFamily(1, TPoly((0.0,)), ((2, (a,), (c,)), (1, (1.0,), (0.0,)),
+                                              (2, (b,), (b,)), (2, (c,), (a,))))
+        assert [j for j, _, _ in fam.harmonics] == [1, 2]
+        assert fam.harmonics[1][1].coeffs == ((a + b) + c,)
+
+    def test_fiber_stage_merges_abs_jy(self):
+        a, b = 1e-3, 2e-3
+        F = SkewMap(2, ((0, 1, (a,), (b,)), (0, 0, (a,), (0.0,)), (0, -1, (b,), (a,)),
+                        (0, 2, (b,), (0.0,))))
+        const, harm = F.fiber_stage(Fraction(0))
+        assert const.coeffs == (0.0 + a,)
+        # jy = -1 flips the sine coefficient: sin(-2 pi y) = -sin(2 pi y)
+        assert [h[0] for h in harm] == [1, 2]
+        assert harm[0][1].coeffs == (a + b,) and harm[0][2].coeffs == (b - a,)
+
+
 class TestRestrictedFamily:
     def test_zero_fiber_is_rigid(self):
         F = SkewMap(2)
