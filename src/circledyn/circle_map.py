@@ -24,6 +24,7 @@ from numpy.polynomial import polynomial as P
 from .errors import DegenerateFamily
 
 TAU = 2.0 * math.pi
+EPS = 2.0 ** -52
 
 # Scan grids: theta points (a floor, raised for high harmonics) and t points.
 DEFAULT_THETA_GRID = 4096
@@ -346,6 +347,20 @@ class StageStack:
         for _, const, harm in self.stack:
             out *= 1.0 + float(_stage_bound(const, harm, 1, t))
         return out
+
+    def iterate_d2_bound(self, t, q: int) -> float:
+        """Bound for sup |d^2/dtheta^2 lift^q| at t: ``composed_deriv_bounds``
+        of the stage bounds at t, the stack repeated q times, widened by
+        4 q S (H + 7) eps for its own rounding (S stages, at most H
+        harmonics each; see ``rotation.is_locked``); inf on overflow."""
+        stages = [tuple(_stage_bound(c, harm, k, t) for k in range(1, 5))
+                  for _, c, harm in self.stack]
+        h = max(len(harm) for _, _, harm in self.stack)
+        try:
+            b2 = composed_deriv_bounds(stages * q)[1]
+        except OverflowError:
+            return math.inf
+        return b2 * (1.0 + 4.0 * q * len(stages) * (h + 7) * EPS)
 
     def dt_sup_bound(self) -> float:
         """Bound for sup |d/dt lift - winding|.

@@ -113,6 +113,7 @@ class RunConfig:
 
     subcommand: str
     values: dict = field(default_factory=dict)
+    where: dict = field(default_factory=dict)  # the layer of each value set
     t0: float = 0.0
 
     def __getattr__(self, name):
@@ -130,25 +131,38 @@ class RunConfig:
 
 
 def _coerce(key: str, value, where: str):
+    kind = _OPTIONS[key].type
     try:
-        return _OPTIONS[key].type(value)
+        # int() would run a config file's JSON true or 5.7 as 1 or 5
+        if isinstance(value, bool) or (kind is int and isinstance(value, float)
+                                       and not value.is_integer()):
+            raise ValueError(value)
+        return kind(value)
     except (TypeError, ValueError):
         raise InputError(f"{where}: bad value for {key!r}: {value!r}")
 
 
-def _check_ranges(sub: str, values: dict):
+def _origin(where: dict, key: str) -> str:
+    """The prefix of an error about option ``key``: the variable or config
+    file its value came from (``where`` by key), or nothing for its flag or
+    default."""
+    source = where.get(key, _flag(key))
+    return "" if source == _flag(key) else f"{source}: "
+
+
+def _check_ranges(sub: str, values: dict, where: dict):
     """The range of every option and the presence of the required ones,
     checked once after the layers are merged and before any file is read."""
     for key, value in values.items():
-        opt = _OPTIONS[key]
+        opt, flag, source = _OPTIONS[key], _flag(key), _origin(where, key)
         lo, hi = opt.least, opt.most.get(sub, math.inf)
         if opt.type is int and not lo <= value <= hi:
             limit = f">= {lo}" if value < lo else f"<= {hi} for {sub}"
-            raise InputError(f"{_flag(key)} must be {limit}, got {value}")
+            raise InputError(f"{source}{flag} must be {limit}, got {value}")
         if opt.type is float and not lo < value < hi:
-            raise InputError(f"{_flag(key)} must lie in ({lo:g}, {hi:g}), got {value}")
+            raise InputError(f"{source}{flag} must lie in ({lo:g}, {hi:g}), got {value}")
         if opt.required and not value:
-            raise InputError(f"{_flag(key)} is required")
+            raise InputError(f"{source}{flag} is required")
 
 
 def _check_window_tol(cfg: RunConfig, winding):
@@ -158,13 +172,19 @@ def _check_window_tol(cfg: RunConfig, winding):
     gap keeps the widening from reaching the next seed."""
     bound = 1.0 / (4.0 * winding * cfg.qmax ** 2)
     if not cfg.tol < bound:
-        raise InputError(f"--tol must be < 1/(4 winding qmax^2) = {bound:.6g} for "
-                         f"winding {winding} and --qmax {cfg.qmax}, got {cfg.tol}")
+        raise InputError(f"{_origin(cfg.where, 'tol')}--tol must be < 1/(4 winding qmax^2) = "
+                         f"{bound:.6g} for winding {winding} and --qmax {cfg.qmax}, "
+                         f"got {cfg.tol}")
 
 
 def _merge_config(sub: str, args: argparse.Namespace) -> RunConfig:
     own = [key for key, opt in _OPTIONS.items() if sub in opt.defaults]
     values = {key: _OPTIONS[key].defaults[sub] for key in own}
+    where = {}  # the layer each value that is not a default came from
+
+    def take(key, value, source):
+        values[key], where[key] = _coerce(key, value, source), source
+
     if args.config:
         raw = io.load_json(args.config)
         if not isinstance(raw, dict):
@@ -174,16 +194,16 @@ def _merge_config(sub: str, args: argparse.Namespace) -> RunConfig:
             if key not in _OPTIONS and key not in _DUMP_KEYS:
                 raise InputError(f"{args.config}: {k!r} names no option")
             if key in own and v is not None:
-                values[key] = _coerce(key, v, args.config)
+                take(key, v, args.config)
     for key in own:
         env = os.environ.get(ENV_PREFIX + key.upper())
         if env is not None:
-            values[key] = _coerce(key, env, ENV_PREFIX + key.upper())
+            take(key, env, ENV_PREFIX + key.upper())
         # argparse hands a list, not a number, to ``--qmax=--``
         if getattr(args, key) is not None:
-            values[key] = _coerce(key, getattr(args, key), _flag(key))
-    _check_ranges(sub, values)
-    return RunConfig(sub, {k: v for k, v in values.items() if v is not None})
+            take(key, getattr(args, key), _flag(key))
+    _check_ranges(sub, values, where)
+    return RunConfig(sub, {k: v for k, v in values.items() if v is not None}, where)
 
 
 def _workers(cfg: RunConfig) -> int:
@@ -306,8 +326,8 @@ def cmd_skew(cfg: RunConfig) -> int:
     F = io.load_skew(cfg.input)
     # every m >= 2 passes the cap by the 64th power, so no huge power is taken
     if F.m ** min(cfg.nmax, 64) - 1 > skew.MAX_CIRCLES:
-        raise InputError(f"--nmax must keep m^nmax - 1 <= {skew.MAX_CIRCLES} for skew, "
-                         f"got nmax {cfg.nmax} for m = {F.m}")
+        raise InputError(f"{_origin(cfg.where, 'nmax')}--nmax must keep m^nmax - 1 <= "
+                         f"{skew.MAX_CIRCLES} for skew, got nmax {cfg.nmax} for m = {F.m}")
     ts = _parse_t_values(cfg)
     n_iter = cfg.niter or rotation.CLASSIFY_N_ITER
     checks = skew.circle_checks(F, cfg.nmax, cfg.R)

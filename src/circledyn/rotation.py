@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import farey
-from .circle_map import TAU
+from .circle_map import EPS, TAU
 
 LOCKED = "locked"
 NOT_LOCKED = "not_locked"
@@ -28,7 +28,6 @@ WITNESS_TOL = 1e-9
 # that leaves at least LOCK_COARSE_MIN points
 LOCK_COARSE_STRIDE = 32
 LOCK_COARSE_MIN = 16
-EPS = 2.0 ** -52
 # Rounding of one harmonic R sin(w y + phi) of the stage kernel beyond its
 # argument's w y part, in units of eps R (see is_locked): R from hypot (1
 # ulp), phi from atan2 (1 ulp, |phi| <= pi), the sum w y + phi (half an ulp
@@ -147,14 +146,16 @@ def _rounding_rate(fam, lip: float) -> float:
             + (2.0 + PHASE_ULPS / TAU) * (lip - 1.0))
 
 
-def _lock_decision(step, p: int, q: int, n: int, stride: int, margin: float) -> LockCheck:
+def _lock_decision(step, p: int, q: int, n: int, stride: int, margins) -> LockCheck:
     """The decision rule on D sampled at theta = i / n for every
     ``stride``-th i, with ``step`` the lift at the checked t: a sign change
-    or |D| <= ``WITNESS_TOL`` locks, D clear of zero by ``margin``
-    everywhere is not locked, and anything else is unresolved.  A lock's
-    witness is bisected from the first 1/n cell with a sign change; on a
-    sub-grid, that cell is found among the fine points inside the first
-    sub-grid cell with one, evaluated in one call."""
+    or |D| <= ``WITNESS_TOL`` locks, D clear of zero everywhere by one of
+    ``margins`` is not locked, and anything else is unresolved.  The
+    margins are taken in order, each only when the ones before it failed,
+    so an iterator can put off a costly one.  A lock's witness is bisected
+    from the first 1/n cell with a sign change; on a sub-grid, that cell is
+    found among the fine points inside the first sub-grid cell with one,
+    evaluated in one call."""
     thetas = np.arange(0, n, stride) / n
     disp = _q_disp(step, q, p, thetas)
     i_min = int(np.argmin(np.abs(disp)))
@@ -184,7 +185,8 @@ def _lock_decision(step, p: int, q: int, n: int, stride: int, margin: float) -> 
                 hi = mid
         return LockCheck(LOCKED, (0.5 * (lo + hi)) % 1.0)
 
-    if float(np.min(disp)) > margin or float(np.max(disp)) < -margin:
+    clear = max(float(np.min(disp)), -float(np.max(disp)))  # nan clears nothing
+    if any(clear > m for m in margins):
         return LockCheck(NOT_LOCKED, None)
     return LockCheck(UNRESOLVED, None)
 
@@ -198,16 +200,44 @@ def is_locked(fam, t, p: int, q: int, grid: int | None = None) -> LockCheck:
 
     * a sign change (or |D| below ``WITNESS_TOL``) certifies a periodic
       point, hence rho = p/q exactly; the witness theta* is returned;
-    * min D > margin or max D < -margin, with margin = (1 + L^q) / n
-      covering the grid interpolation error, certifies no periodic point;
+    * min D > margin or max D < -margin certifies no periodic point;
     * anything else is unresolved, the honest outcome near window edges.
+
+    The margin is the smaller of two certified bounds on how far D can
+    dip below its grid values between them, each plus the rounding rho of
+    D (below); the test tries the first-order one first and forms the
+    second only when that fails:
+
+    * first order, (1 + L^q) / n + rho: |D'| <= L^q - 1, since the
+      composed derivative lies between prod (1 - s_i)^q and prod (1 +
+      s_i)^q = L^q, where s_i = 2 pi sum_j j (|a_j| + |b_j|) bounds the
+      y-derivative of stage i's harmonics, and 1 - prod (1 - s_i)^q <=
+      prod (1 + s_i)^q - 1;
+    * second order, B2 (h + eps)^2 / 8 + rho, with B2 =
+      ``iterate_d2_bound(t, q)`` >= sup |D''| and h = 1 / n the cell
+      width: D is 1-periodic and C^2, so on a cell it stays above the
+      chord between its ends less B2 h^2 / 8, hence above the smaller end
+      value less that.  The eps covers a grid n that is not a power of
+      two, whose points i / n are rounded by up to eps / 2.
+
+    B2 is ``composed_deriv_bounds`` (the chain rule to second order) of
+    the per-stage coefficient bounds at t.  It is formed from nonnegative
+    floats by sums and products; the stage bounds of order 1 and 2 that
+    it uses are off by at most (H + 5) eps in relative terms (H harmonics,
+    2 pi and its powers included), and each of the q S composed stages
+    adds at most 3 (H + 7) eps to the relative error of the second
+    derivative's bound, so the factor 1 + 4 q S (H + 7) eps that
+    ``iterate_d2_bound`` applies covers B2's own rounding.  The
+    first-order margin is tried first because it needs no B2, and B2 is
+    formed at most once per check.
 
     The rule is applied in two levels.  When ``LOCK_COARSE_STRIDE`` = s
     divides n and leaves at least ``LOCK_COARSE_MIN`` points, it first runs
     on the sub-grid theta_i, i = 0, s, 2s, ..., the same floats as the full
     grid's.  A sign change or a zero there is one on the full grid too, so
-    it locks at once.  It is not locked when D clears zero there by
-    margin + slack, with
+    it locks at once.  It is not locked when D clears zero there by the
+    smaller of the first-order margin + slack and the second-order margin
+    with h = s / n, where
 
         slack = (L^q - 1) (s / n) / 2 + rho,
         rho   = 2 eps (L^q q r (Y + 1) + Y + |p| + 1),
@@ -216,13 +246,15 @@ def is_locked(fam, t, p: int, q: int, grid: int | None = None) -> LockCheck:
         Y     = 1 + q (sum over stages of |w t + c(t)| + L - 1),
 
     eps = 2^-52 and PHASE_ULPS = 1 + pi + pi/2 + 4 + 1/2.  Every full-grid
-    point lies within s / (2n) of a sub-grid point, and |D'| <= L^q - 1,
-    since the composed derivative lies between prod (1 - s_i)^q and
-    prod (1 + s_i)^q = L^q, where s_i = 2 pi sum_j j (|a_j| + |b_j|)
-    bounds the y-derivative of stage i's harmonics, and 1 - prod (1 -
-    s_i)^q <= prod (1 + s_i)^q - 1.
+    point lies within s / (2n) of a sub-grid point, so clearing the
+    first-order margin + slack there means the full grid clears the
+    first-order margin; the second-order margin certifies by itself.
+    Otherwise the full grid decides.  A check the sub-grid leaves to the
+    full grid gets the full grid's status; one it decides as not locked
+    may be left unresolved by the full grid alone, when D dips between
+    sub-grid points to within the full grid's margin of zero.
 
-    ``rho`` covers the rounding of D at both points; Y bounds every lift
+    ``rho`` covers the rounding of D at two points; Y bounds every lift
     value along the q iterates.  The kernel evaluates a_j cos(2 pi j y) +
     b_j sin(2 pi j y) as R sin(w y + phi), with R = hypot(a_j, b_j), phi =
     atan2(a_j, b_j) and w = 2 pi j in floats, which are all within eps of
@@ -238,11 +270,12 @@ def is_locked(fam, t, p: int, q: int, grid: int | None = None) -> LockCheck:
     + PHASE_ULPS s_i / 2 pi); the stage's H_i + 1 additions round by at
     most eps (Y + 1) each, and sum s_i <= L - 1.  So one application
     of the lift rounds by at most eps r (Y + 1); later stages amplify that
-    by at most L^q, and the final subtractions add eps (Y + |p| + 1).  So
-    the full grid then clears zero by ``margin`` as well, and the full-grid
-    rule would say not locked too.  Otherwise the full grid decides,
-    exactly as it would alone: the status always equals the full-grid
-    rule's, and only the witness of a lock can differ.
+    by at most L^q, and the final subtractions add eps (Y + |p| + 1).  A
+    not-locked decision needs the rounding at one point only; the other
+    half of rho, at least 2 eps (L^q + 1), covers the rounding of the
+    margins themselves: a margin that decides is at most the first-order
+    one (+ slack), below (1 + L^q) (1 / n + 1 / 32) + 2 rho, and its few
+    operations round by less than that for n >= 4.
 
     The coefficients a_j, b_j, c and the drift w t + c(t) are the float
     values at t that the kernel takes; the decision is about that map.
@@ -254,19 +287,27 @@ def is_locked(fam, t, p: int, q: int, grid: int | None = None) -> LockCheck:
     n = grid or lock_grid_size(q)
     step = fam.step_factory(t)
     lip = fam.dtheta_lift_bound(t)
-    lip_q = lip ** q
-    margin = (1.0 + lip_q) / n
+    try:
+        lip_q = lip ** q
+    except OverflowError:  # an infinite margin clears nothing
+        lip_q = math.inf
+    rate = _rounding_rate(fam, lip)
+    y = 1.0 + q * (sum(abs(w * t + float(c(t))) for w, c, _ in fam.stack) + lip - 1.0)
+    rho = 2.0 * EPS * (lip_q * q * rate * (y + 1.0) + y + abs(p) + 1.0)
+    margin = (1.0 + lip_q) / n + rho
+    b2 = functools.cache(lambda: fam.iterate_d2_bound(t, q))
+
+    def margins(first, h):
+        yield first
+        yield b2() * (h + EPS) ** 2 / 8.0 + rho
 
     s = LOCK_COARSE_STRIDE
     if n % s == 0 and n // s >= LOCK_COARSE_MIN:
-        rate = _rounding_rate(fam, lip)
-        y = 1.0 + q * (sum(abs(w * t + float(c(t))) for w, c, _ in fam.stack) + lip - 1.0)
-        rho = 2.0 * EPS * (lip_q * q * rate * (y + 1.0) + y + abs(p) + 1.0)
         slack = (lip_q - 1.0) * (s / n) / 2.0 + rho
-        chk = _lock_decision(step, p, q, n, s, margin + slack)
+        chk = _lock_decision(step, p, q, n, s, margins(margin + slack, s / n))
         if chk.status != UNRESOLVED:
             return chk
-    return _lock_decision(step, p, q, n, 1, margin)
+    return _lock_decision(step, p, q, n, 1, margins(margin, 1.0 / n))
 
 
 def _drift(rate, n: int, disp):

@@ -413,12 +413,17 @@ class TestDeterminism:
         serial, parallel = (read(os.path.join(out, "rho.csv")) for out in outs)
         assert serial == parallel and len(serial.splitlines()) == 602
 
-    def test_theoremA_parallel_split_matches_serial(self, skew_file, tmp_path):
-        # at seed 4, 8 of 300 samples survive family 1, so two workers split
-        # the survivors of families 2 and 3 into real blocks
-        args = ["theoremA", "--input", skew_file, "--nmax", "3", "--samples", "300",
+    def test_theoremA_parallel_split_matches_serial(self, tmp_path):
+        # at fiber C3 0.3 and seed 11, 3 of 300 samples lie in family 1's
+        # locking windows and survive it, so two workers split the survivors
+        # of families 2 and 3 into real blocks
+        skew_file = tmp_path / "skew.json"
+        skew_file.write_text(json.dumps({
+            "m": 2, "harmonics": [{"jx": 0, "jy": 1, "a": [0.0], "b": [0.3 / TAU ** 3]}],
+        }))
+        args = ["theoremA", "--input", str(skew_file), "--nmax", "3", "--samples", "300",
                 "--qmax", "20", "--eta-families", "1", "--eta-samples", "50",
-                "--seed", "4"]
+                "--seed", "11"]
         outs = [str(tmp_path / f"w{w}") for w in (1, 2)]
         for out, workers in zip(outs, ("1", "2")):
             assert main(args + ["--out", out, "--workers", workers]) == 0
@@ -622,6 +627,57 @@ class TestOptionLayers:
         err = capsys.readouterr().err
         assert str(conf) in err and repr(key) in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("conf", [{"qmax": 5.7}, {"seed": True}, {"niter": 100.5},
+                                      {"qmax": True}, {"tol": False}, {"niter": 1e400}],
+                             ids=["qmax-5.7", "seed-true", "niter-100.5", "qmax-true",
+                                  "tol-false", "niter-1e400"])
+    def test_fractional_or_boolean_config_value_exit_2(self, conf, arnold_file, tmp_path,
+                                                       capsys):
+        # int() would run these as qmax 5, seed 1, niter 100
+        path = tmp_path / "conf.json"
+        path.write_text(json.dumps(conf))
+        out = tmp_path / "o"
+        assert main(["rho", "--input", arnold_file, "--t", "0.05", "--config", str(path),
+                     "--out", str(out), "--workers", "1"]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and repr(next(iter(conf))) in err
+        assert not out.exists()
+
+    def test_integral_float_config_value_is_an_int(self, arnold_file, tmp_path):
+        path = tmp_path / "conf.json"
+        path.write_text(json.dumps({"qmax": 5.0, "niter": 300.0}))
+        out = tmp_path / "o"
+        assert main(["rho", "--input", arnold_file, "--t", "0.05", "--config", str(path),
+                     "--out", str(out), "--workers", "1"]) == 0
+        cfg = json.loads(read(out / "run_config.json"))
+        assert (cfg["qmax"], cfg["niter"]) == (5, 300)
+
+    @pytest.mark.parametrize("layer", ["env", "config", "flag"])
+    @pytest.mark.parametrize("cmd,key,value,flag", [
+        ("skew", "nmax", 0, "--nmax"), ("skew", "R", 2.0, "--R"),
+        ("skew", "nmax", 13, "--nmax"), ("windows", "tol", 0.01, "--tol"),
+    ], ids=["nmax-0", "R-2", "skew-nmax-cap", "windows-tol-bound"])
+    def test_range_error_names_its_layer(self, layer, cmd, key, value, flag, arnold_file,
+                                         skew_file, tmp_path, capsys, monkeypatch):
+        # the skew cap and the window tolerance need the definition file, so
+        # they are checked after the others
+        argv = [cmd, "--input", skew_file if cmd == "skew" else arnold_file, "--qmax", "10",
+                "--workers", "1", "--out", str(tmp_path / "o")]
+        argv += ["--t", "0.1"] if cmd == "skew" else []
+        conf = tmp_path / "conf.json"
+        if layer == "env":
+            monkeypatch.setenv("CIRCLEDYN_" + key.upper(), str(value))
+        elif layer == "config":
+            conf.write_text(json.dumps({key: value}))
+            argv += ["--config", str(conf)]
+        else:
+            argv += [flag, str(value)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.strip()
+        source = {"env": "CIRCLEDYN_" + key.upper(), "config": str(conf), "flag": ""}[layer]
+        assert err.startswith(f"error: {source + ': ' if source else ''}{flag} must ")
+        assert not (tmp_path / "o").exists()
 
     def test_config_key_of_another_subcommand_is_not_recorded(self, arnold_file, tmp_path):
         conf = tmp_path / "conf.json"

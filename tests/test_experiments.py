@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from circledyn import rotation
-from circledyn.circle_map import TPoly
+from circledyn.circle_map import StageStack, TPoly
 from circledyn.errors import HypothesisViolation
 from circledyn.experiments import (
     eta_curve,
@@ -22,8 +24,9 @@ XAMP = c3_scaled_amplitude(0.075)
 XDEP_SKEW = SkewMap(2, ((0, 1, TPoly((0.0,)), TPoly((XAMP,))),
                         (1, 1, TPoly((0.0,)), TPoly((XAMP,)))), label="xdep")
 NESTED_MAPS = {"arnold": arnold_skew(2, AMP), "xdep": XDEP_SKEW}
-# at 300 samples and q_max 20, seed 4 leaves both locked and unresolved
-# samples to families 2-4 of either map; seed 2 leaves none to families 3-4
+# at 300 samples and q_max 20, under the first-order lock margin alone
+# (TestNestedIntersection), seed 4 leaves both locked and unresolved samples
+# to families 2-4 of either map; seed 2 leaves none to families 3-4
 NESTED_SEEDS = (4, 2)
 NESTED_SAMPLES, NESTED_QMAX = 300, 20
 
@@ -105,7 +108,9 @@ class TestIntersectionMeasure:
             intersection_measure(fams, 10, q_max=5, seed=8)
 
     def test_seed_determinism(self):
-        fams = restricted_list(AMP, 3)
+        # at fiber C3 0.3 the locking windows hold a sample at seed 9 and
+        # none at seed 10
+        fams = restricted_list(c3_scaled_amplitude(0.3), 3)
         a = intersection_measure(fams, 400, q_max=20, seed=9)
         b = intersection_measure(fams, 400, q_max=20, seed=9)
         assert a.mu_locked == b.mu_locked
@@ -115,6 +120,14 @@ class TestIntersectionMeasure:
 
 
 class TestNestedIntersection:
+    @pytest.fixture(autouse=True)
+    def first_order_margin(self, monkeypatch):
+        """Lock checks on the first-order margin alone, as when B2 overflows.
+        With the second-order margin these maps leave no sample unresolved
+        (none of 3,000 per family even at fiber C3 0.2), and the nesting
+        must also be checked on unresolved survivors."""
+        monkeypatch.setattr(StageStack, "iterate_d2_bound", lambda self, t, q: math.inf)
+
     @pytest.mark.parametrize("map_fn", [map, TwoBlocks()], ids=["map", "two-blocks"])
     @pytest.mark.parametrize("seed", NESTED_SEEDS)
     @pytest.mark.parametrize("name", sorted(NESTED_MAPS))

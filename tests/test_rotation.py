@@ -97,6 +97,16 @@ class TestIsLocked:
             is_locked(arnold_family(0.1), 0.45, 85, 189)
 
 
+    def test_lipschitz_power_beyond_float_range(self):
+        # L = 202.7 for these 8 stages at t = 0.3, so L^139 overflows a
+        # float; the margins are then infinite and only a sign change decides
+        F = SkewMap(2, ((0, 1, TPoly((0.0,)), TPoly((0.15,))),))
+        rf = restricted_family(F, next(c for c in periodic_circles(2, 8) if c.n == 8))
+        assert 139 * math.log10(rf.dtheta_lift_bound(0.3)) > 309
+        for p in (1, 2, 40):
+            assert is_locked(rf, 0.3, p, 139, grid=512).status != NOT_LOCKED
+
+
 class TestClassify:
     def test_rigid_golden_is_irrational_candidate(self):
         res = classify(rigid_family(), GOLDEN, q_max=50)
@@ -551,7 +561,7 @@ class TwoBlocks:
 
 def retire_samples(fam, q_max, seed):
     """Seeded t in [0, 1], t within a few 1e-4 of the edges of the windows
-    with q <= q_max (where lock checks are left unresolved), and t near
+    with q <= q_max (where lock checks are closest to undecided), and t near
     1e8, where the rounding guard fails at CLASSIFY_N_ITER iterates but
     holds at the first checkpoint."""
     rng = np.random.default_rng(seed)
@@ -561,7 +571,7 @@ def retire_samples(fam, q_max, seed):
     return np.concatenate([rng.random(150), near, 1e8 + rng.random(3)])
 
 
-RETIRE_FAMILIES = {"arnold": lambda: arnold_family(0.1), "two-harmonic": two_harmonic_family,
+RETIRE_FAMILIES = {"arnold": lambda: arnold_family(0.13), "two-harmonic": two_harmonic_family,
                    "three-stage": three_stage_family, "sampled": sampled_family}
 
 
@@ -639,3 +649,129 @@ class TestRetiringSweep:
         serial = classify_batch(fam, ts, q_max=10, retire=True)
         assert classify_batch(fam, ts, q_max=10, retire=True, map_fn=TwoBlocks()) == serial
         assert any(r.n_iter < rotation.CLASSIFY_N_ITER for r in serial)
+
+
+def first_order_rule(fam, t, p, q, grid=None):
+    """``is_locked`` before the second-order margin: the margin (1 + L^q) / n
+    alone, without rounding, and on the sub-grid that margin + slack."""
+    n = grid or rotation.lock_grid_size(q)
+    step = fam.step_factory(t)
+    lip = fam.dtheta_lift_bound(t)
+    lip_q = lip ** q
+    margin = (1.0 + lip_q) / n
+    s = rotation.LOCK_COARSE_STRIDE
+    if n % s == 0 and n // s >= rotation.LOCK_COARSE_MIN:
+        y = 1.0 + q * (sum(abs(w * t + float(c(t))) for w, c, _ in fam.stack) + lip - 1.0)
+        rho = 2.0 * rotation.EPS * (lip_q * q * rotation._rounding_rate(fam, lip) * (y + 1.0)
+                                    + y + abs(p) + 1.0)
+        slack = (lip_q - 1.0) * (s / n) / 2.0 + rho
+        chk = rotation._lock_decision(step, p, q, n, s, [margin + slack])
+        if chk.status != UNRESOLVED:
+            return chk
+    return rotation._lock_decision(step, p, q, n, 1, [margin])
+
+
+def exact_d2(fam, t, q, theta):
+    """Oracle: d^2/dtheta^2 of lift^q at theta in 50-digit arithmetic, by the
+    chain rule along the orbit, with the float coefficients at t."""
+    with mpmath.workdps(50):
+        y, d1, d2 = mpmath.mpf(theta), mpmath.mpf(1), mpmath.mpf(0)
+        for _ in range(q):
+            for w, const, harm in fam.stack:
+                acc, p1, p2 = y + mpmath.mpf(float(w * t + const(t))), 0, 0
+                for j, a, b in harm:
+                    a, b, k = mpmath.mpf(float(a(t))), mpmath.mpf(float(b(t))), 2 * mpmath.pi * j
+                    c, s = mpmath.cos(k * y), mpmath.sin(k * y)
+                    acc += a * c + b * s
+                    p1 += k * (b * c - a * s)
+                    p2 -= k * k * (a * c + b * s)
+                y, d1, d2 = acc, (1 + p1) * d1, (1 + p1) * d2 + p2 * d1 ** 2
+        return d2
+
+
+def float_disp(fam, t, p, q, thetas):
+    """D on an array of thetas in float64, in the cos/sin form rather than
+    the kernel's phase form."""
+    y = thetas
+    for _ in range(q):
+        for w, const, harm in fam.stack:
+            acc = y + float(w * t + const(t))
+            for j, a, b in harm:
+                x = 2 * math.pi * j * y
+                acc = acc + float(a(t)) * np.cos(x) + float(b(t)) * np.sin(x)
+            y = acc
+    return y - thetas - p
+
+
+def exact_disp(fam, t, p, q, theta):
+    z = mpmath.mpf(theta)
+    for _ in range(q):
+        z = exact_step(fam, t, z)
+    return z - mpmath.mpf(theta) - p
+
+
+def margin_checks():
+    """About 50 seeded (family, t, p, q), q <= 30: Arnold families (q = 1
+    first), sampled families and the 2-4-stage restrictions of an
+    x-dependent skew map, each p/q near the mean displacement at t."""
+    rng = np.random.default_rng(20261019)
+    xdep = SkewMap(2, ((0, 1, TPoly((0.0,)), TPoly((0.004,))),
+                       (1, 1, TPoly((0.0, 0.002)), TPoly((0.003,)))))
+    fams = [arnold_family(a) for a in (0.159, *rng.uniform(0.02, 0.155, 5))]
+    fams += [sample_family(rng, r) for r in rng.uniform(0.2, 0.95, 4)]
+    fams += [restricted_family(xdep, c) for c in periodic_circles(2, 4)[1::3]]
+    out = [(fams[0], 0.25, 0, 1), (fams[0], 0.1, 0, 1)]
+    for fam in fams:
+        # of the fractions within 0.05 of the mean displacement: the one of
+        # least denominator, the closest one and one at random
+        for pick in (lambda c: c[1], lambda c: abs(c[0] / c[1] - d), None):
+            t = float(rng.random())
+            d = float(rotation.displacement_batch(fam, t, n_iter=512))
+            cands = farey.fractions_in_interval(d - 0.05, d + 0.05, 30)
+            p, q = min(cands, key=pick) if pick else cands[int(rng.integers(len(cands)))]
+            out.append((fam, t, p, q))
+    return out
+
+
+@pytest.mark.slow
+class TestSecondOrderMargin:
+    """``is_locked``'s second-order margin B2 h^2 / 8 + rho against an
+    independent oracle."""
+
+    def test_oracle(self):
+        checks = margin_checks()
+        assert 45 <= len(checks) <= 60
+        ratios, moved, second, statuses = [], 0, 0, set()
+        for fam, t, p, q in checks:
+            # (a) B2 bounds |D''| on a 64-point theta grid, in 50 digits
+            b2 = fam.iterate_d2_bound(t, q)
+            d2 = max(abs(exact_d2(fam, t, q, i / 64)) for i in range(64))
+            assert d2 <= b2, (fam.label, t, p, q)
+            ratios.append(float(d2) / b2)
+            for grid in (None, 512, 128):
+                new, old = is_locked(fam, t, p, q, grid), first_order_rule(fam, t, p, q, grid)
+                statuses.add(new.status)
+                # (c) only unresolved moves, to not locked; a lock's witness stays
+                if old.status == UNRESOLVED and new.status == NOT_LOCKED:
+                    moved += 1
+                else:
+                    assert new == old, (fam.label, t, p, q, grid)
+                if new.status != NOT_LOCKED or old.status == NOT_LOCKED:
+                    continue
+                # (b) decided by the second-order margin alone: no sign change
+                # on a grid 16 times finer; values near zero are taken in
+                # 60 digits, and the float values agree with them elsewhere
+                second += 1
+                n = 16 * (grid or rotation.lock_grid_size(q))
+                thetas = np.arange(n) / n
+                disp = float_disp(fam, t, p, q, thetas)
+                near = np.argsort(np.abs(disp))[:8]
+                for i in near:
+                    exact = exact_disp(fam, t, p, q, thetas[i])
+                    assert abs(float(exact) - disp[i]) <= 1e-10
+                    disp[i] = float(exact) if abs(disp[i]) < 1e-6 else disp[i]
+                assert np.all(np.sign(disp) == np.sign(disp[0])), (fam.label, t, p, q, grid)
+        assert statuses == {LOCKED, NOT_LOCKED, UNRESOLVED} or statuses == {LOCKED, NOT_LOCKED}
+        assert moved >= 5 and second == moved
+        # the bound is tight on some check: B2 / 8 falls below |D''| there
+        assert max(ratios) > 1 / 8
