@@ -351,8 +351,9 @@ class StageStack:
     def iterate_d2_bound(self, t, q: int) -> float:
         """Bound for sup |d^2/dtheta^2 lift^q| at t: ``composed_deriv_bounds``
         of the stage bounds at t, the stack repeated q times, widened by
-        4 q S (H + 7) eps for its own rounding (S stages, at most H
-        harmonics each; see ``rotation.is_locked``); inf on overflow."""
+        4 q S (H + 7) eps for its own rounding and that of the lock margin
+        formed from it (S stages, at most H harmonics each; see
+        ``rotation.is_locked``); inf on overflow."""
         stages = [tuple(_stage_bound(c, harm, k, t) for k in range(1, 5))
                   for _, c, harm in self.stack]
         h = max(len(harm) for _, _, harm in self.stack)

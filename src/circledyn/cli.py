@@ -42,6 +42,11 @@ from .errors import (
 from .experiments import eta_curve, intersection_measure
 
 ENV_PREFIX = "CIRCLEDYN_"
+# Largest Monte Carlo sample count, and largest n of an a:b:n sweep.  Peak
+# memory grows by about 1.6 kB per t for rho (results, rows and report) and
+# 0.4 kB per sample for windows and theoremA: rho --t-range 0:1:2^18 peaked
+# at 456 MB (numpy 2.4.6, 2-core VM), below a MAX_LOCK_GRID check's 670 MB.
+MAX_SAMPLES = 2 ** 18
 
 _COMMANDS = {
     "rho": "rotation numbers with error bars along a t sweep",
@@ -71,24 +76,25 @@ class _Option(NamedTuple):
     required: bool = False
 
 
+_WINDOWS = ("windows", "tongues")  # the subcommands that solve window edges
 _OPTIONS = {
     "input": _Option(str, dict.fromkeys(_LOCKING), "definition file (JSON)", required=True),
     "out": _Option(str, dict.fromkeys(_ALL, "out"), "output directory"),
     "seed": _Option(int, dict.fromkeys(_ALL, 0), "RNG seed recorded in outputs", least=0),
-    "workers": _Option(int, dict.fromkeys(_ALL, 0),
+    "workers": _Option(int, dict.fromkeys(_LOCKING, 0),
                        "worker processes; 0 = all cores, 1 = serial reference", least=0),
-    "qmax": _Option(int, dict.fromkeys(_ALL, 30), "largest lock denominator searched", least=1,
-                    most=dict.fromkeys(_LOCKING, rotation.MAX_LOCK_Q)),
-    "tol": _Option(float, dict.fromkeys(_ALL, 1e-6), "window bracket tolerance", least=0.0),
-    "grid": _Option(int, dict.fromkeys(_ALL, 0),
+    "qmax": _Option(int, dict.fromkeys(_LOCKING, 30), "largest lock denominator searched",
+                    least=1, most=dict.fromkeys(_LOCKING, rotation.MAX_LOCK_Q)),
+    "tol": _Option(float, dict.fromkeys(_WINDOWS, 1e-6), "window bracket tolerance", least=0.0),
+    "grid": _Option(int, dict.fromkeys(_WINDOWS + ("dio",), 0),
                     "grid resolution override; 0 = the subcommand's default", least=0,
-                    most=dict.fromkeys(_LOCKING, rotation.MAX_LOCK_GRID)),
-    "niter": _Option(int, dict.fromkeys(_ALL, 0),
+                    most=dict.fromkeys(_WINDOWS, rotation.MAX_LOCK_GRID)),
+    "niter": _Option(int, dict.fromkeys(("rho", "windows", "skew", "theoremA"), 0),
                      "rotation-estimate iterate count; 0 = the subcommand's default", least=0),
     "t": _Option(str, dict.fromkeys(("rho", "skew")), "comma list of parameter values"),
     "t_range": _Option(str, dict.fromkeys(("rho", "skew")), "a:b:n uniform sweep"),
     "samples": _Option(int, {"windows": 2000, "theoremA": 10_000}, "Monte Carlo sample count",
-                       least=1),
+                       least=1, most=dict.fromkeys(("windows", "theoremA"), MAX_SAMPLES)),
     "deltas": _Option(str, {"tongues": None}, "comma list or a:b:n amplitude grid",
                       required=True),
     "C": _Option(str, {"dio": None}, "comma list of constants C", required=True),
@@ -99,7 +105,7 @@ _OPTIONS = {
                  most={"skew": 1.0}),
     "eta_families": _Option(int, {"theoremA": 8}, "sampled families per norm level", least=1),
     "eta_samples": _Option(int, {"theoremA": 2000}, "Monte Carlo samples per sampled family",
-                           least=1),
+                           least=1, most={"theoremA": MAX_SAMPLES}),
 }
 
 
@@ -235,11 +241,15 @@ class _Pool:
     __call__ = map  # a map_fn that tells its worker count
 
 
-def _floats(raw: str, flag: str, sweep: bool = False) -> list:
-    """Finite floats from a comma list, or from a:b:n (n points from a to b)."""
+def _floats(cfg: RunConfig, key: str, sweep: bool = False) -> list:
+    """Finite floats from option ``key``: a comma list, or a:b:n (n points
+    from a to b, at most ``MAX_SAMPLES``)."""
+    raw, name = cfg.values[key], _origin(cfg.where, key) + _flag(key)
     try:
         if sweep:
             a, b, n = raw.split(":")
+            if int(n) > MAX_SAMPLES:
+                raise InputError(f"{name} must have n <= {MAX_SAMPLES}, got {raw!r}")
             with np.errstate(over="ignore", invalid="ignore"):  # checked below
                 out = np.linspace(float(a), float(b), int(n)).tolist()
         else:
@@ -249,13 +259,13 @@ def _floats(raw: str, flag: str, sweep: bool = False) -> list:
     except ValueError:
         pass
     form = "a:b:n" if sweep else "a comma list of numbers"
-    raise InputError(f"{flag} expects {form}, all finite, got {raw!r}")
+    raise InputError(f"{name} expects {form}, all finite, got {raw!r}")
 
 
 def _parse_t_values(cfg: RunConfig):
-    ts = _floats(cfg.t, "--t") if cfg.values.get("t") else []
+    ts = _floats(cfg, "t") if cfg.values.get("t") else []
     if cfg.values.get("t_range"):
-        ts += _floats(cfg.t_range, "--t-range", sweep=True)
+        ts += _floats(cfg, "t_range", sweep=True)
     if not ts:
         raise InputError("no parameter values: pass --t and/or --t-range")
     return ts
@@ -298,7 +308,7 @@ def cmd_windows(cfg: RunConfig) -> int:
 def cmd_tongues(cfg: RunConfig) -> int:
     profile = io.load_family(cfg.input)
     _check_window_tol(cfg, profile.winding)
-    deltas = _floats(cfg.deltas, "--deltas", sweep=":" in cfg.deltas)
+    deltas = _floats(cfg, "deltas", sweep=":" in cfg.deltas)
     with _Pool(_workers(cfg)) as pool:
         td = windows.tongue_diagram(profile, deltas, cfg.qmax, tol=cfg.tol,
                                     grid=cfg.grid or None, map_fn=pool.map)
@@ -309,9 +319,9 @@ def cmd_tongues(cfg: RunConfig) -> int:
 
 def cmd_dio(cfg: RunConfig) -> int:
     try:
-        params = [DioParams(c, cfg.nmax, cfg.grid or 100_000) for c in _floats(cfg.C, "--C")]
+        params = [DioParams(c, cfg.nmax, cfg.grid or 100_000) for c in _floats(cfg, "C")]
     except ValueError as e:
-        raise InputError(f"--C: {e}")
+        raise InputError(f"{_origin(cfg.where, 'C')}--C: {e}")
     rows, exact = [], []
     for p in params:
         m = dio_measure(p)

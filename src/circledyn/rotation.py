@@ -146,16 +146,14 @@ def _rounding_rate(fam, lip: float) -> float:
             + (2.0 + PHASE_ULPS / TAU) * (lip - 1.0))
 
 
-def _lock_decision(step, p: int, q: int, n: int, stride: int, margins) -> LockCheck:
+def _lock_decision(step, p: int, q: int, n: int, stride: int, margin: float) -> LockCheck:
     """The decision rule on D sampled at theta = i / n for every
     ``stride``-th i, with ``step`` the lift at the checked t: a sign change
-    or |D| <= ``WITNESS_TOL`` locks, D clear of zero everywhere by one of
-    ``margins`` is not locked, and anything else is unresolved.  The
-    margins are taken in order, each only when the ones before it failed,
-    so an iterator can put off a costly one.  A lock's witness is bisected
-    from the first 1/n cell with a sign change; on a sub-grid, that cell is
-    found among the fine points inside the first sub-grid cell with one,
-    evaluated in one call."""
+    or |D| <= ``WITNESS_TOL`` locks, D clear of zero everywhere by more than
+    ``margin`` is not locked, and anything else is unresolved.  A lock's
+    witness is bisected from the first 1/n cell with a sign change; on a
+    sub-grid, that cell is found among the fine points inside the first
+    sub-grid cell with one, evaluated in one call."""
     thetas = np.arange(0, n, stride) / n
     disp = _q_disp(step, q, p, thetas)
     i_min = int(np.argmin(np.abs(disp)))
@@ -186,7 +184,7 @@ def _lock_decision(step, p: int, q: int, n: int, stride: int, margins) -> LockCh
         return LockCheck(LOCKED, (0.5 * (lo + hi)) % 1.0)
 
     clear = max(float(np.min(disp)), -float(np.max(disp)))  # nan clears nothing
-    if any(clear > m for m in margins):
+    if clear > margin:
         return LockCheck(NOT_LOCKED, None)
     return LockCheck(UNRESOLVED, None)
 
@@ -203,79 +201,72 @@ def is_locked(fam, t, p: int, q: int, grid: int | None = None) -> LockCheck:
     * min D > margin or max D < -margin certifies no periodic point;
     * anything else is unresolved, the honest outcome near window edges.
 
-    The margin is the smaller of two certified bounds on how far D can
-    dip below its grid values between them, each plus the rounding rho of
-    D (below); the test tries the first-order one first and forms the
-    second only when that fails:
+    The margin bounds how far D can dip below its grid values between
+    them, plus the rounding rho of D (below):
 
-    * first order, (1 + L^q) / n + rho: |D'| <= L^q - 1, since the
-      composed derivative lies between prod (1 - s_i)^q and prod (1 +
-      s_i)^q = L^q, where s_i = 2 pi sum_j j (|a_j| + |b_j|) bounds the
-      y-derivative of stage i's harmonics, and 1 - prod (1 - s_i)^q <=
-      prod (1 + s_i)^q - 1;
-    * second order, B2 (h + eps)^2 / 8 + rho, with B2 =
-      ``iterate_d2_bound(t, q)`` >= sup |D''| and h = 1 / n the cell
-      width: D is 1-periodic and C^2, so on a cell it stays above the
-      chord between its ends less B2 h^2 / 8, hence above the smaller end
-      value less that.  The eps covers a grid n that is not a power of
-      two, whose points i / n are rounded by up to eps / 2.
+        margin = B2 (h + eps)^2 / 8 + rho,
 
-    B2 is ``composed_deriv_bounds`` (the chain rule to second order) of
-    the per-stage coefficient bounds at t.  It is formed from nonnegative
-    floats by sums and products; the stage bounds of order 1 and 2 that
-    it uses are off by at most (H + 5) eps in relative terms (H harmonics,
-    2 pi and its powers included), and each of the q S composed stages
-    adds at most 3 (H + 7) eps to the relative error of the second
-    derivative's bound, so the factor 1 + 4 q S (H + 7) eps that
-    ``iterate_d2_bound`` applies covers B2's own rounding.  The
-    first-order margin is tried first because it needs no B2, and B2 is
-    formed at most once per check.
+    with B2 = ``iterate_d2_bound(t, q)`` >= sup |D''| and h the width of a
+    grid cell.  D is 1-periodic and C^2, so on a cell it stays above the
+    chord between its ends less B2 h^2 / 8, hence above the smaller end
+    value less that.  The eps covers a grid n that is not a power of two,
+    whose points i / n are rounded by up to eps / 2.
 
     The rule is applied in two levels.  When ``LOCK_COARSE_STRIDE`` = s
     divides n and leaves at least ``LOCK_COARSE_MIN`` points, it first runs
     on the sub-grid theta_i, i = 0, s, 2s, ..., the same floats as the full
-    grid's.  A sign change or a zero there is one on the full grid too, so
-    it locks at once.  It is not locked when D clears zero there by the
-    smaller of the first-order margin + slack and the second-order margin
-    with h = s / n, where
+    grid's, with h = s / n.  A sign change or a zero there is one on the
+    full grid too, so it locks at once, and a sub-grid clear of the margin
+    certifies by itself.  Otherwise the full grid decides, with h = 1 / n.
+    A check the sub-grid leaves to the full grid gets the full grid's
+    status; one it decides as not locked may be left unresolved by the full
+    grid alone, when D dips between sub-grid points to within the full
+    grid's margin of zero.
 
-        slack = (L^q - 1) (s / n) / 2 + rho,
-        rho   = 2 eps (L^q q r (Y + 1) + Y + |p| + 1),
-        r     = sum over stages of (harmonics + 1)
-                + (2 + PHASE_ULPS / 2 pi) (L - 1),
-        Y     = 1 + q (sum over stages of |w t + c(t)| + L - 1),
+    Here
 
-    eps = 2^-52 and PHASE_ULPS = 1 + pi + pi/2 + 4 + 1/2.  Every full-grid
-    point lies within s / (2n) of a sub-grid point, so clearing the
-    first-order margin + slack there means the full grid clears the
-    first-order margin; the second-order margin certifies by itself.
-    Otherwise the full grid decides.  A check the sub-grid leaves to the
-    full grid gets the full grid's status; one it decides as not locked
-    may be left unresolved by the full grid alone, when D dips between
-    sub-grid points to within the full grid's margin of zero.
+        rho = 2 eps (L^q q r (Y + 1) + Y + |p| + 1),
+        r   = sum over stages of (harmonics + 1)
+              + (2 + PHASE_ULPS / 2 pi) (L - 1),
+        Y   = 1 + q (sum over stages of |w t + c(t)| + L - 1),
 
-    ``rho`` covers the rounding of D at two points; Y bounds every lift
-    value along the q iterates.  The kernel evaluates a_j cos(2 pi j y) +
-    b_j sin(2 pi j y) as R sin(w y + phi), with R = hypot(a_j, b_j), phi =
-    atan2(a_j, b_j) and w = 2 pi j in floats, which are all within eps of
-    their exact values in relative terms (hypot and atan2 good to 1 ulp).
-    The argument is then off by at most eps (2 (2 pi j) |y| + 3 pi / 2):
-    eps 2 pi j |y| from w, eps/2 2 pi j |y| from the product w y, eps/2
-    (2 pi j |y| + pi) from the sum with |phi| <= pi, and eps pi from phi.
-    With R off by eps R, sin good to 4 ulp (numpy's on arrays, libm's
-    ``math.sin`` on the float orbit of one t's rho estimate or of a
-    bisection step) and the product R sin rounded, harmonic j is off by
-    at most eps R (2 (2 pi j) |y| + PHASE_ULPS), and R <= |a_j| + |b_j|.
-    Summed over the harmonics, with j >= 1, that is at most eps (2 s_i |y|
-    + PHASE_ULPS s_i / 2 pi); the stage's H_i + 1 additions round by at
-    most eps (Y + 1) each, and sum s_i <= L - 1.  So one application
-    of the lift rounds by at most eps r (Y + 1); later stages amplify that
-    by at most L^q, and the final subtractions add eps (Y + |p| + 1).  A
-    not-locked decision needs the rounding at one point only; the other
-    half of rho, at least 2 eps (L^q + 1), covers the rounding of the
-    margins themselves: a margin that decides is at most the first-order
-    one (+ slack), below (1 + L^q) (1 / n + 1 / 32) + 2 rho, and its few
-    operations round by less than that for n >= 4.
+    eps = 2^-52 and PHASE_ULPS = 1 + pi + pi/2 + 4 + 1/2.  ``rho`` covers
+    the rounding of D at two points; Y bounds every lift value along the q
+    iterates.  The kernel evaluates a_j cos(2 pi j y) + b_j sin(2 pi j y) as
+    R sin(w y + phi), with R = hypot(a_j, b_j), phi = atan2(a_j, b_j) and
+    w = 2 pi j in floats, which are all within eps of their exact values in
+    relative terms (hypot and atan2 good to 1 ulp).  The argument is then
+    off by at most eps (2 (2 pi j) |y| + 3 pi / 2): eps 2 pi j |y| from w,
+    eps/2 2 pi j |y| from the product w y, eps/2 (2 pi j |y| + pi) from the
+    sum with |phi| <= pi, and eps pi from phi.  With R off by eps R, sin
+    good to 4 ulp (numpy's on arrays, libm's ``math.sin`` on the float
+    orbit of one t's rho estimate or of a bisection step) and the product
+    R sin rounded, harmonic j is off by at most eps R (2 (2 pi j) |y| +
+    PHASE_ULPS), and R <= |a_j| + |b_j|.  Summed over the harmonics, with
+    j >= 1, that is at most eps (2 s_i |y| + PHASE_ULPS s_i / 2 pi), where
+    s_i = 2 pi sum_j j (|a_j| + |b_j|) bounds the y-derivative of stage i's
+    harmonics; the stage's H_i + 1 additions round by at most eps (Y + 1)
+    each, and sum s_i <= L - 1.  So one application of the lift rounds by
+    at most eps r (Y + 1); later stages amplify that by at most L^q (the
+    composed derivative lies between prod (1 - s_i)^q and prod (1 +
+    s_i)^q = L^q), and the final subtractions add eps (Y + |p| + 1).
+
+    The margin itself is rounded, too.  B2 is ``composed_deriv_bounds``
+    (the chain rule to second order) of the per-stage coefficient bounds at
+    t, formed from nonnegative floats by sums and products.  The stage
+    bounds of order 1 and 2 that it uses are off by at most (H + 5) eps in
+    relative terms (H harmonics, 2 pi and its powers included), and each of
+    the q S composed stages adds at most 3 (H + 7) eps to the relative
+    error of the second derivative's bound.  ``iterate_d2_bound`` widens B2
+    by 4 q S (H + 7) eps, which leaves at least 7 eps, less the half ulp of
+    that product, over B2's own rounding.  The term B2 (h + eps)^2 / 8 adds
+    at most 3 eps: eps / 2 each from the quotient h and the sum h + eps,
+    doubled by the square, and from the square and the product (the
+    division by 8 is exact).  The final sum with rho rounds each part by
+    eps / 2: the B2 part within the same spare, and rho's part, with rho's
+    own few operations, far inside the half of rho that a not-locked
+    decision leaves unused, since it needs the rounding of D at one point
+    only.  So the float margin is at least the exact one.
 
     The coefficients a_j, b_j, c and the drift w t + c(t) are the float
     values at t that the kernel takes; the decision is about that map.
@@ -289,25 +280,18 @@ def is_locked(fam, t, p: int, q: int, grid: int | None = None) -> LockCheck:
     lip = fam.dtheta_lift_bound(t)
     try:
         lip_q = lip ** q
-    except OverflowError:  # an infinite margin clears nothing
+    except OverflowError:  # an infinite rho clears nothing
         lip_q = math.inf
     rate = _rounding_rate(fam, lip)
     y = 1.0 + q * (sum(abs(w * t + float(c(t))) for w, c, _ in fam.stack) + lip - 1.0)
     rho = 2.0 * EPS * (lip_q * q * rate * (y + 1.0) + y + abs(p) + 1.0)
-    margin = (1.0 + lip_q) / n + rho
-    b2 = functools.cache(lambda: fam.iterate_d2_bound(t, q))
-
-    def margins(first, h):
-        yield first
-        yield b2() * (h + EPS) ** 2 / 8.0 + rho
-
+    b2 = fam.iterate_d2_bound(t, q)
     s = LOCK_COARSE_STRIDE
     if n % s == 0 and n // s >= LOCK_COARSE_MIN:
-        slack = (lip_q - 1.0) * (s / n) / 2.0 + rho
-        chk = _lock_decision(step, p, q, n, s, margins(margin + slack, s / n))
+        chk = _lock_decision(step, p, q, n, s, b2 * (s / n + EPS) ** 2 / 8.0 + rho)
         if chk.status != UNRESOLVED:
             return chk
-    return _lock_decision(step, p, q, n, 1, margins(margin, 1.0 / n))
+    return _lock_decision(step, p, q, n, 1, b2 * (1.0 / n + EPS) ** 2 / 8.0 + rho)
 
 
 def _drift(rate, n: int, disp):

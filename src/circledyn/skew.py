@@ -111,6 +111,8 @@ def periodic_circles(m: int, n_max: int) -> list:
     period (the first level at which a rational appears is its exact period).
     Ordered by (n ascending, k ascending).
     """
+    if m < 2:
+        raise ValueError(f"base m must be an integer >= 2, got {m}")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     seen = {}
@@ -122,8 +124,6 @@ def periodic_circles(m: int, n_max: int) -> list:
             if x0 not in seen:
                 seen[x0] = True
                 out.append(PeriodicCircle(k, n, x0))
-    if not out:  # m**1 - 1 == 0 cannot happen for m >= 2, but keep the origin
-        out.append(PeriodicCircle(0, 1, Fraction(0)))
     return out
 
 

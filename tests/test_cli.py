@@ -55,6 +55,11 @@ def skew_file(tmp_path):
     return str(path)
 
 
+def serial(argv):
+    """``argv`` with ``--workers 1`` for the subcommands that take it."""
+    return argv if argv[0] == "dio" else argv + ["--workers", "1"]
+
+
 def read(path):
     with open(path) as fh:
         return fh.read()
@@ -173,17 +178,18 @@ class TestExitCodes:
         ["windows", "--input", "{family}", "--qmax", "2", "--tol", "0.9"],
         ["windows", "--input", "{family}", "--qmax", "30", "--tol", "2.8e-4"],
         ["tongues", "--input", "{family}", "--qmax", "2", "--deltas", "0.1", "--tol", "0.0625"],
+        ["tongues", "--input", "{family}", "--deltas", f"0:1:{10 ** 12}"],
     ], ids=["windows-qmax-0", "rho-niter-neg", "rho-qmax-neg", "skew-R-0",
             "theoremA-nmax-0", "config-qmax-abc", "tongues-deltas-0:1", "windows-seed-neg",
             "rho-qmax-dashdash", "rho-t-nan", "rho-t-range-overflow", "dio-C-0", "dio-C-above-2",
             "windows-tol-1e300", "windows-tol-2", "windows-tol-0.9", "windows-tol-over-qmax-30",
-            "tongues-tol-at-bound"])
+            "tongues-tol-at-bound", "tongues-deltas-above-cap"])
     def test_bad_option_exit_2(self, argv, arnold_file, skew_file, tmp_path, capsys):
         conf = tmp_path / "conf.json"
         conf.write_text(json.dumps({"qmax": "abc"}))
         out = tmp_path / "outdir"
         argv = [a.format(family=arnold_file, skew=skew_file, conf=conf) for a in argv]
-        assert main(argv + ["--out", str(out), "--workers", "1"]) == 2
+        assert main(serial(argv + ["--out", str(out)])) == 2
         assert not out.exists() or not any(out.iterdir())
         assert "error:" in capsys.readouterr().err
 
@@ -549,7 +555,7 @@ def test_fuzzed_options_keep_the_exit_contract(cmd, arnold_file, skew_file, tmp_
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             try:
-                code = main(args + ["--out", out, "--workers", "1"])
+                code = main(serial(args + ["--out", out]))
             except SystemExit as e:  # argparse rejects the value itself
                 code = e.code
         assert code in (0, 2, 3, 4), (args, err.getvalue())
@@ -563,16 +569,18 @@ def test_fuzzed_options_keep_the_exit_contract(cmd, arnold_file, skew_file, tmp_
 
 # -- the option table ---------------------------------------------------------
 
-COMMON_FLAGS = ["--out", "--config", "--seed", "--workers", "--qmax", "--tol", "--grid",
-                "--niter"]
+COMMON_FLAGS = ["--out", "--config", "--seed"]
 FLAGS = {
-    "rho": ["--input", *COMMON_FLAGS, "--t", "--t-range"],
-    "windows": ["--input", *COMMON_FLAGS, "--samples"],
-    "tongues": ["--input", *COMMON_FLAGS, "--deltas"],
-    "dio": [*COMMON_FLAGS, "--C", "--nmax"],
-    "skew": ["--input", *COMMON_FLAGS, "--nmax", "--R", "--t", "--t-range"],
-    "theoremA": ["--input", *COMMON_FLAGS, "--nmax", "--samples", "--eta-families",
-                 "--eta-samples"],
+    "rho": ["--input", *COMMON_FLAGS, "--workers", "--qmax", "--niter", "--t", "--t-range"],
+    "windows": ["--input", *COMMON_FLAGS, "--workers", "--qmax", "--tol", "--grid", "--niter",
+                "--samples"],
+    "tongues": ["--input", *COMMON_FLAGS, "--workers", "--qmax", "--tol", "--grid",
+                "--deltas"],
+    "dio": [*COMMON_FLAGS, "--grid", "--C", "--nmax"],
+    "skew": ["--input", *COMMON_FLAGS, "--workers", "--qmax", "--niter", "--nmax", "--R",
+             "--t", "--t-range"],
+    "theoremA": ["--input", *COMMON_FLAGS, "--workers", "--qmax", "--niter", "--nmax",
+                 "--samples", "--eta-families", "--eta-samples"],
 }
 
 
@@ -586,6 +594,23 @@ def parser_flags():
 
 def test_each_subcommand_keeps_its_flags():
     assert parser_flags() == {name: set(flags) for name, flags in FLAGS.items()}
+
+
+@pytest.mark.parametrize("argv", [
+    ["rho", "--input", "{family}", "--t", "0.3", "--grid", "64"],
+    ["rho", "--input", "{family}", "--t", "0.3", "--tol", "0.9"],
+    ["tongues", "--input", "{family}", "--deltas", "0.1", "--niter", "100"],
+    ["dio", "--C", "0.1", "--qmax", "5"],
+    ["dio", "--C", "0.1", "--workers", "1"],
+], ids=["rho-grid", "rho-tol", "tongues-niter", "dio-qmax", "dio-workers"])
+def test_option_the_subcommand_does_not_read_exit_2(argv, arnold_file, tmp_path, capsys):
+    out = tmp_path / "o"
+    argv = [a.format(family=arnold_file) for a in argv] + ["--out", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: " + argv[-4] in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_man_page_lists_each_subcommand_flags():
@@ -628,17 +653,18 @@ class TestOptionLayers:
         assert str(conf) in err and repr(key) in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("conf", [{"qmax": 5.7}, {"seed": True}, {"niter": 100.5},
-                                      {"qmax": True}, {"tol": False}, {"niter": 1e400}],
-                             ids=["qmax-5.7", "seed-true", "niter-100.5", "qmax-true",
-                                  "tol-false", "niter-1e400"])
-    def test_fractional_or_boolean_config_value_exit_2(self, conf, arnold_file, tmp_path,
+    @pytest.mark.parametrize("cmd,conf", [
+        ("rho", {"qmax": 5.7}), ("rho", {"seed": True}), ("rho", {"niter": 100.5}),
+        ("rho", {"qmax": True}), ("windows", {"tol": False}), ("rho", {"niter": 1e400}),
+    ], ids=["qmax-5.7", "seed-true", "niter-100.5", "qmax-true", "tol-false", "niter-1e400"])
+    def test_fractional_or_boolean_config_value_exit_2(self, cmd, conf, arnold_file, tmp_path,
                                                        capsys):
         # int() would run these as qmax 5, seed 1, niter 100
         path = tmp_path / "conf.json"
         path.write_text(json.dumps(conf))
         out = tmp_path / "o"
-        assert main(["rho", "--input", arnold_file, "--t", "0.05", "--config", str(path),
+        argv = ["--t", "0.05"] if cmd == "rho" else ["--qmax", "2", "--samples", "5"]
+        assert main([cmd, "--input", arnold_file, *argv, "--config", str(path),
                      "--out", str(out), "--workers", "1"]) == 2
         err = capsys.readouterr().err
         assert str(path) in err and repr(next(iter(conf))) in err
@@ -657,12 +683,16 @@ class TestOptionLayers:
     @pytest.mark.parametrize("cmd,key,value,flag", [
         ("skew", "nmax", 0, "--nmax"), ("skew", "R", 2.0, "--R"),
         ("skew", "nmax", 13, "--nmax"), ("windows", "tol", 0.01, "--tol"),
-    ], ids=["nmax-0", "R-2", "skew-nmax-cap", "windows-tol-bound"])
+        ("windows", "samples", 10 ** 12, "--samples"),
+        ("theoremA", "samples", 10 ** 12, "--samples"),
+        ("theoremA", "eta_samples", 10 ** 12, "--eta-samples"),
+    ], ids=["nmax-0", "R-2", "skew-nmax-cap", "windows-tol-bound", "windows-samples-cap",
+            "theoremA-samples-cap", "theoremA-eta-samples-cap"])
     def test_range_error_names_its_layer(self, layer, cmd, key, value, flag, arnold_file,
                                          skew_file, tmp_path, capsys, monkeypatch):
         # the skew cap and the window tolerance need the definition file, so
         # they are checked after the others
-        argv = [cmd, "--input", skew_file if cmd == "skew" else arnold_file, "--qmax", "10",
+        argv = [cmd, "--input", arnold_file if cmd == "windows" else skew_file, "--qmax", "10",
                 "--workers", "1", "--out", str(tmp_path / "o")]
         argv += ["--t", "0.1"] if cmd == "skew" else []
         conf = tmp_path / "conf.json"
@@ -712,7 +742,7 @@ class TestOptionLayers:
         # a dump passed back with --config, and nothing else, runs again
         argv = [a.format(family=arnold_file, skew=skew_file) for a in argv]
         first = tmp_path / "first"
-        assert main(argv + ["--out", str(first), "--workers", "1"]) == 0
+        assert main(serial(argv + ["--out", str(first)])) == 0
         conf = first / "run_config.json"
         dumped = json.loads(read(conf))
         assert dumped["subcommand"] == argv[0]
@@ -747,3 +777,34 @@ class TestSkewCircleCap:
         assert main(["skew", "--input", skew_file, "--t", "0.1", "--nmax", "12",
                      "--out", str(tmp_path / "o"), "--workers", "1"]) == 0
         assert checked == [12] and 2 ** 12 - 1 <= cli.skew.MAX_CIRCLES < 2 ** 13 - 1
+
+
+class TestSampleCap:
+    """Sample counts and a:b:n sweeps are capped at ``MAX_SAMPLES``, so a
+    huge count exits 2 instead of failing to allocate its arrays (the
+    sample-count cases are in ``test_range_error_names_its_layer``)."""
+
+    @pytest.mark.parametrize("cmd", ["windows", "theoremA"])
+    def test_cap_itself_passes(self, cmd):
+        args = cli.build_parser().parse_args([cmd, "--input", "f.json", "--samples",
+                                              str(cli.MAX_SAMPLES)])
+        assert cli._merge_config(cmd, args).samples == cli.MAX_SAMPLES
+
+    @pytest.mark.parametrize("layer", ["env", "flag"])
+    def test_sweep_above_cap_exit_2(self, layer, arnold_file, tmp_path, capsys, monkeypatch):
+        sweep = f"0:1:{10 ** 12}"
+        argv = ["rho", "--input", arnold_file, "--workers", "1", "--out", str(tmp_path / "o")]
+        if layer == "env":
+            monkeypatch.setenv("CIRCLEDYN_T_RANGE", sweep)
+        else:
+            argv.append(f"--t-range={sweep}")
+        assert main(argv) == 2
+        source = "CIRCLEDYN_T_RANGE: " if layer == "env" else ""
+        assert capsys.readouterr().err.strip() == (
+            f"error: {source}--t-range must have n <= {cli.MAX_SAMPLES}, got {sweep!r}")
+        assert not (tmp_path / "o").exists()
+
+    def test_sweep_at_cap_parses(self):
+        cfg = cli.RunConfig("rho", {"t_range": f"0:1:{cli.MAX_SAMPLES}"})
+        ts = cli._parse_t_values(cfg)
+        assert len(ts) == cli.MAX_SAMPLES and ts[-1] == 1.0

@@ -99,7 +99,7 @@ class TestIsLocked:
 
     def test_lipschitz_power_beyond_float_range(self):
         # L = 202.7 for these 8 stages at t = 0.3, so L^139 overflows a
-        # float; the margins are then infinite and only a sign change decides
+        # float; the margin is then infinite and only a sign change decides
         F = SkewMap(2, ((0, 1, TPoly((0.0,)), TPoly((0.15,))),))
         rf = restricted_family(F, next(c for c in periodic_circles(2, 8) if c.n == 8))
         assert 139 * math.log10(rf.dtheta_lift_bound(0.3)) > 309
@@ -258,10 +258,10 @@ class TestTwoLevelLockCheck:
 
     def test_dip_between_sub_grid_points_still_locks(self):
         # harmonic j = n/32 puts every sub-grid point on a crest of
-        # t + a cos(2 pi j theta), where D = 1.5e-3 clears the margin
-        # (1 + L)/n = 6.8e-4; only the grid-spacing slack (L - 1) 16/n =
-        # 3.1e-3 sends the check on to the full grid, which sees the dip
-        # to D = -5e-4 between the sub-grid points
+        # t + a cos(2 pi j theta), where D = 1.5e-3 falls short of the
+        # sub-grid margin B2 (s/n)^2 / 8 = 4.9e-3, so the check goes on to
+        # the full grid, which sees the dip to D = -5e-4 between the
+        # sub-grid points
         n = rotation.lock_grid_size(1)
         fam = CircleFamily(1, TPoly((0.0,)), ((n // 32, TPoly((1e-3,)), TPoly((0.0,))),))
         chk = is_locked(fam, 5e-4, 0, 1)
@@ -665,10 +665,10 @@ def first_order_rule(fam, t, p, q, grid=None):
         rho = 2.0 * rotation.EPS * (lip_q * q * rotation._rounding_rate(fam, lip) * (y + 1.0)
                                     + y + abs(p) + 1.0)
         slack = (lip_q - 1.0) * (s / n) / 2.0 + rho
-        chk = rotation._lock_decision(step, p, q, n, s, [margin + slack])
+        chk = rotation._lock_decision(step, p, q, n, s, margin + slack)
         if chk.status != UNRESOLVED:
             return chk
-    return rotation._lock_decision(step, p, q, n, 1, [margin])
+    return rotation._lock_decision(step, p, q, n, 1, margin)
 
 
 def exact_d2(fam, t, q, theta):

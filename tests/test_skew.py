@@ -96,6 +96,13 @@ class TestPeriodicCircles:
         for c in periodic_circles(2, 5):
             assert (2 ** c.n * c.x0 - c.x0) % 1 == 0
 
+    @pytest.mark.parametrize("m", [1, 0, -2])
+    def test_base_below_two_raises(self, m):
+        # m = 1 has no isolated periodic circle, and x -> -2x is no base map
+        # here: x0 = 0 would come out with period 2
+        with pytest.raises(ValueError, match="base m"):
+            periodic_circles(m, 3)
+
 
 class TestFirstPerPeriod:
     @pytest.mark.parametrize("m", [2, 3, 5])
