@@ -241,6 +241,63 @@ def _c3_rows(stack, ys, col, first):
     return np.array([np.max(np.abs(g), axis=1) for g in (dev, d1 - 1.0, d2, d3)])
 
 
+def phase_step(data):
+    """The array kernel: a closure applying the lift given by ``data`` (as
+    ``StageStack.phase_data`` returns it) once to an array of thetas.
+    Stage by stage, y -> y + drift + sum of R sin(w y + phi), the
+    harmonics added in their order."""
+
+    def step(theta):
+        y, s = theta, None
+        for drift, phased in data:
+            acc = y + drift
+            if s is None:
+                s = np.empty_like(acc)
+            for w, phi, r in phased:
+                np.multiply(w, y, out=s)
+                s += phi
+                np.sin(s, out=s)
+                s *= r
+                acc += s
+            y = acc
+        return y
+
+    return step
+
+
+def merge_phases(parts):
+    """One ``phase_data`` for several stacks with the same number of stages:
+    ``parts`` are (data, size) pairs, each data at ``size`` values of t,
+    concatenated in order.  A stage with fewer harmonics than the most any
+    part has there gets slots (0, 0, 0) after its own, so each element runs
+    its own stack's float operations followed by exact additions of
+    0 sin(0 y + 0) = 0 while y is finite.  One part is returned as it is."""
+    if len(parts) == 1:
+        return parts[0][0]
+
+    def cat(values):
+        return np.concatenate([np.broadcast_to(v, (n,)) for v, (_, n) in zip(values, parts)])
+
+    merged = []
+    for stages in zip(*(data for data, _ in parts)):
+        slots = max(len(phased) for _, phased in stages)
+        padded = [phased + [(0.0, 0.0, 0.0)] * (slots - len(phased)) for _, phased in stages]
+        # per slot, the (w, phi, R) of every part, concatenated field by field
+        merged.append((cat([drift for drift, _ in stages]),
+                       [tuple(map(cat, zip(*slot))) for slot in zip(*padded)]))
+    return merged
+
+
+def take_phases(data, keep):
+    """``data`` at the values of t selected by index or mask ``keep``: the
+    same floats as ``phase_data`` at those values, since every entry is
+    elementwise in t."""
+    def take(v):
+        return v[keep] if np.ndim(v) else v
+
+    return [(take(drift), [tuple(map(take, h)) for h in phased]) for drift, phased in data]
+
+
 class StageStack:
     """A parameterized lift composed of stages, applied in order:
 
@@ -257,25 +314,14 @@ class StageStack:
 
     # -- evaluation ---------------------------------------------------------
 
-    def step_factory(self, t):
-        """Return a closure applying the lift once at fixed t (t may be an
-        array, in which case each component advances under its own
-        parameter).
-
-        Each harmonic a cos(w y) + b sin(w y) is evaluated in phase form
-        R sin(w y + phi), with R = hypot(a, b) and phi = atan2(a, b) taken
-        once at t: one transcendental per harmonic and step.  Its rounding
-        is counted in ``rotation.is_locked``.
-
-        At a 0-d t the coefficients are kept as Python floats, and a 0-d
-        theta (a float or a 0-d array) advances on them with ``math.sin``:
-        the same float operations as the array path, a float out.  A sine
-        of +-inf, where numpy's gives nan, makes that step return nan.
-        """
-        t = np.asarray(t, dtype=float)
-        scalar = not t.ndim
-        if scalar:
-            t = float(t)
+    def phase_data(self, t):
+        """The lift at t in phase form, the data of :func:`phase_step`: per
+        stage its drift w t + c(t) and, per harmonic a cos(2 pi j y) + b
+        sin(2 pi j y), the triple (2 pi j, phi, R) of R sin(2 pi j y + phi),
+        with R = hypot(a, b) and phi = atan2(a, b).  At a float t these are
+        Python floats, at an array t arrays over t; every value is
+        elementwise in t."""
+        scalar = isinstance(t, float)
         data = []
         for w, const, harm in self.stack:
             phased = []
@@ -286,22 +332,26 @@ class StageStack:
                     phi, r = float(phi), float(r)
                 phased.append((TAU * j, phi, r))
             data.append((w * t + const(t), phased))
+        return data
 
-        def array_step(theta):
-            y, s = theta, None
-            for drift, phased in data:
-                acc = y + drift
-                if s is None:
-                    s = np.empty_like(acc)
-                for w, phi, r in phased:
-                    np.multiply(w, y, out=s)
-                    s += phi
-                    np.sin(s, out=s)
-                    s *= r
-                    acc += s
-                y = acc
-            return y
+    def step_factory(self, t):
+        """Return a closure applying the lift once at fixed t (t may be an
+        array, in which case each component advances under its own
+        parameter): :func:`phase_step` on ``phase_data(t)``.
 
+        Each harmonic is evaluated in phase form R sin(w y + phi), with R
+        and phi taken once at t: one transcendental per harmonic and step.
+        Its rounding is counted in ``rotation.is_locked``.
+
+        At a 0-d t the coefficients are kept as Python floats, and a 0-d
+        theta (a float or a 0-d array) advances on them with ``math.sin``:
+        the same float operations as the array path, a float out.  A sine
+        of +-inf, where numpy's gives nan, makes that step return nan.
+        """
+        t = np.asarray(t, dtype=float)
+        scalar = not t.ndim
+        data = self.phase_data(float(t) if scalar else t)
+        array_step = phase_step(data)
         if not scalar:
             return array_step
 

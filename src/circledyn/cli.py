@@ -47,6 +47,11 @@ ENV_PREFIX = "CIRCLEDYN_"
 # 0.4 kB per sample for windows and theoremA: rho --t-range 0:1:2^18 peaked
 # at 456 MB (numpy 2.4.6, 2-core VM), below a MAX_LOCK_GRID check's 670 MB.
 MAX_SAMPLES = 2 ** 18
+# Largest --eta-families, per norm level.  A sampled family takes about
+# 21 ms to build and 6 kB to hold, and its sweep about 0.35 s at the default
+# 2000 samples (numpy 2.4.6, 2-core VM), so the cap's 4 x 1024 families
+# hold about 25 MB and run for some 25 minutes per core.
+MAX_ETA_FAMILIES = 2 ** 10
 
 _COMMANDS = {
     "rho": "rotation numbers with error bars along a t sweep",
@@ -103,7 +108,8 @@ _OPTIONS = {
                     most={"dio": MAX_N_MAX}),
     "R": _Option(float, {"skew": 0.5}, "closeness-to-identity threshold", least=0.0,
                  most={"skew": 1.0}),
-    "eta_families": _Option(int, {"theoremA": 8}, "sampled families per norm level", least=1),
+    "eta_families": _Option(int, {"theoremA": 8}, "sampled families per norm level", least=1,
+                            most={"theoremA": MAX_ETA_FAMILIES}),
     "eta_samples": _Option(int, {"theoremA": 2000}, "Monte Carlo samples per sampled family",
                            least=1, most={"theoremA": MAX_SAMPLES}),
 }
@@ -373,7 +379,7 @@ def cmd_theoremA(cfg: RunConfig) -> int:
         r_star = max(res.norms)
         ec = eta_curve([r_star * k / 4.0 for k in range(1, 5)], cfg.eta_families,
                        q_max=cfg.qmax, seed=cfg.seed, mc_samples=cfg.eta_samples,
-                       n_iter=n_iter, map_fn=pool.map)
+                       n_iter=n_iter, map_fn=pool)
     inter_rows = [
         (i + 1, mu, mp) for i, (mu, mp) in enumerate(zip(res.mu_locked, res.mu_pessimistic))
     ]
@@ -384,10 +390,13 @@ def cmd_theoremA(cfg: RunConfig) -> int:
     }
     classified = [(i + 1, c) for i, c in enumerate(res.classified)]
     iterates = [(i + 1, n) for i, n in enumerate(res.iterates)]
+    eta_iterates = [(r, i + 1, n) for r, level in zip(ec.r, ec.iterates)
+                    for i, n in enumerate(level)]
     _finish(
         cfg, files, inputs={"skew": cfg.input},
         report_tables={"intersection_classified": (("N", "classified"), classified),
-                       "intersection_iterates": (("N", "iterates"), iterates)},
+                       "intersection_iterates": (("N", "iterates"), iterates),
+                       "eta_iterates": (("r", "family", "iterates"), eta_iterates)},
         hypotheses={
             "norms": list(res.norms),
             "windings": list(res.windings),

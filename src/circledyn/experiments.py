@@ -132,11 +132,13 @@ def intersection_measure(families, t_samples: int, q_max: int = 30, seed: int = 
 class EtaCurve:
     """Empirical lower envelope of the locked-measure bound eta(r):
     the largest Monte Carlo locked fraction seen among sampled families of
-    norm exactly r, made nondecreasing in r."""
+    norm exactly r, made nondecreasing in r.  ``iterates[k][i]`` counts the
+    orbit iterates that classifying sampled family i + 1 of level r[k] took."""
 
     r: tuple
     eta: tuple
     eta_raw: tuple
+    iterates: tuple
     seed: int
 
     def at(self, r: float) -> float:
@@ -169,8 +171,18 @@ def sample_family(rng: np.random.Generator, r: float) -> CircleFamily:
     return fam.scaled(r / value)
 
 
-def _eta_task(args):
-    return float(np.mean(_classify_family(*args)[0]))
+def _sample(key):
+    seed, ri, fi, r = key
+    return sample_family(make_rng(seed, 1, ri, fi), r)
+
+
+def _tally(results):
+    """Locked count and orbit iterates of an iterable of results."""
+    locked = iterates = 0
+    for r in results:
+        locked += r.classification == rotation.LOCKED
+        iterates += r.n_iter
+    return locked, iterates
 
 
 def eta_curve(r_grid, sample_families_per_r: int, q_max: int = 30, seed: int = 0,
@@ -178,22 +190,32 @@ def eta_curve(r_grid, sample_families_per_r: int, q_max: int = 30, seed: int = 0
               map_fn=map) -> EtaCurve:
     """Empirical eta(r): sample random families at each norm level r and take
     the largest Monte Carlo locked fraction, then apply an isotonic cleanup
-    (eta is a sup over nested classes, so it must be nondecreasing).  The
-    sweeps retire samples early, as in :func:`intersection_measure`."""
+    (eta is a sup over nested classes, so it must be nondecreasing).
+
+    Every sampled family is built by a ``map_fn`` task, and all of them are
+    classified on one shared t sample by ``rotation.classify_groups``:
+    merged sweeps, one block per worker of ``map_fn`` (see
+    ``classify_batch``), whose workers send back only each family's locked
+    count and iterates.  The sweeps retire samples early, as in
+    :func:`intersection_measure`.  Each sample is classified as it would be
+    alone, so the curve and the iterates do not depend on the blocks.
+    """
+    if mc_samples < 1:
+        raise ValueError("mc_samples must be >= 1")
     rs = sorted(float(r) for r in r_grid)
     ts = make_rng(seed, 0).random(mc_samples)
-    tasks = []
-    for ri, r in enumerate(rs):
-        for fi in range(sample_families_per_r):
-            fam = sample_family(make_rng(seed, 1, ri, fi), r)
-            tasks.append((fam, ts, q_max, n_iter))
-    fracs = list(map_fn(_eta_task, tasks))
-    raw = []
-    for ri in range(len(rs)):
-        chunk = fracs[ri * sample_families_per_r:(ri + 1) * sample_families_per_r]
-        raw.append(max(chunk) if chunk else 0.0)
+    keys = [(seed, ri, fi, r) for ri, r in enumerate(rs) for fi in range(sample_families_per_r)]
+    fams = list(map_fn(_sample, keys))
+    tallies = [tuple(map(sum, zip(*pieces))) for pieces in rotation.classify_groups(
+        [(fam, ts) for fam in fams], q_max=q_max, n_iter=n_iter, map_fn=map_fn, retire=True,
+        reduce=_tally)]
+    levels = [tallies[ri * sample_families_per_r:(ri + 1) * sample_families_per_r]
+              for ri in range(len(rs))]
+    raw = [max(locked / mc_samples for locked, _ in level) if level else 0.0
+           for level in levels]
     eta = list(np.maximum.accumulate(raw))
-    return EtaCurve(tuple(rs), tuple(eta), tuple(raw), seed)
+    return EtaCurve(tuple(rs), tuple(eta), tuple(raw),
+                    tuple(tuple(n for _, n in level) for level in levels), seed)
 
 
 @dataclass(frozen=True)

@@ -10,13 +10,14 @@ periodic displacement function, never by floating-point equality of rho.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import farey
-from .circle_map import EPS, TAU
+from .circle_map import EPS, TAU, merge_phases, phase_step, take_phases
 
 LOCKED = "locked"
 NOT_LOCKED = "not_locked"
@@ -45,6 +46,14 @@ CLASSIFY_N_ITER = 4096
 # iterate counts at which a retiring sweep (classify_batch(retire=True))
 # stops to retire the samples whose error bars hold no candidate fraction
 RETIRE_CHECKPOINTS = (256, 512, 1024, 2048)
+# Most values one sweep, or block of classify_groups, holds, so that a
+# sweep needs at most about 7 MB (some 0.4 kB per value: its
+# RotationResults and a few float64 arrays).  Merging
+# families pays where numpy's per-call cost dominates a step: few values,
+# as after retirement.  Larger sweeps would not: 4 families of 2^16 values
+# each ran 22% slower merged into sweeps of 2^18 than one at a time, and
+# within 5% in sweeps of 2^14 (numpy 2.4.6, 2-core VM).
+SWEEP_PAIRS = 2 ** 14
 
 
 @dataclass(frozen=True)
@@ -357,18 +366,24 @@ def classify(fam, t, q_max: int = 30, n_iter: int = CLASSIFY_N_ITER) -> Rotation
 
 
 @_quiet
-def _classify_block(fam, q_max: int, n_iter: int, rate, retire: bool, ts):
-    """``classify_batch`` on one block of values.  The survivors of a
-    retiring sweep stay compressed in ``live``, with their intersected bars
-    in ``lo``, ``hi``; the step is rebuilt on them after each checkpoint
-    that retired some."""
-    rates = (np.full(ts.size, rate) if rate is not None else
-             np.array([_rounding_rate(fam, fam.dtheta_lift_bound(float(t))) for t in ts]))
-    out = [None] * ts.size
-    live = np.arange(ts.size)
-    lo, hi = np.full(ts.size, -math.inf), np.full(ts.size, math.inf)
-    theta, done = np.zeros(ts.size), 0
-    step = fam.step_factory(ts)
+def _sweep(pieces, q_max: int, n_iter: int, retire: bool):
+    """One vectorized sweep over ``pieces``, (fam, ts, rate) triples, with
+    the stacks' phase data merged by ``merge_phases``: the results of all
+    values in order.  The survivors of a retiring sweep stay compressed in
+    ``live``, with their intersected bars in ``lo``, ``hi``, and the phase
+    data is compressed with them after each checkpoint that retired some."""
+    starts = list(itertools.accumulate((t.size for _, t, _ in pieces), initial=0))
+    size = starts[-1]
+    rates = np.concatenate([
+        np.full(t.size, rate) if rate is not None else
+        np.array([_rounding_rate(fam, fam.dtheta_lift_bound(float(v))) for v in t])
+        for fam, t, rate in pieces])
+    data = merge_phases([(fam.phase_data(t), t.size) for fam, t, _ in pieces])
+    step = phase_step(data)
+    out = [None] * size
+    live = np.arange(size)
+    lo, hi = np.full(size, -math.inf), np.full(size, math.inf)
+    theta, done = np.zeros(size), 0
     for n in [c for c in RETIRE_CHECKPOINTS if retire and c < n_iter]:
         for _ in range(n - done):
             theta = step(theta)
@@ -389,12 +404,69 @@ def _classify_block(fam, q_max: int, n_iter: int, rate, retire: bool, ts):
         live, theta = live[~empty], theta[~empty]
         if not live.size:
             return out
-        step = fam.step_factory(ts[live])
+        data = take_phases(data, ~empty)
+        step = phase_step(data)
     for _ in range(n_iter - done):
         theta = step(theta)
-    for i, d in zip(live.tolist(), (theta / n_iter).tolist()):
-        out[i] = _decide(fam, float(ts[i]), d, n_iter, q_max, float(rates[i]),
+    owners = np.searchsorted(starts, live, side="right") - 1  # the piece of each survivor
+    for i, k, d in zip(live.tolist(), owners.tolist(), (theta / n_iter).tolist()):
+        fam, t, _ = pieces[k]
+        out[i] = _decide(fam, float(t[i - starts[k]]), d, n_iter, q_max, float(rates[i]),
                          (float(lo[i]), float(hi[i])))
+    return out
+
+
+def _classify_block(groups, q_max: int, n_iter: int, retire: bool, reduce, block):
+    """``classify_groups`` on the values ``block``, a range of indices into
+    the concatenated values of ``groups``, in one sweep.  Returns (group
+    index, value) for each group with values in the block, where the value
+    is the list of their results, or ``reduce`` of an iterator over them."""
+    ends = list(itertools.accumulate((ts.size for _, ts, _ in groups), initial=0))
+    pieces = [(g, max(block.start, a) - a, min(block.stop, b) - a)
+              for g, (a, b) in enumerate(zip(ends, ends[1:]))
+              if max(block.start, a) < min(block.stop, b)]
+    results = iter(_sweep([(groups[g][0], groups[g][1][i:j], groups[g][2]) for g, i, j in pieces],
+                          q_max, n_iter, retire))
+    out = []
+    for g, i, j in pieces:
+        part = itertools.islice(results, j - i)
+        out.append((g, list(part) if reduce is None else reduce(part)))
+    return out
+
+
+def classify_groups(groups, q_max: int = 30, n_iter: int = CLASSIFY_N_ITER, map_fn=map,
+                    retire: bool = False, reduce=None):
+    """Classify several families, each on its own parameter values, in
+    merged sweeps.  ``groups`` are (fam, ts) pairs, every fam with the same
+    number of stages.  Each value is classified as ``classify_batch(fam,
+    ts)`` would classify it, field for field: the merged phase data runs
+    every value through its own family's float operations (``merge_phases``),
+    and the rate of ``_decide`` comes from its own group.
+
+    The values of all groups, concatenated in order, go out in one block
+    per worker, the ``workers`` attribute of ``map_fn`` (see
+    ``classify_batch``), or in more, of equal size, where a block would
+    exceed ``SWEEP_PAIRS`` values; each block is one sweep.  Returns per
+    group the values of its pieces (its values within one block), in
+    order: each piece's list of results, or ``reduce`` of an iterator over
+    them, applied where the sweep ran, so that a caller that only counts
+    gets counts back from the workers.
+    """
+    groups = [(fam, np.asarray(ts, dtype=float)) for fam, ts in groups]
+    if len({len(fam.stack) for fam, _ in groups}) > 1:
+        raise ValueError("classify_groups needs families with the same number of stages")
+    # the t-free rate holds for every t in [0, 1]
+    groups = [(fam, ts, _rounding_rate(fam, fam.dtheta_lift_bound())
+               if np.all((ts >= 0.0) & (ts <= 1.0)) else None) for fam, ts in groups]
+    total = sum(ts.size for _, ts, _ in groups)
+    blocks = max(1, min(getattr(map_fn, "workers", 1), total), -(-total // SWEEP_PAIRS))
+    each, extra = divmod(total, blocks)  # block sizes as np.array_split's
+    cuts = [k * each + min(k, extra) for k in range(blocks + 1)]
+    task = functools.partial(_classify_block, groups, q_max, n_iter, retire, reduce)
+    out = [[] for _ in groups]
+    for block in map_fn(task, [range(a, b) for a, b in zip(cuts, cuts[1:])]):
+        for g, value in block:
+            out[g].append(value)
     return out
 
 
@@ -402,6 +474,7 @@ def classify_batch(fam, ts, q_max: int = 30, n_iter: int = CLASSIFY_N_ITER, map_
                    retire: bool = False):
     """Classify many parameter values; the rho sweep is vectorized and the
     (rare) lock checks run per sample.  Returns a list of RotationResult.
+    This is ``classify_groups`` with one group.
 
     ``retire`` stops the sweep at each of ``RETIRE_CHECKPOINTS`` below
     ``n_iter``.  The displacement inequality puts rho in the bar d_n +- 1/n
@@ -424,9 +497,5 @@ def classify_batch(fam, ts, q_max: int = 30, n_iter: int = CLASSIFY_N_ITER, map_
     classified as it would be alone, so the results do not depend on the
     blocks.
     """
-    ts = np.asarray(ts, dtype=float)
-    rate = (_rounding_rate(fam, fam.dtheta_lift_bound())
-            if np.all((ts >= 0.0) & (ts <= 1.0)) else None)
-    blocks = max(1, min(getattr(map_fn, "workers", 1), ts.size))
-    task = functools.partial(_classify_block, fam, q_max, n_iter, rate, retire)
-    return [r for block in map_fn(task, np.array_split(ts, blocks)) for r in block]
+    pieces = classify_groups([(fam, ts)], q_max, n_iter, map_fn, retire)[0]
+    return [r for piece in pieces for r in piece]

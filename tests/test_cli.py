@@ -448,6 +448,26 @@ class TestDeterminism:
             serial, parallel = (read(os.path.join(out, fname)) for out in outs)
             assert serial == parallel, fname
 
+    def test_theoremA_eta_sweep_parallel_matches_serial(self, skew_file, tmp_path):
+        # 4 levels x 3 sampled families, merged into one sweep and cut into
+        # two blocks by two workers
+        args = ["theoremA", "--input", skew_file, "--nmax", "2", "--samples", "20",
+                "--qmax", "10", "--eta-families", "3", "--eta-samples", "60", "--seed", "3"]
+        outs = [str(tmp_path / f"w{w}") for w in (1, 2)]
+        for out, workers in zip(outs, ("1", "2")):
+            assert main(args + ["--out", out, "--workers", workers]) == 0
+        serial, parallel = (read(os.path.join(out, "eta.csv")) for out in outs)
+        assert serial == parallel and len(serial.splitlines()) == 5
+        tables = [json.loads(read(os.path.join(out, "report.json")))["tables"]["eta_iterates"]
+                  for out in outs]
+        assert tables[0] == tables[1]
+        assert tables[0]["header"] == ["r", "family", "iterates"]
+        rows = tables[0]["rows"]
+        assert [r[1] for r in rows] == ["1", "2", "3"] * 4
+        assert len({r[0] for r in rows}) == 4
+        assert all(256 * 60 <= int(r[2]) <= 4096 * 60 for r in rows)
+        assert "iterates" not in serial
+
 
 class TestConsoleEntry:
     def test_module_invocation(self, tmp_path):
@@ -686,8 +706,9 @@ class TestOptionLayers:
         ("windows", "samples", 10 ** 12, "--samples"),
         ("theoremA", "samples", 10 ** 12, "--samples"),
         ("theoremA", "eta_samples", 10 ** 12, "--eta-samples"),
+        ("theoremA", "eta_families", 10 ** 12, "--eta-families"),
     ], ids=["nmax-0", "R-2", "skew-nmax-cap", "windows-tol-bound", "windows-samples-cap",
-            "theoremA-samples-cap", "theoremA-eta-samples-cap"])
+            "theoremA-samples-cap", "theoremA-eta-samples-cap", "theoremA-eta-families-cap"])
     def test_range_error_names_its_layer(self, layer, cmd, key, value, flag, arnold_file,
                                          skew_file, tmp_path, capsys, monkeypatch):
         # the skew cap and the window tolerance need the definition file, so

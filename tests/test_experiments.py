@@ -197,6 +197,25 @@ class TestEtaCurve:
             fam = sample_family(make_rng(14, i), r)
             assert norm_value(fam) == pytest.approx(r, rel=1e-6)
 
+    @pytest.mark.parametrize("map_fn", [map, TwoBlocks()], ids=["serial", "two-blocks"])
+    def test_merged_sweep_equals_per_family_sweeps(self, map_fn):
+        # each sampled family classified on its own, as eta_curve did before
+        # it merged them; two blocks cut the 9 x 150 values within family 5
+        rs, per_r, seed = [0.0, 0.05, 0.4], 3, 17
+        ts = make_rng(seed, 0).random(150)
+        raw, iterates = [], []
+        for ri, r in enumerate(rs):
+            fracs = []
+            for fi in range(per_r):
+                res = rotation.classify_batch(sample_family(make_rng(seed, 1, ri, fi), r), ts,
+                                              q_max=10, retire=True)
+                fracs.append(float(np.mean([x.classification == rotation.LOCKED for x in res])))
+                iterates.append(sum(x.n_iter for x in res))
+            raw.append(max(fracs))
+        ec = eta_curve(rs, per_r, q_max=10, seed=seed, mc_samples=150, map_fn=map_fn)
+        assert ec.eta_raw == tuple(raw) and ec.eta_raw[-1] > 0.0
+        assert [n for level in ec.iterates for n in level] == iterates
+
     def test_determinism(self):
         a = eta_curve([0.1], 3, q_max=10, seed=15, mc_samples=200)
         b = eta_curve([0.1], 3, q_max=10, seed=15, mc_samples=200)

@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from circledyn import farey, rotation, windows
+from circledyn import circle_map, farey, rotation, windows
 from circledyn.circle_map import CircleFamily, StageStack, TPoly
 from circledyn.experiments import sample_family
 from circledyn.gallery import arnold_family, arnold_skew, c3_scaled_amplitude, rigid_family
@@ -649,6 +649,105 @@ class TestRetiringSweep:
         serial = classify_batch(fam, ts, q_max=10, retire=True)
         assert classify_batch(fam, ts, q_max=10, retire=True, map_fn=TwoBlocks()) == serial
         assert any(r.n_iter < rotation.CLASSIFY_N_ITER for r in serial)
+
+
+def merged_groups():
+    """(family, t values) for one-stage families with 0 to 3 harmonics, the
+    rigid one (r = 0) first, with their own sample sizes.
+
+    The first four take seeded t in [0, 1], t near window edges and t near
+    1e8, where the rigid family's rounding rate passes the guard at
+    CLASSIFY_N_ITER iterates and the others' fail it.  The last has winding
+    2^27 and t in [0, 1] only, so it takes the t-free rate, which fails the
+    guard for t above about 0.4 where the rigid family's would pass."""
+    fams = [sample_family(np.random.default_rng(0), 0.0), arnold_family(0.13),
+            two_harmonic_family(), sampled_family()]
+    groups = []
+    for i, fam in enumerate(fams):
+        rng = np.random.default_rng(40 + i)
+        ws = windows.enumerate_windows(fam, 6, tol=1e-6)
+        edges = np.array([e for w in ws if w.width > 0 for e in (w.t_lo, w.t_hi)])
+        near = np.clip(edges + rng.normal(0.0, 3e-4, edges.size), 0.0, 1.0)
+        groups.append((fam, np.concatenate([rng.random(30 + 7 * i), near, 1e8 + rng.random(3)])))
+    fast = dataclasses.replace(arnold_family(0.13), winding=2 ** 27)
+    return groups + [(fast, np.random.default_rng(44).random(40))]
+
+
+class TestMergedSweep:
+    """``classify_groups`` sweeps several families at once; every value is
+    classified as ``classify_batch`` classifies it on its own family."""
+
+    @pytest.fixture(scope="class")
+    def groups(self):
+        return merged_groups()
+
+    def per_family(self, groups, retire):
+        return [classify_batch(fam, ts, q_max=6, retire=retire) for fam, ts in groups]
+
+    @pytest.mark.parametrize("retire", [False, True])
+    @pytest.mark.parametrize("map_fn", [map, TwoBlocks()], ids=["one-block", "two-blocks"])
+    def test_equals_per_family_batch(self, groups, retire, map_fn):
+        merged = rotation.classify_groups(groups, q_max=6, retire=retire, map_fn=map_fn)
+        assert [[r for piece in pieces for r in piece] for pieces in merged] == \
+            self.per_family(groups, retire)
+        # the two blocks cut one family in two
+        assert [len(pieces) for pieces in merged].count(2) == (map_fn is not map)
+
+    def test_matrix_reaches_every_class(self, groups):
+        for retire in (False, True):
+            classes = {r.classification for res in self.per_family(groups, retire) for r in res}
+            assert classes == {LOCKED, IRRATIONAL_CANDIDATE, UNRESOLVED}
+
+    @pytest.mark.parametrize("retire", [False, True])
+    def test_sweep_cap_cuts_blocks(self, groups, retire, monkeypatch):
+        # blocks of at most 37 values, cut within families and across them
+        monkeypatch.setattr(rotation, "SWEEP_PAIRS", 37)
+
+        def tally(results):
+            return [(r.classification, r.n_iter, r.displacement) for r in results]
+
+        merged = rotation.classify_groups(groups, q_max=6, retire=retire, map_fn=TwoBlocks(),
+                                          reduce=tally)
+        for pieces, res in zip(merged, self.per_family(groups, retire)):
+            assert [v for piece in pieces for v in piece] == tally(res)
+            assert max(map(len, pieces)) <= 37
+        assert sum(map(len, merged)) > 2 * len(groups)
+
+    def test_padding_follows_the_real_harmonics(self, groups):
+        parts = [(fam.phase_data(ts), ts.size) for fam, ts in groups]
+        (drift, phased), = circle_map.merge_phases(parts)
+        assert len(phased) == 3
+        start = 0
+        for ((own_drift, own), ), n in parts:
+            at = slice(start, start + n)
+            assert np.array_equal(drift[at], own_drift)
+            for k, slot in enumerate(phased):
+                want = own[k] if k < len(own) else (0.0, 0.0, 0.0)
+                for got, value in zip(slot, want):
+                    assert np.array_equal(got[at], np.broadcast_to(value, (n,)))
+            start += n
+
+    def test_compressed_phases_are_the_subset_phases(self, groups):
+        fam, ts = groups[3]
+        keep = np.random.default_rng(3).random(ts.size) < 0.5
+        step = circle_map.phase_step(circle_map.take_phases(fam.phase_data(ts), keep))
+        theta = np.linspace(-1.0, 2.0, int(keep.sum()))
+        assert np.array_equal(step(theta), fam.step_factory(ts[keep])(theta))
+
+    def test_multi_stage_families(self):
+        # one harmonic per stage, and two per stage, so the first is padded
+        F = SkewMap(2, ((0, 1, TPoly((0.0,)), TPoly((0.02,))),
+                        (1, 2, TPoly((0.003,)), TPoly((0.0, 0.002)))))
+        groups = [(three_stage_family(), np.random.default_rng(1).random(40)),
+                  (restricted_family(F, next(c for c in periodic_circles(2, 3) if c.n == 3)),
+                   np.random.default_rng(2).random(30))]
+        merged = rotation.classify_groups(groups, q_max=6, retire=True, map_fn=TwoBlocks())
+        assert [[r for piece in pieces for r in piece] for pieces in merged] == \
+            [classify_batch(fam, ts, q_max=6, retire=True) for fam, ts in groups]
+
+    def test_unequal_stage_counts_raise(self):
+        with pytest.raises(ValueError, match="same number of stages"):
+            rotation.classify_groups([(arnold_family(0.1), [0.2]), (three_stage_family(), [0.2])])
 
 
 def first_order_rule(fam, t, p, q, grid=None):
