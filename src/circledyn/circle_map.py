@@ -166,7 +166,8 @@ class FamilyNorm:
     Both kinds of ``c3_g`` come from ``StageStack.c3_sup``: from
     :func:`family_norm` it is certified in t by a t margin; from
     ``skew.restricted_norm`` the theta sup is certified at C3_T_GRID values
-    of t, and the sup over t is a grid estimate."""
+    of t, and the sup over t is a grid estimate.  ``StageStack.c3_bound``
+    is the grid-free bound, certified for every t."""
 
     c3_g: float
     c0_dt: float
@@ -459,6 +460,43 @@ class StageStack:
             margins = composed_deriv_bounds(stages)
             out = max(out, *(float(s) + m / y_grid for s, m in zip(sups[:, i], margins)))
         return out
+
+    def c3_bound(self) -> float:
+        """Certified upper bound, over every t in [0, 1] and every y, for the
+        C3(y) norm of lift - (y + winding t): max(``g_sup_bound()``, e1, b2,
+        b3), with (e1, b2, b3, _) = ``composed_deriv_bounds`` of the stage
+        bounds over [0, 1], widened for its own rounding; inf on overflow.
+        It is never below the exact sup, and above ``c3_sup`` where several
+        harmonics or stages cannot peak together.
+
+        Rounding.  Every term is formed from nonnegative floats by sums,
+        products and powers, so the float result is at least the exact one
+        times (1 - u)^M, u = eps / 2, where M counts the roundings along
+        the longest chain, a product adding the chains of its factors.  A
+        stage bound of order k <= 3 takes at most D + H + 10: D for the
+        coefficient sum of a TPoly of degree D, one for the sum a + b, 2k
+        for (2 pi j)^k (2 pi = TAU within u, TAU j rounded, pow good to 1
+        ulp), two for the power itself, one for the product and H for the
+        sum over H harmonics and the constant.  So 1 + s1, l2 and l3 take
+        at most d = D + H + 11, and by induction over the S stages of
+        ``composed_deriv_bounds`` (float powers counted twice) h1, h2 and
+        h3 take at most S (d + 1), 2 S (d + 1) and 3 S (d + 1), and e1 and
+        ``g_sup_bound`` less.  With M = 3 S (D + H + 12), the factor 1 + (M
+        + 2) eps is exact, and its rounded product with the max is at least
+        (1 - (M + 1) u) (1 + 2 (M + 2) u) >= 1 times the exact value.
+        """
+        stages = [tuple(_stage_bound(c, harm, k) for k in range(1, 5)) for _, c, harm in self.stack]
+        try:
+            terms = (self.g_sup_bound(),) + composed_deriv_bounds(stages)[:3]
+        except OverflowError:
+            return math.inf
+        if not all(map(math.isfinite, terms)):  # an inf, or the nan of an inf times 0
+            return math.inf
+        degree = max(len(p.coeffs) - 1 for _, c, harm in self.stack
+                     for p in [c] + [x for _, a, b in harm for x in (a, b)])
+        h = max(len(harm) for _, _, harm in self.stack)
+        m = 3 * len(stages) * (degree + h + 12)
+        return max(terms) * (1.0 + (m + 2) * EPS)
 
     # -- validity -----------------------------------------------------------
 

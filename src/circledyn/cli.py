@@ -347,7 +347,7 @@ def cmd_skew(cfg: RunConfig) -> int:
     ts = _parse_t_values(cfg)
     n_iter = cfg.niter or rotation.CLASSIFY_N_ITER
     checks = skew.circle_checks(F, cfg.nmax, cfg.R)
-    eligible = [(c, rf, sup_c3) for c, rf, sup_c3, ok in checks if ok]
+    eligible = [(c, rf, sup_c3) for c, rf, sup_c3, ok, _ in checks if ok]
     search = functools.partial(skew.quasi_search, F, n_max=cfg.nmax, q_max=cfg.qmax,
                                R=cfg.R, n_iter=n_iter, candidates=eligible)
     with _Pool(_workers(cfg)) as pool:
@@ -360,12 +360,14 @@ def cmd_skew(cfg: RunConfig) -> int:
     files = {
         "circles.csv": ("circles", [
             (c.k, c.n, c.x0.numerator, c.x0.denominator, sup_c3, ok)
-            for c, _, sup_c3, ok in checks
+            for c, _, sup_c3, ok, _ in checks
         ]),
         "search.csv": ("search", search_rows),
     }
+    decided_by = [(c.k, c.n, by) for c, _, _, _, by in checks]
     _finish(cfg, files, inputs={"skew": cfg.input},
-            hypotheses={"R": cfg.R, "n_max": cfg.nmax})
+            hypotheses={"R": cfg.R, "n_max": cfg.nmax},
+            report_tables={"c3_decided_by": (("k", "n", "decided_by"), decided_by)})
     return 0
 
 
@@ -392,6 +394,8 @@ def cmd_theoremA(cfg: RunConfig) -> int:
     iterates = [(i + 1, n) for i, n in enumerate(res.iterates)]
     eta_iterates = [(r, i + 1, n) for r, level in zip(ec.r, ec.iterates)
                     for i, n in enumerate(level)]
+    # certified for every t, where the grid norms that set r_star are not
+    norm_bounds = [max(f.c3_bound(), f.dt_sup_bound()) for f in fams]
     _finish(
         cfg, files, inputs={"skew": cfg.input},
         report_tables={"intersection_classified": (("N", "classified"), classified),
@@ -402,6 +406,8 @@ def cmd_theoremA(cfg: RunConfig) -> int:
             "windings": list(res.windings),
             "windings_increasing": res.windings_increasing,
             "norms_below_one": all(v < 1.0 for v in res.norms),
+            "norm_bounds": norm_bounds,
+            "norm_bounds_below_one": all(v < 1.0 for v in norm_bounds),
             "conforming": res.conforming,
             "eta_at_max_norm": ec.at(r_star),
         },

@@ -416,20 +416,15 @@ def _sweep(pieces, q_max: int, n_iter: int, retire: bool):
     return out
 
 
-def _classify_block(groups, q_max: int, n_iter: int, retire: bool, reduce, block):
-    """``classify_groups`` on the values ``block``, a range of indices into
-    the concatenated values of ``groups``, in one sweep.  Returns (group
-    index, value) for each group with values in the block, where the value
-    is the list of their results, or ``reduce`` of an iterator over them."""
-    ends = list(itertools.accumulate((ts.size for _, ts, _ in groups), initial=0))
-    pieces = [(g, max(block.start, a) - a, min(block.stop, b) - a)
-              for g, (a, b) in enumerate(zip(ends, ends[1:]))
-              if max(block.start, a) < min(block.stop, b)]
-    results = iter(_sweep([(groups[g][0], groups[g][1][i:j], groups[g][2]) for g, i, j in pieces],
-                          q_max, n_iter, retire))
+def _classify_block(q_max: int, n_iter: int, retire: bool, reduce, pieces):
+    """``classify_groups`` on one block, in one sweep: ``pieces`` are the
+    (group index, fam, ts, rate) of the groups' values in the block.
+    Returns (group index, value) for each piece, where the value is the
+    list of its results, or ``reduce`` of an iterator over them."""
+    results = iter(_sweep([piece[1:] for piece in pieces], q_max, n_iter, retire))
     out = []
-    for g, i, j in pieces:
-        part = itertools.islice(results, j - i)
+    for g, _, ts, _ in pieces:
+        part = itertools.islice(results, ts.size)
         out.append((g, list(part) if reduce is None else reduce(part)))
     return out
 
@@ -462,9 +457,15 @@ def classify_groups(groups, q_max: int = 30, n_iter: int = CLASSIFY_N_ITER, map_
     blocks = max(1, min(getattr(map_fn, "workers", 1), total), -(-total // SWEEP_PAIRS))
     each, extra = divmod(total, blocks)  # block sizes as np.array_split's
     cuts = [k * each + min(k, extra) for k in range(blocks + 1)]
-    task = functools.partial(_classify_block, groups, q_max, n_iter, retire, reduce)
+    ends = list(itertools.accumulate((ts.size for _, ts, _ in groups), initial=0))
+    # each block's task carries only its own slices of the groups' values
+    tasks = [[(g, fam, ts[max(a, lo) - lo:min(b, hi) - lo], rate)
+              for g, ((fam, ts, rate), lo, hi) in enumerate(zip(groups, ends, ends[1:]))
+              if max(a, lo) < min(b, hi)]
+             for a, b in zip(cuts, cuts[1:])]
+    task = functools.partial(_classify_block, q_max, n_iter, retire, reduce)
     out = [[] for _ in groups]
-    for block in map_fn(task, [range(a, b) for a, b in zip(cuts, cuts[1:])]):
+    for block in map_fn(task, tasks):
         for g, value in block:
             out[g].append(value)
     return out

@@ -23,10 +23,12 @@ from .errors import DegenerateFiber
 C3_T_GRID = 33
 C3_Y_GRID = 1024
 # Largest m^nmax - 1 for which the skew subcommand checks every circle of
-# period <= nmax.  There are fewer than 2 (m^nmax - 1) + 1 of them, and
-# restricting and C3-checking one costs about 5 ms per period (2-core VM):
-# m = 2, nmax = 11 took 200 s and 76 MB for 4,011 circles.  At this cap,
-# m = 2 and nmax = 12 give 8,031 circles with 88,529 periods: some 7 minutes.
+# period <= nmax.  There are fewer than 2 (m^nmax - 1) + 1 of them.
+# Restricting and C3-checking one costs about 0.16 ms per period where the
+# coefficient bound settles R, and 3.4 to 5.7 ms per period where the grid
+# runs (CPU time, m = 2, nmax = 8, 3,347 periods, numpy 2.4.6, 2-core VM).
+# At this cap, m = 2 and nmax = 12 give 8,031 circles with 88,529 periods:
+# some 15 s when the bound settles every circle, up to 8 minutes when none.
 MAX_CIRCLES = 2 ** 12
 
 
@@ -175,25 +177,30 @@ def restricted_family(F: SkewMap, circle: PeriodicCircle) -> RestrictedFamily:
 
 
 def a3_check(rf: RestrictedFamily, R: float, y_grid: int = C3_Y_GRID) -> tuple:
-    """Estimate sup_t of the C3(y) norm of lift - (theta + n t) and compare
-    against the closeness-to-identity threshold R.
+    """Compare the C3(y) norm of lift - (theta + n t), over t in [0, 1],
+    against the closeness-to-identity threshold R.  Returns (sup_c3,
+    passes).
 
-    The sup is ``StageStack.c3_sup`` on C3_T_GRID values of t and a y grid
-    of at least ``y_grid`` points: the theta sup at each of those t is
-    certified, the sup over t is a grid estimate.  Returns (sup_c3, passes)
-    with passes = sup_c3 < R.
+    When ``StageStack.c3_bound``, certified for every t and y, is below R,
+    it is sup_c3 and the circle passes: no grid runs.  Otherwise sup_c3 is
+    ``StageStack.c3_sup`` on C3_T_GRID values of t and a y grid of at least
+    ``y_grid`` points, where the theta sup at each of those t is certified
+    and the sup over t is a grid estimate, and passes = sup_c3 < R.
     """
     if not 0.0 < R < 1.0:
         raise ValueError("R must lie in (0, 1)")
+    bound = rf.c3_bound()
+    if bound < R:
+        return bound, True
     sup = rf.c3_sup(C3_T_GRID, y_grid)
     return sup, sup < R
 
 
 def restricted_norm(rf: RestrictedFamily) -> FamilyNorm:
-    """Family norm of a restricted map: the C3(y) size of the periodic part
-    that ``a3_check`` compares against R, on the same C3_T_GRID x C3_Y_GRID
-    grid and without a t margin (a grid estimate in t), and the
-    t-derivative deviation bound."""
+    """Family norm of a restricted map: the grid C3(y) size of the periodic
+    part, ``c3_sup`` on the C3_T_GRID x C3_Y_GRID grid of ``a3_check``'s
+    fallback and without a t margin (a grid estimate in t), and the
+    t-derivative deviation bound.  ``c3_bound`` gives the certified one."""
     return FamilyNorm(c3_g=rf.c3_sup(C3_T_GRID, C3_Y_GRID), c0_dt=rf.dt_sup_bound())
 
 
@@ -229,20 +236,24 @@ def first_per_period(F: SkewMap, n_max: int) -> list:
 
 
 def circle_checks(F: SkewMap, n_max: int, R: float) -> list:
-    """(circle, family, sup_c3, passes) for every circle with period
-    <= n_max, in deterministic (n, k) order: ``a3_check`` at threshold R
-    of each restricted family.  Degenerate fibers propagate."""
+    """(circle, family, sup_c3, passes, decided_by) for every circle with
+    period <= n_max, in deterministic (n, k) order: ``a3_check`` at
+    threshold R of each restricted family, which ``decided_by`` names:
+    "bound" where sup_c3 is the certified ``c3_bound``, "grid" where it is
+    the grid estimate.  Degenerate fibers propagate."""
     out = []
     for circle in periodic_circles(F.m, n_max):
         rf = restricted_family(F, circle)
-        out.append((circle, rf) + a3_check(rf, R))
+        sup, ok = a3_check(rf, R)
+        # a grid sup that passes lies below R, so below the bound
+        out.append((circle, rf, sup, ok, "bound" if ok and sup == rf.c3_bound() else "grid"))
     return out
 
 
 def eligible_restrictions(F: SkewMap, n_max: int, R: float) -> list:
     """The (circle, family, sup_c3) triples of ``circle_checks`` that pass
     the C3-closeness filter."""
-    return [(c, rf, sup) for c, rf, sup, ok in circle_checks(F, n_max, R) if ok]
+    return [(c, rf, sup) for c, rf, sup, ok, _ in circle_checks(F, n_max, R) if ok]
 
 
 def quasi_search(F: SkewMap, t: float, n_max: int, q_max: int, R: float,

@@ -8,12 +8,13 @@ import re
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from circledyn import cli
+from circledyn import cli, skew
 from circledyn import io as cio
 from circledyn.cli import main
 from circledyn.diophantine import MAX_N_MAX
@@ -372,6 +373,41 @@ class TestSkewCommand:
         search = read(os.path.join(out, "search.csv")).strip().splitlines()
         assert search[0] == "t,found,k,n,rho,classification"
         assert len(search) == 3
+
+    def test_c3_decided_by(self, skew_file, tmp_path):
+        # Arnold fibers of C3 size 0.05: the certified bound (about 0.05 n)
+        # settles R = 0.12 for periods 1 and 2; period 3 falls to the grid
+        out, R = str(tmp_path / "s"), 0.12
+        assert main(["skew", "--input", skew_file, "--nmax", "3", "--R", str(R),
+                     "--t", "0.33", "--out", out, "--workers", "1", "--niter", "256"]) == 0
+        rows = [r.split(",") for r in read(os.path.join(out, "circles.csv")).split()[1:]]
+        table = json.loads(read(os.path.join(out, "report.json")))["tables"]["c3_decided_by"]
+        assert table["header"] == ["k", "n", "decided_by"]
+        assert [r[:2] for r in table["rows"]] == [r[:2] for r in rows]
+        F = cio.load_skew(skew_file)
+        for (k, n, num, den, sup, passes), (_, _, by) in zip(rows, table["rows"]):
+            circle = skew.PeriodicCircle(int(k), int(n), Fraction(int(num), int(den)))
+            rf = skew.restricted_family(F, circle)
+            if by == "bound":
+                assert float(sup) == rf.c3_bound() < R and passes == "1"
+            else:
+                assert float(sup) == rf.c3_sup(skew.C3_T_GRID, skew.C3_Y_GRID)
+                assert passes == ("1" if float(sup) < R else "0")
+        assert [r[2] for r in table["rows"]] == ["bound"] * 3 + ["grid"] * 6
+        assert "decided_by" not in read(os.path.join(out, "circles.csv"))
+
+
+class TestTheoremACommand:
+    def test_norm_bounds(self, skew_file, tmp_path):
+        out = str(tmp_path / "a")
+        assert main(["theoremA", "--input", skew_file, "--nmax", "3", "--samples", "20",
+                     "--qmax", "5", "--eta-families", "1", "--eta-samples", "20",
+                     "--out", out, "--workers", "1"]) == 0
+        hyp = json.loads(read(os.path.join(out, "report.json")))["hypotheses"]
+        fams = skew.first_per_period(cio.load_skew(skew_file), 3)
+        assert hyp["norm_bounds"] == [max(f.c3_bound(), f.dt_sup_bound()) for f in fams]
+        assert hyp["norm_bounds_below_one"] is True
+        assert len(hyp["norms"]) == 3 and hyp["norms_below_one"] is True
 
 
 class TestDeterminism:

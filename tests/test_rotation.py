@@ -182,7 +182,8 @@ class TestClassifyBatch:
         class Pool:
             def __call__(self, fn, blocks):
                 blocks = list(blocks)
-                seen.extend(len(b) for b in blocks)
+                # a block is its pieces, (group, fam, ts, rate) each
+                seen.extend(sum(ts.size for _, _, ts, _ in b) for b in blocks)
                 return map(fn, blocks)
 
         pool = Pool()

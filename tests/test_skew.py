@@ -3,12 +3,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circledyn.circle_map import (
     DEFAULT_T_GRID,
     DEFAULT_THETA_GRID,
     CircleFamily,
     TPoly,
+    _stage_bound,
     composed_deriv_bounds,
     family_norm,
 )
@@ -19,6 +22,7 @@ from circledyn.rotation import IRRATIONAL_CANDIDATE, classify
 from circledyn import skew
 from circledyn.skew import (
     PeriodicCircle,
+    RestrictedFamily,
     SkewMap,
     a3_check,
     eligible_restrictions,
@@ -242,15 +246,19 @@ class TestA3Check:
         amp = c3_scaled_amplitude(0.05)
         F = arnold_skew(2, amp)
         rf = restricted_family(F, periodic_circles(2, 1)[0])
-        sup, ok = a3_check(rf, 0.5, y_grid=8192)
+        grid = rf.c3_sup(skew.C3_T_GRID, 8192)
         # the fiber is free of x and t: the circle family with its
         # coefficients has the same single stage, and no t margin
         (_, const, harm), = rf.stack
         direct = family_norm(CircleFamily(1, const, harm)).c3_g
-        assert a3_check(rf, 0.5, y_grid=DEFAULT_THETA_GRID)[0] == direct
-        assert sup == pytest.approx(direct, rel=1e-3)
+        assert rf.c3_sup(skew.C3_T_GRID, DEFAULT_THETA_GRID) == direct
+        assert grid == pytest.approx(direct, rel=1e-3)
+        # one stage, one harmonic: the coefficient bound is the exact norm,
+        # below every certified grid sup, and it decides the check
+        sup, ok = a3_check(rf, 0.5, y_grid=8192)
+        assert sup == rf.c3_bound() and ok
+        assert amp * TAU ** 3 <= sup <= grid
         assert sup == pytest.approx(amp * TAU ** 3, rel=1e-2)
-        assert ok
 
     def test_two_stage_near_additive(self):
         amp = c3_scaled_amplitude(0.05)
@@ -271,14 +279,14 @@ class TestA3Check:
         # of |G| without the grid Lipschitz margin would come out smaller
         F = SkewMap(2, ((0, 0, (0.3,), (0.0,)), (0, 1, (0.0,), (1e-4,))))
         rf = restricted_family(F, periodic_circles(2, 1)[0])
-        assert restricted_norm(rf).c3_g == a3_check(rf, 0.99)[0]
+        assert restricted_norm(rf).c3_g == rf.c3_sup(skew.C3_T_GRID, skew.C3_Y_GRID)
 
 
 def c3_sup_by_snapshots(fam, t_grid=skew.C3_T_GRID, y_grid=skew.C3_Y_GRID):
-    """Oracle: the grid C3 sup of ``a3_check`` and ``family_norm`` taken one
-    ``at(t)`` snapshot at a time: lift - y - winding t as the sum of the
-    stages' periodic parts, the exact chain rule, and margins from the
-    snapshot's ``TrigPoly.deriv_bound``."""
+    """Oracle: the grid C3 sup of ``c3_sup``, as ``a3_check``'s fallback
+    and ``family_norm`` take it, one ``at(t)`` snapshot at a time: lift - y
+    - winding t as the sum of the stages' periodic parts, the exact chain
+    rule, and margins from the snapshot's ``TrigPoly.deriv_bound``."""
     max_j = max((j for _, _, harm in fam.stack for j, _, _ in harm), default=0)
     y_grid = max(y_grid, 8 * max_j + 8, 16)
     ys = np.arange(y_grid) / y_grid
@@ -320,23 +328,27 @@ def xdep_skew(m, rng):
     return SkewMap(m, tuple(harm))
 
 
-class TestC3Sup:
-    """``a3_check`` evaluates every t value at once; its sup must equal the
-    snapshot-by-snapshot chain rule bit for bit, so ``circles.csv`` and
-    ``eta.csv`` keep their bytes."""
+# (make, n_max) of the skew maps whose circles the C3 tests check
+C3_FIXTURES = {
+    "theoremA": (lambda: arnold_skew(2, c3_scaled_amplitude(0.05)), 3),
+    "skew-search": (lambda: SkewMap(2, ((0, 1, (0.0,), (1e-4,)), (1, 1, (2e-5,), (6e-5,)),
+                                        (0, 2, (2.4e-5,), (-1e-5,)))), 4),
+    "random-m2": (lambda: xdep_skew(2, np.random.default_rng(3)), 3),
+    "random-m3": (lambda: xdep_skew(3, np.random.default_rng(4)), 2),
+}
 
-    @pytest.mark.parametrize("make, n_max", [
-        (lambda: arnold_skew(2, c3_scaled_amplitude(0.05)), 3),
-        (lambda: SkewMap(2, ((0, 1, (0.0,), (1e-4,)), (1, 1, (2e-5,), (6e-5,)),
-                             (0, 2, (2.4e-5,), (-1e-5,)))), 4),
-        (lambda: xdep_skew(2, np.random.default_rng(3)), 3),
-        (lambda: xdep_skew(3, np.random.default_rng(4)), 2),
-    ], ids=["theoremA", "skew-search", "random-m2", "random-m3"])
+
+class TestC3Sup:
+    """``c3_sup`` evaluates every t value at once; its sup must equal the
+    snapshot-by-snapshot chain rule bit for bit, so the grid rows of
+    ``circles.csv`` and ``eta.csv`` keep their bytes."""
+
+    @pytest.mark.parametrize("make, n_max", C3_FIXTURES.values(), ids=C3_FIXTURES.keys())
     def test_equals_snapshot_chain_rule(self, make, n_max):
         F = make()
         for circle in periodic_circles(F.m, n_max):
             rf = restricted_family(F, circle)
-            assert a3_check(rf, 0.5)[0] == c3_sup_by_snapshots(rf), circle
+            assert rf.c3_sup(skew.C3_T_GRID, skew.C3_Y_GRID) == c3_sup_by_snapshots(rf), circle
 
     def test_composed_bounds_dominate_the_chain_rule(self):
         ys = np.arange(1024) / 1024
@@ -367,6 +379,109 @@ class TestC3Sup:
         fam = make()
         want = c3_sup_by_snapshots(fam, DEFAULT_T_GRID, DEFAULT_THETA_GRID) + t_margin(fam)
         assert family_norm(fam).c3_g == want
+
+
+def dense_c3_sup(fam, t_grid=65, y_grid=2048):
+    """Oracle: the max over a (t, y) grid of |lift - y - winding t|, |d1 -
+    1|, |d2| and |d3|, by the chain rule on ``at(t)`` snapshots, with no
+    margins.  d1 - 1 is summed stage by stage, (d1 - 1) + p' d1, so that
+    it does not lose the digits that 1 + p' rounds away."""
+    ys = np.arange(y_grid) / y_grid
+    sup = 0.0
+    for t in np.linspace(0.0, 1.0, t_grid):
+        v, dev, d1, e1, d2, d3 = ys, 0.0, 1.0, 0.0, 0.0, 0.0
+        for c, p in fam.at(float(t)).stages:
+            p0, p1, p2, p3 = (p.deriv(k)(v) for k in range(4))
+            e1 = e1 + p1 * d1
+            d1, d2, d3 = ((1.0 + p1) * d1, (1.0 + p1) * d2 + p2 * d1 ** 2,
+                          (1.0 + p1) * d3 + 3.0 * p2 * d1 * d2 + p3 * d1 ** 3)
+            dev = dev + p0
+            v = v + c + p0
+        sup = max(sup, *(float(np.max(np.abs(g))) for g in (dev, e1, d2, d3)))
+    return sup
+
+
+def raw_c3_bound(fam):
+    """``c3_bound`` without its rounding factor."""
+    stages = [[_stage_bound(c, harm, k) for k in range(1, 5)] for _, c, harm in fam.stack]
+    return max((fam.g_sup_bound(),) + composed_deriv_bounds(stages)[:3])
+
+
+# derandomized, as the definition-file fuzz tests
+FUZZ = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+COEFF = st.floats(-2e-3, 2e-3)
+TERMS = st.lists(st.tuples(st.integers(0, 2), st.integers(-3, 3),
+                           st.lists(COEFF, min_size=1, max_size=3),
+                           st.lists(COEFF, min_size=1, max_size=3)), min_size=1, max_size=3)
+
+
+class TestC3Bound:
+    """``c3_bound`` holds for every t and y: it is never below a dense
+    sample of the four orders, and ``a3_check`` uses it alone where it
+    settles R."""
+
+    @pytest.mark.parametrize("make, n_max", [
+        *C3_FIXTURES.values(),
+        # the constant binds: a bound without order 0 would be far below
+        (lambda: SkewMap(2, ((0, 0, (0.3,), (0.0,)), (0, 1, (0.0,), (1e-4,)))), 2),
+    ], ids=[*C3_FIXTURES.keys(), "constant"])
+    def test_dominates_dense_samples(self, make, n_max):
+        F = make()
+        for circle in periodic_circles(F.m, n_max):
+            rf = restricted_family(F, circle)
+            assert rf.c3_bound() >= dense_c3_sup(rf), circle
+
+    @FUZZ
+    @given(st.sampled_from([2, 3]), TERMS)
+    def test_dominates_dense_samples_fuzz(self, m, terms):
+        F = SkewMap(m, tuple((jx, jy, TPoly(a), TPoly(b)) for jx, jy, a, b in terms))
+        for circle in periodic_circles(m, 2):
+            rf = restricted_family(F, circle)
+            assert rf.c3_bound() >= dense_c3_sup(rf, t_grid=5, y_grid=256), circle
+
+    def test_rounding_factor(self):
+        # b sin(2 pi y), one stage: the coefficient bound is the exact norm
+        # (2 pi)^3 b, reached at y = 0, and in floats it rounds below that
+        import mpmath
+
+        b = 1.3e-3
+        rf = restricted_family(SkewMap(2, ((0, 1, (0.0,), (b,)),)), periodic_circles(2, 1)[0])
+        with mpmath.workdps(40):
+            tau = 2 * mpmath.pi
+            exact = max(abs(tau ** 3 * b * mpmath.cos(tau * k / 64)) for k in range(64))
+            assert raw_c3_bound(rf) < exact
+            assert rf.c3_bound() >= exact
+        assert rf.c3_bound() <= raw_c3_bound(rf) * (1 + 1e-13)
+
+    @pytest.mark.parametrize("j, b, n", [(1, 1e307, 1), (1, 1e154, 2), (3 * 10 ** 307, 1e-3, 2)],
+                             ids=["inf-times-0", "pow", "nan-after-inf"])
+    def test_overflow_is_inf(self, j, b, n):
+        # built without the diffeomorphism check, which such a fiber fails;
+        # in the last case a second stage without harmonics turns the
+        # overflowed derivative bounds into nan, and order 0 is small
+        F = SkewMap(2, ((0, j, (0.0,), (b,)),))
+        stage = F.fiber_stage(Fraction(0))
+        stages = (stage, stage) if j == 1 else (stage, (TPoly((0.0,)), ()))
+        rf = RestrictedFamily(F, periodic_circles(2, n)[-1], stages[:n])
+        assert rf.c3_bound() == math.inf
+
+    @pytest.mark.parametrize("make, n_max", C3_FIXTURES.values(), ids=C3_FIXTURES.keys())
+    def test_a3_check_decides_by_bound_or_grid(self, make, n_max):
+        F = make()
+        for circle in periodic_circles(F.m, n_max):
+            rf = restricted_family(F, circle)
+            bound = rf.c3_bound()
+            grid = rf.c3_sup(skew.C3_T_GRID, skew.C3_Y_GRID)
+            if bound < 1.0:
+                assert a3_check(rf, (1.0 + bound) / 2) == (bound, True)
+            # where the bound does not settle R, the grid decides, bit for bit;
+            # with several harmonics or stages it can pass a circle
+            for R in (bound / 2, bound, min(bound, (bound + grid) / 2)):
+                if 0.0 < R < 1.0:
+                    assert a3_check(rf, R) == (grid, grid < R), (circle, R)
+            sup = rf.c3_sup(skew.C3_T_GRID, 2048)
+            R = min(bound, 1.0) / 2
+            assert a3_check(rf, R, y_grid=2048) == (sup, sup < R)
 
 
 def first_failing_stage(fam):
