@@ -1,71 +1,39 @@
 """circledyn: rotation numbers, mode-locking windows and quasiperiodic
-circles for parameterized circle maps and torus skew products."""
+circles for parameterized circle maps and torus skew products.
+
+The public names are imported from their modules on first use (PEP 562),
+so ``import circledyn`` and each CLI call load only the modules they run."""
+
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-from .circle_map import (
-    CircleFamily,
-    ComposedCircleMap,
-    FamilyNorm,
-    StageStack,
-    TPoly,
-    TrigPoly,
-    family_norm,
-)
-from .diophantine import (
-    DioMeasure,
-    DioMembership,
-    DioParams,
-    dio_measure,
-    dio_member,
-    exact_measure,
-)
-from .errors import (
-    CircledynError,
-    DegenerateFamily,
-    DegenerateFiber,
-    HypothesisViolation,
-    InputError,
-    NoLockInBracket,
-)
-from .experiments import (
-    EtaCurve,
-    IntersectionResult,
-    RenormResult,
-    eta_curve,
-    intersection_measure,
-    renormalization_check,
-)
-from .rotation import (
-    IRRATIONAL_CANDIDATE,
-    LOCKED,
-    NOT_LOCKED,
-    UNRESOLVED,
-    LockCheck,
-    RotationResult,
-    classify,
-    is_locked,
-    rho_estimate,
-)
-from .skew import (
-    PeriodicCircle,
-    RestrictedFamily,
-    SkewMap,
-    a3_check,
-    periodic_circles,
-    quasi_search,
-    restricted_family,
-    skew_apply,
-    winding_check,
-)
-from .windows import (
-    LockedMeasure,
-    TongueDiagram,
-    Window,
-    enumerate_windows,
-    locked_measure,
-    tongue_diagram,
-    window_boundaries,
-)
+# the module that defines each group of public names
+_EXPORTS = {
+    "circle_map": ("CircleFamily", "ComposedCircleMap", "FamilyNorm", "StageStack", "TPoly",
+                   "TrigPoly", "family_norm"),
+    "diophantine": ("DioMeasure", "DioMembership", "DioParams", "dio_measure", "dio_member",
+                    "exact_measure"),
+    "errors": ("CircledynError", "DegenerateFamily", "DegenerateFiber", "HypothesisViolation",
+               "InputError", "NoLockInBracket"),
+    "experiments": ("EtaCurve", "IntersectionResult", "RenormResult", "eta_curve",
+                    "intersection_measure", "renormalization_check"),
+    "rotation": ("IRRATIONAL_CANDIDATE", "LOCKED", "NOT_LOCKED", "UNRESOLVED", "LockCheck",
+                 "RotationResult", "classify", "is_locked", "rho_estimate"),
+    "skew": ("PeriodicCircle", "RestrictedFamily", "SkewMap", "a3_check", "periodic_circles",
+             "quasi_search", "restricted_family", "skew_apply", "winding_check"),
+    "windows": ("LockedMeasure", "TongueDiagram", "Window", "enumerate_windows",
+                "locked_measure", "tongue_diagram", "window_boundaries"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = sorted(_MODULE_OF)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+
+def __getattr__(name):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(_import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as P
 
 from .errors import DegenerateFamily
 
@@ -56,6 +55,8 @@ class TPoly:
     def deriv(self) -> "TPoly":
         if len(self.coeffs) == 1:
             return TPoly((0.0,))
+        from numpy.polynomial import polynomial as P
+
         return TPoly(P.polyder(self.coeffs))
 
     def abs_bound(self) -> float:
@@ -66,6 +67,8 @@ class TPoly:
         return TPoly(tuple(s * c for c in self.coeffs))
 
     def __add__(self, other: "TPoly") -> "TPoly":
+        from numpy.polynomial import polynomial as P
+
         # a sum beyond the float range ends in inf, quietly; callers check it
         with np.errstate(over="ignore", invalid="ignore"):
             return TPoly(P.polyadd(self.coeffs, other.coeffs))
@@ -77,6 +80,8 @@ class TPoly:
 
     def compose_affine(self, offset: float, scale: float) -> "TPoly":
         """Coefficients of t -> p(offset + scale * t)."""
+        from numpy.polynomial import polynomial as P
+
         out = np.zeros(1)
         for c in reversed(self.coeffs):
             out = P.polyadd(P.polymul(out, (offset, scale)), (c,))

@@ -18,8 +18,8 @@ violation.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures as cf
 import functools
+import importlib
 import json
 import math
 import os
@@ -30,8 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import __version__, io, rotation, skew, windows
-from .diophantine import MAX_N_MAX, DioParams, dio_measure
+from . import __version__, io
 from .errors import (
     CircledynError,
     DegenerateFamily,
@@ -39,7 +38,6 @@ from .errors import (
     HypothesisViolation,
     InputError,
 )
-from .experiments import eta_curve, intersection_measure
 
 ENV_PREFIX = "CIRCLEDYN_"
 # Largest Monte Carlo sample count, and largest n of an a:b:n sweep.  Peak
@@ -71,7 +69,8 @@ class _Option(NamedTuple):
     """An option: its type, its default in each subcommand that takes it
     (None leaves it unset there) and its help.  An int must lie in [least,
     most], a float in the open (least, most); ``most`` is by subcommand, with
-    no cap where it has no entry."""
+    no cap where it has no entry, and a cap that a layer defines is named
+    "module.NAME", so that only the layer of the checked subcommand loads."""
 
     type: type
     defaults: dict
@@ -87,13 +86,13 @@ _OPTIONS = {
     "out": _Option(str, dict.fromkeys(_ALL, "out"), "output directory"),
     "seed": _Option(int, dict.fromkeys(_ALL, 0), "RNG seed recorded in outputs", least=0),
     "workers": _Option(int, dict.fromkeys(_LOCKING, 0),
-                       "worker processes; 0 = all cores, 1 = serial reference", least=0),
+                       "worker processes; 0 = all usable cores, 1 = serial reference", least=0),
     "qmax": _Option(int, dict.fromkeys(_LOCKING, 30), "largest lock denominator searched",
-                    least=1, most=dict.fromkeys(_LOCKING, rotation.MAX_LOCK_Q)),
+                    least=1, most=dict.fromkeys(_LOCKING, "rotation.MAX_LOCK_Q")),
     "tol": _Option(float, dict.fromkeys(_WINDOWS, 1e-6), "window bracket tolerance", least=0.0),
     "grid": _Option(int, dict.fromkeys(_WINDOWS + ("dio",), 0),
                     "grid resolution override; 0 = the subcommand's default", least=0,
-                    most=dict.fromkeys(_WINDOWS, rotation.MAX_LOCK_GRID)),
+                    most=dict.fromkeys(_WINDOWS, "rotation.MAX_LOCK_GRID")),
     "niter": _Option(int, dict.fromkeys(("rho", "windows", "skew", "theoremA"), 0),
                      "rotation-estimate iterate count; 0 = the subcommand's default", least=0),
     "t": _Option(str, dict.fromkeys(("rho", "skew")), "comma list of parameter values"),
@@ -105,7 +104,7 @@ _OPTIONS = {
     "C": _Option(str, {"dio": None}, "comma list of constants C", required=True),
     "nmax": _Option(int, {"dio": 1000, "skew": 4, "theoremA": 6},
                     "frequency cutoff (dio) or largest circle period", least=1,
-                    most={"dio": MAX_N_MAX}),
+                    most={"dio": "diophantine.MAX_N_MAX"}),
     "R": _Option(float, {"skew": 0.5}, "closeness-to-identity threshold", least=0.0,
                  most={"skew": 1.0}),
     "eta_families": _Option(int, {"theoremA": 8}, "sampled families per norm level", least=1,
@@ -168,6 +167,9 @@ def _check_ranges(sub: str, values: dict, where: dict):
     for key, value in values.items():
         opt, flag, source = _OPTIONS[key], _flag(key), _origin(where, key)
         lo, hi = opt.least, opt.most.get(sub, math.inf)
+        if isinstance(hi, str):
+            module, name = hi.split(".")
+            hi = getattr(importlib.import_module(f".{module}", __package__), name)
         if opt.type is int and not lo <= value <= hi:
             limit = f">= {lo}" if value < lo else f"<= {hi} for {sub}"
             raise InputError(f"{source}{flag} must be {limit}, got {value}")
@@ -219,6 +221,8 @@ def _merge_config(sub: str, args: argparse.Namespace) -> RunConfig:
 
 
 def _workers(cfg: RunConfig) -> int:
+    if hasattr(os, "sched_getaffinity"):  # the cores this process may run on
+        return cfg.workers or len(os.sched_getaffinity(0))
     return cfg.workers or os.cpu_count() or 1
 
 
@@ -231,7 +235,9 @@ class _Pool:
 
     def __enter__(self):
         if self.workers > 1:
-            self._pool = cf.ProcessPoolExecutor(max_workers=self.workers)
+            import concurrent.futures
+
+            self._pool = concurrent.futures.ProcessPoolExecutor(max_workers=self.workers)
         return self
 
     def __exit__(self, *exc):
@@ -278,6 +284,8 @@ def _parse_t_values(cfg: RunConfig):
 
 
 def cmd_rho(cfg: RunConfig) -> int:
+    from . import rotation
+
     fam = io.load_family(cfg.input)
     fam.check_diffeo()
     ts = _parse_t_values(cfg)
@@ -292,6 +300,8 @@ def cmd_rho(cfg: RunConfig) -> int:
 
 
 def cmd_windows(cfg: RunConfig) -> int:
+    from . import rotation, windows
+
     fam = io.load_family(cfg.input)
     _check_window_tol(cfg, fam.winding)
     with _Pool(_workers(cfg)) as pool:
@@ -312,6 +322,8 @@ def cmd_windows(cfg: RunConfig) -> int:
 
 
 def cmd_tongues(cfg: RunConfig) -> int:
+    from . import windows
+
     profile = io.load_family(cfg.input)
     _check_window_tol(cfg, profile.winding)
     deltas = _floats(cfg, "deltas", sweep=":" in cfg.deltas)
@@ -324,13 +336,16 @@ def cmd_tongues(cfg: RunConfig) -> int:
 
 
 def cmd_dio(cfg: RunConfig) -> int:
+    from . import diophantine
+
     try:
-        params = [DioParams(c, cfg.nmax, cfg.grid or 100_000) for c in _floats(cfg, "C")]
+        params = [diophantine.DioParams(c, cfg.nmax, cfg.grid or 100_000)
+                  for c in _floats(cfg, "C")]
     except ValueError as e:
         raise InputError(f"{_origin(cfg.where, 'C')}--C: {e}")
     rows, exact = [], []
     for p in params:
-        m = dio_measure(p)
+        m = diophantine.dio_measure(p)
         rows.append((p.C, p.n_max, m.estimate, m.analytic_lower, m.grid_error))
         exact.append((p.C, p.n_max, m.estimate, m.exact_error))
     _finish(cfg, {"dio.csv": ("dio", rows)}, inputs={},
@@ -339,6 +354,8 @@ def cmd_dio(cfg: RunConfig) -> int:
 
 
 def cmd_skew(cfg: RunConfig) -> int:
+    from . import rotation, skew
+
     F = io.load_skew(cfg.input)
     # every m >= 2 passes the cap by the 64th power, so no huge power is taken
     if F.m ** min(cfg.nmax, 64) - 1 > skew.MAX_CIRCLES:
@@ -372,16 +389,18 @@ def cmd_skew(cfg: RunConfig) -> int:
 
 
 def cmd_theoremA(cfg: RunConfig) -> int:
+    from . import experiments, rotation, skew
+
     F = io.load_skew(cfg.input)
     n_iter = cfg.niter or rotation.CLASSIFY_N_ITER
     fams = skew.first_per_period(F, cfg.nmax)
     with _Pool(_workers(cfg)) as pool:
-        res = intersection_measure(fams, cfg.samples, q_max=cfg.qmax, seed=cfg.seed,
-                                   n_iter=n_iter, map_fn=pool)
+        res = experiments.intersection_measure(fams, cfg.samples, q_max=cfg.qmax,
+                                               seed=cfg.seed, n_iter=n_iter, map_fn=pool)
         r_star = max(res.norms)
-        ec = eta_curve([r_star * k / 4.0 for k in range(1, 5)], cfg.eta_families,
-                       q_max=cfg.qmax, seed=cfg.seed, mc_samples=cfg.eta_samples,
-                       n_iter=n_iter, map_fn=pool)
+        ec = experiments.eta_curve([r_star * k / 4.0 for k in range(1, 5)], cfg.eta_families,
+                                   q_max=cfg.qmax, seed=cfg.seed, mc_samples=cfg.eta_samples,
+                                   n_iter=n_iter, map_fn=pool)
     inter_rows = [
         (i + 1, mu, mp) for i, (mu, mp) in enumerate(zip(res.mu_locked, res.mu_pessimistic))
     ]
@@ -432,7 +451,7 @@ def _finish(cfg: RunConfig, files: dict, inputs: dict, hypotheses: dict | None =
             if isinstance(path, str) and os.path.exists(path)
         },
         hypotheses=hypotheses or {},
-        wall_clock_s=time.time() - (cfg.t0 or time.time()),
+        wall_clock_s=time.perf_counter() - (cfg.t0 or time.perf_counter()),
     )
     for fname, (schema, rows) in files.items():
         report.add_table(fname.removesuffix(".csv"), io.CSV_SCHEMAS[schema], rows)
@@ -468,7 +487,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _merge_config(args.subcommand, args)
-        cfg.t0 = time.time()
+        cfg.t0 = time.perf_counter()
         return args.func(cfg)
     except (DegenerateFamily, DegenerateFiber) as e:
         print(f"degenerate map: {e}", file=sys.stderr)

@@ -7,16 +7,13 @@ so failed runs leave no partial files.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
 import tempfile
 from dataclasses import dataclass, field
 
-from .circle_map import CircleFamily, TPoly
 from .errors import InputError
-from .skew import SkewMap
 
 # largest harmonic index j or |jy| accepted: scan grids hold 8j + 8 points
 MAX_HARMONIC = 1024
@@ -66,17 +63,13 @@ def _atomic_write(path, data: bytes):
         raise
 
 
-def content_hash(data: bytes) -> str:
-    """Hash of file contents in git blob form: sha1('blob <len>\\0' + data)."""
-    h = hashlib.sha1()
-    h.update(b"blob %d\x00" % len(data))
-    h.update(data)
-    return h.hexdigest()
-
-
 def hash_file(path) -> str:
+    """Hash of a file's contents in git blob form: sha1('blob <len>\\0' + data)."""
+    import hashlib
+
     with open(path, "rb") as fh:
-        return content_hash(fh.read())
+        data = fh.read()
+    return hashlib.sha1(b"blob %d\x00" % len(data) + data).hexdigest()
 
 
 def load_json(path) -> dict:
@@ -123,6 +116,8 @@ def _number(value, where: str, path: str) -> float:
 
 def _tpoly(value, where: str, path: str) -> TPoly:
     """A number, or a list of t-polynomial coefficients in ascending degree."""
+    from .circle_map import TPoly
+
     if isinstance(value, list):
         return TPoly(tuple(_number(v, where, f"{path}[{k}]") for k, v in enumerate(value)))
     return TPoly((_number(value, where, path),))
@@ -164,6 +159,8 @@ def _finite_sums(harmonics, where: str, keys):
 
 
 def family_from_dict(d: dict, where: str = "family") -> CircleFamily:
+    from .circle_map import CircleFamily
+
     _object(d, where, "the top level")
     fam = CircleFamily(
         _integer(d.get("winding", 1), where, "winding", 1),
@@ -180,6 +177,8 @@ def load_family(path) -> CircleFamily:
 
 
 def skew_from_dict(d: dict, where: str = "skew map") -> SkewMap:
+    from .skew import SkewMap
+
     _object(d, where, "the top level")
     if "m" not in d:
         raise InputError(f"{where}: missing base 'm'")

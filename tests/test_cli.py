@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from circledyn import cli, skew
+from circledyn import cli, diophantine, skew
 from circledyn import io as cio
 from circledyn.cli import main
 from circledyn.diophantine import MAX_N_MAX
@@ -226,7 +226,7 @@ class TestExitCodes:
         def unmeasured(params):
             raise AssertionError(f"measured {params}")
 
-        monkeypatch.setattr(cli, "dio_measure", unmeasured)
+        monkeypatch.setattr(diophantine, "dio_measure", unmeasured)
         out = tmp_path / "outdir"
         assert main(["dio", "--C", "0.1", "--nmax", str(nmax), "--out", str(out)]) == 2
         assert "--nmax" in capsys.readouterr().err
@@ -513,6 +513,53 @@ class TestConsoleEntry:
         )
         assert res.returncode == 0
         assert "circledyn" in res.stdout
+
+
+# a fresh interpreter that runs one CLI call and prints its exit code and
+# every module loaded by the end of it
+LOADED_AFTER = ("import sys; from circledyn import cli; code = cli.main(sys.argv[1:]); "
+                "print(code, *sorted(sys.modules))")
+
+
+class TestImportGraph:
+    """Each subcommand imports only the modules it runs."""
+
+    @pytest.mark.parametrize("argv, needed, unloaded", [
+        (["dio", "--C", "0.1", "--nmax", "5", "--grid", "1000"], ["circledyn.diophantine"],
+         ["circledyn." + m for m in ("circle_map", "rotation", "farey", "skew", "windows",
+                                     "experiments")] + ["numpy.polynomial", "concurrent.futures"]),
+        (["windows", "--input", "{family}", "--qmax", "3", "--samples", "20", "--workers", "1"],
+         ["circledyn.windows"],
+         ["circledyn.skew", "circledyn.experiments", "circledyn.diophantine",
+          "concurrent.futures"]),
+        (["skew", "--input", "{skew}", "--t", "0.1", "--nmax", "2", "--workers", "1"],
+         ["circledyn.skew"], ["circledyn.windows", "circledyn.diophantine"]),
+    ], ids=["dio", "windows", "skew"])
+    def test_subcommand_loads_only_its_modules(self, argv, needed, unloaded, arnold_file,
+                                               skew_file, tmp_path):
+        argv = [a.format(family=arnold_file, skew=skew_file) for a in argv]
+        res = subprocess.run([sys.executable, "-c", LOADED_AFTER, *argv,
+                              "--out", str(tmp_path / "o")], capture_output=True, text=True)
+        code, *loaded = res.stdout.split()
+        assert code == "0", res.stderr
+        assert set(needed) <= set(loaded)
+        assert set(unloaded).isdisjoint(loaded)
+
+
+class TestWorkers:
+    """``--workers 0`` runs one worker per core this process may use."""
+
+    def test_zero_uses_usable_cores(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert cli._workers(cli.RunConfig("rho", {"workers": 0})) == 3
+        assert cli._workers(cli.RunConfig("rho", {"workers": 2})) == 2
+
+    @pytest.mark.parametrize("cores, expected", [(6, 6), (None, 1)])
+    def test_zero_without_affinity_uses_cpu_count(self, cores, expected, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        assert cli._workers(cli.RunConfig("rho", {"workers": 0})) == expected
 
 
 # -- fuzzed option values ----------------------------------------------------
@@ -819,8 +866,8 @@ class TestSkewCircleCap:
         def unbuilt(*args):
             raise AssertionError(f"circle built: {args}")
 
-        monkeypatch.setattr(cli.skew, "periodic_circles", unbuilt)
-        monkeypatch.setattr(cli.skew, "restricted_family", unbuilt)
+        monkeypatch.setattr(skew, "periodic_circles", unbuilt)
+        monkeypatch.setattr(skew, "restricted_family", unbuilt)
         out = tmp_path / "o"
         assert main(["skew", "--input", skew_file, "--t", "0.1", "--nmax", str(nmax),
                      "--out", str(out), "--workers", "1"]) == 2
@@ -830,10 +877,10 @@ class TestSkewCircleCap:
     def test_cap_admits_m2_nmax_12(self, skew_file, tmp_path, monkeypatch):
         # 2^12 - 1 <= MAX_CIRCLES: the circles would be checked
         checked = []
-        monkeypatch.setattr(cli.skew, "circle_checks", lambda F, n, R: checked.append(n) or [])
+        monkeypatch.setattr(skew, "circle_checks", lambda F, n, R: checked.append(n) or [])
         assert main(["skew", "--input", skew_file, "--t", "0.1", "--nmax", "12",
                      "--out", str(tmp_path / "o"), "--workers", "1"]) == 0
-        assert checked == [12] and 2 ** 12 - 1 <= cli.skew.MAX_CIRCLES < 2 ** 13 - 1
+        assert checked == [12] and 2 ** 12 - 1 <= skew.MAX_CIRCLES < 2 ** 13 - 1
 
 
 class TestSampleCap:
