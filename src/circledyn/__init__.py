@@ -1,10 +1,15 @@
 """circledyn: rotation numbers, mode-locking windows and quasiperiodic
 circles for parameterized circle maps and torus skew products.
 
-The public names are imported from their modules on first use (PEP 562),
-so ``import circledyn`` and each CLI call load only the modules they run."""
+``import circledyn`` binds every library module (all but ``cli``) in the
+package and in ``sys.modules``, but a module's body runs only when one of its
+attributes is first read (``importlib.util.LazyLoader``), and the public
+names are served from their modules on first use (PEP 562).  So each CLI
+call runs only the modules it uses, while anything that walks the loaded
+modules after the import, as ``perfbench/tracer.py`` does, finds them all."""
 
-from importlib import import_module as _import_module
+import sys as _sys
+from importlib import util as _util
 
 __version__ = "0.1.0"
 
@@ -29,10 +34,23 @@ _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in nam
 __all__ = sorted(_MODULE_OF)
 
 
+def _bind_lazily(name: str):
+    spec = _util.find_spec(f"{__name__}.{name}")
+    spec.loader = _util.LazyLoader(spec.loader)
+    module = _util.module_from_spec(spec)
+    _sys.modules[spec.name] = module
+    spec.loader.exec_module(module)  # defers the body to the first attribute read
+    return module
+
+
+for _name in (*_EXPORTS, "farey", "gallery", "io"):
+    globals()[_name] = _bind_lazily(_name)
+
+
 def __getattr__(name):
     if name not in _MODULE_OF:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(_import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+    return getattr(globals()[_MODULE_OF[name]], name)
 
 
 def __dir__():

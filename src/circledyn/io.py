@@ -12,8 +12,13 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from .errors import InputError
+
+if TYPE_CHECKING:  # the loaders import these where they build them
+    from .circle_map import CircleFamily, TPoly
+    from .skew import SkewMap
 
 # largest harmonic index j or |jy| accepted: scan grids hold 8j + 8 points
 MAX_HARMONIC = 1024
