@@ -15,14 +15,11 @@ __version__ = "0.1.0"
 
 # the module that defines each group of public names
 _EXPORTS = {
-    "circle_map": ("CircleFamily", "ComposedCircleMap", "FamilyNorm", "StageStack", "TPoly",
-                   "TrigPoly", "family_norm"),
-    "diophantine": ("DioMeasure", "DioMembership", "DioParams", "dio_measure", "dio_member",
-                    "exact_measure"),
+    "circle_map": ("CircleFamily", "FamilyNorm", "StageStack", "TPoly", "family_norm"),
+    "diophantine": ("DioMeasure", "DioParams", "dio_measure", "exact_measure"),
     "errors": ("CircledynError", "DegenerateFamily", "DegenerateFiber", "HypothesisViolation",
                "InputError", "NoLockInBracket"),
-    "experiments": ("EtaCurve", "IntersectionResult", "RenormResult", "eta_curve",
-                    "intersection_measure", "renormalization_check"),
+    "experiments": ("EtaCurve", "IntersectionResult", "eta_curve", "intersection_measure"),
     "rotation": ("IRRATIONAL_CANDIDATE", "LOCKED", "NOT_LOCKED", "UNRESOLVED", "LockCheck",
                  "RotationResult", "classify", "is_locked", "rho_estimate"),
     "skew": ("PeriodicCircle", "RestrictedFamily", "SkewMap", "a3_check", "periodic_circles",

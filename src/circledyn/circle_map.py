@@ -73,20 +73,6 @@ class TPoly:
         with np.errstate(over="ignore", invalid="ignore"):
             return TPoly(P.polyadd(self.coeffs, other.coeffs))
 
-    def plus_const(self, c: float) -> "TPoly":
-        coeffs = list(self.coeffs)
-        coeffs[0] += c
-        return TPoly(coeffs)
-
-    def compose_affine(self, offset: float, scale: float) -> "TPoly":
-        """Coefficients of t -> p(offset + scale * t)."""
-        from numpy.polynomial import polynomial as P
-
-        out = np.zeros(1)
-        for c in reversed(self.coeffs):
-            out = P.polyadd(P.polymul(out, (offset, scale)), (c,))
-        return TPoly(out)
-
 
 TPOLY_ZERO = TPoly((0.0,))
 
@@ -102,61 +88,6 @@ def merge_terms(terms) -> list:
             a, b = merged[key][0] + a, merged[key][1] + b
         merged[key] = (a, b)
     return [(key,) + merged[key] for key in sorted(merged)]
-
-
-@dataclass(frozen=True)
-class TrigPoly:
-    """Finite real trigonometric polynomial, 1-periodic by construction.
-
-    p(x) = const + sum_j  a_j cos(2 pi j x) + b_j sin(2 pi j x)
-    """
-
-    const: float = 0.0
-    harmonics: tuple = ()  # tuple of (j, a_j, b_j), j a positive integer
-
-    def __post_init__(self):
-        merged = {}
-        for j, a, b in self.harmonics:
-            j = int(j)
-            if j <= 0:
-                raise ValueError("harmonic index must be a positive integer")
-            aj, bj = merged.get(j, (0.0, 0.0))
-            merged[j] = (aj + float(a), bj + float(b))
-        object.__setattr__(
-            self,
-            "harmonics",
-            tuple((j,) + merged[j] for j in sorted(merged)),
-        )
-        object.__setattr__(self, "const", float(self.const))
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.full(x.shape, self.const)
-        for j, a, b in self.harmonics:
-            w = (TAU * j) * x
-            out += a * np.cos(w) + b * np.sin(w)
-        return out if out.ndim else float(out)
-
-    def deriv(self, order: int = 1) -> "TrigPoly":
-        """Exact derivative; differentiation maps (a, b) to (2 pi j b, -2 pi j a)."""
-        if order < 0:
-            raise ValueError("order must be >= 0")
-        harm = list(self.harmonics)
-        const = self.const
-        for _ in range(order):
-            harm = [(j, TAU * j * b, -TAU * j * a) for j, a, b in harm]
-            const = 0.0
-        return TrigPoly(const, tuple(harm))
-
-    def deriv_bound(self, k: int) -> float:
-        """Coefficient bound sum_j (2 pi j)^k (|a_j| + |b_j|), dominating sup|p^(k)|."""
-        s = sum((TAU * j) ** k * (abs(a) + abs(b)) for j, a, b in self.harmonics)
-        if k == 0:
-            s += abs(self.const)
-        return float(s)
-
-    def __add__(self, other: "TrigPoly") -> "TrigPoly":
-        return TrigPoly(self.const + other.const, self.harmonics + other.harmonics)
 
 
 def _grid_for(max_j: int, grid: int) -> int:
@@ -207,9 +138,9 @@ def _trig(harm, y):
 def _stage_derivs(const, harm, col, y, orders: int, trig=None):
     """The y-derivatives of orders 0 .. orders - 1 of one stage's periodic
     part at parameter rows ``col`` and points ``y``, with the float
-    expressions of ``TrigPoly.deriv`` and ``TrigPoly.__call__`` on the
-    ``at(t)`` snapshots.  ``trig`` is ``_trig(harm, y)`` when it is already
-    known; cos and sin of each harmonic serve every order."""
+    expressions of the fixed-t snapshot oracle of the tests
+    (``tests/snapshot.py``).  ``trig`` is ``_trig(harm, y)`` when it is
+    already known; cos and sin of each harmonic serve every order."""
     shape = np.broadcast_shapes(col.shape, y.shape)
     p = [np.zeros(shape) for _ in range(orders)]
     p[0] += const(col)
@@ -382,13 +313,6 @@ class StageStack:
         out = self.step_factory(t)(np.asarray(theta, dtype=float))
         return out if np.ndim(out) else float(out)
 
-    def at(self, t: float) -> "ComposedCircleMap":
-        """Fixed-parameter snapshot as an explicit stage composition."""
-        return ComposedCircleMap(tuple(
-            (w * float(t), TrigPoly(const(t), tuple((j, a(t), b(t)) for j, a, b in harm)))
-            for w, const, harm in self.stack
-        ))
-
     # -- certified bounds ---------------------------------------------------
 
     def g_sup_bound(self) -> float:
@@ -538,20 +462,21 @@ class CircleFamily(StageStack):
     """Parameterized circle diffeomorphism t -> theta + winding * t + g_t(theta).
 
     ``g_t`` is stored as a trig polynomial in theta whose constant term and
-    harmonic coefficients are :class:`TPoly` polynomials in t.  ``winding``
-    is a positive integer for ordinary families; t-renormalized families
-    (see :meth:`renormalized`) may carry a non-integer winding.  As a
-    :class:`StageStack` it is a single stage.  Entries with equal j are
-    merged into one, their coefficients summed, as in the ``at(t)``
-    snapshot.
+    harmonic coefficients are :class:`TPoly` polynomials in t; ``winding``
+    is an integer >= 1.  As a :class:`StageStack` it is a single stage.
+    Entries with equal j are merged into one, their coefficients summed.
     """
 
-    winding: float = 1
+    winding: int = 1
     const: TPoly = TPOLY_ZERO
     harmonics: tuple = ()  # tuple of (j, TPoly a_j, TPoly b_j)
     label: str = ""
 
     def __post_init__(self):
+        w = self.winding
+        # bool is an int subclass, but not a winding
+        if isinstance(w, bool) or not isinstance(w, int) or w < 1:
+            raise ValueError(f"winding must be an integer >= 1, got {w!r}")
         if any(int(j) <= 0 for j, _, _ in self.harmonics):
             raise ValueError("harmonic index must be a positive integer")
         harm = merge_terms((int(j), a, b) for j, a, b in self.harmonics)
@@ -572,25 +497,6 @@ class CircleFamily(StageStack):
             self.const.scaled(s),
             tuple((j, a.scaled(s), b.scaled(s)) for j, a, b in self.harmonics),
             label=f"{self.label}*{s:g}" if self.label else f"scaled*{s:g}",
-        )
-
-    def renormalized(self, a: float, b: float) -> "CircleFamily":
-        """Family with t rescaled affinely over [a, b]: t -> a + (b - a) t.
-
-        The winding becomes winding * (b - a) and the constant displacement
-        winding * a is absorbed into the periodic part's constant term.
-        """
-        s = b - a
-        if s <= 0:
-            raise ValueError("renormalization interval must have positive length")
-        return CircleFamily(
-            self.winding * s,
-            self.const.compose_affine(a, s).plus_const(self.winding * a),
-            tuple(
-                (j, ca.compose_affine(a, s), cb.compose_affine(a, s))
-                for j, ca, cb in self.harmonics
-            ),
-            label=f"{self.label}|[{a:g},{b:g}]",
         )
 
 
@@ -632,14 +538,3 @@ def composed_deriv_bounds(stage_bounds):
             + 6.0 * l3 * h1 ** 2 * h2 + l4 * h1 ** 4,
         )
     return (e1,) + h[1:]
-
-
-@dataclass(frozen=True)
-class ComposedCircleMap:
-    """Composition of single-variable circle-map lifts y -> y + c_i + p_i(y).
-
-    This is the fixed-parameter snapshot of a :class:`StageStack` (see
-    ``at``); it is not itself a trig-polynomial lift, but every stage is.
-    """
-
-    stages: tuple  # tuple of (c_i, TrigPoly p_i)

@@ -255,13 +255,13 @@ class _Pool:
 
 def _floats(cfg: RunConfig, key: str, sweep: bool = False) -> list:
     """Finite floats from option ``key``: a comma list, or a:b:n (n points
-    from a to b, at most ``MAX_SAMPLES``)."""
+    from a to b, 1 <= n <= ``MAX_SAMPLES``)."""
     raw, name = cfg.values[key], _origin(cfg.where, key) + _flag(key)
     try:
         if sweep:
             a, b, n = raw.split(":")
-            if int(n) > MAX_SAMPLES:
-                raise InputError(f"{name} must have n <= {MAX_SAMPLES}, got {raw!r}")
+            if not 1 <= int(n) <= MAX_SAMPLES:
+                raise InputError(f"{name} must have 1 <= n <= {MAX_SAMPLES}, got {raw!r}")
             with np.errstate(over="ignore", invalid="ignore"):  # checked below
                 out = np.linspace(float(a), float(b), int(n)).tolist()
         else:

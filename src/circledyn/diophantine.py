@@ -1,10 +1,11 @@
-"""Diophantine rotation numbers: membership up to a frequency cutoff, the
-measure of the cutoff set, and an analytic lower bound.
+"""Diophantine rotation numbers: the measure of the set cut off at a
+frequency n_max, and an analytic lower bound.
 
 x belongs to the Diophantine set at level C when |e^{2 pi i n x} - 1|
 >= C / n^3 for every positive integer n, equivalently 2 |sin(pi n x)|
 >= C / n^3.  True membership quantifies over all n and is not finitely
-decidable, so the API only ever certifies membership up to a cutoff.
+decidable, so the module measures the cutoff set, the x that meet the
+condition for n = 1..n_max, which contains the Diophantine set.
 """
 
 from __future__ import annotations
@@ -49,30 +50,11 @@ class DioParams:
 
 
 @dataclass(frozen=True)
-class DioMembership:
-    member_up_to_cutoff: bool
-    excluded_n: int | None = None
-
-
-@dataclass(frozen=True)
 class DioMeasure:
     estimate: float
     analytic_lower: float | None
     grid_error: float
     exact_error: float
-
-
-def dio_member(x: float, params: DioParams) -> DioMembership:
-    """Check 2|sin(pi n x)| >= C / n^3 for n = 1..n_max.
-
-    Returns the first violating n if any.  A pass does not certify true
-    membership, only membership up to the cutoff.
-    """
-    ns = np.arange(1, params.n_max + 1, dtype=float)
-    bad = np.nonzero(2.0 * np.abs(np.sin(np.pi * ns * x)) < params.C / ns ** 3)[0]
-    if bad.size:
-        return DioMembership(False, int(bad[0]) + 1)
-    return DioMembership(True)
 
 
 def analytic_lower_bound(C: float) -> float | None:

@@ -1,6 +1,5 @@
 """Desk-scale measure experiments over lists of parameterized circle maps:
-intersection shrinkage, the locked-measure envelope eta(r), and the
-renormalized-interval check.
+intersection shrinkage and the locked-measure envelope eta(r).
 
 Almost-everywhere statements are not reproducible as single numbers; these
 experiments measure the observable proxies (Monte Carlo locked fractions
@@ -216,41 +215,3 @@ def eta_curve(r_grid, sample_families_per_r: int, q_max: int = 30, seed: int = 0
     eta = list(np.maximum.accumulate(raw))
     return EtaCurve(tuple(rs), tuple(eta), tuple(raw),
                     tuple(tuple(n for _, n in level) for level in levels), seed)
-
-
-@dataclass(frozen=True)
-class RenormResult:
-    n_found: int | None  # 1-based index into the family list
-    ratio: float
-    eta_hat: float
-
-
-def renormalization_check(families, J, q_max: int = 30, seed: int = 0,
-                          eta_hat: float | None = None,
-                          mc_samples: int = 2000) -> RenormResult:
-    """Search the family list for the first member whose locked set fills
-    less than eta_hat of the interval J.
-
-    The ratio is the Monte Carlo locked fraction within J, from a retiring
-    sweep (see :func:`intersection_measure`).  When the list
-    is exhausted, n_found is None and the best (smallest) ratio is
-    reported.  eta_hat defaults to a small eta_curve run at the largest
-    family norm in the list.
-    """
-    a, b = float(J[0]), float(J[1])
-    if b <= a:
-        raise ValueError("J must have positive length")
-    families = list(families)
-    if eta_hat is None:
-        r_star = max(norm_value(f) for f in families)
-        eta_hat = eta_curve([r_star], 6, q_max=q_max, seed=seed,
-                            mc_samples=mc_samples).eta[-1]
-    ts = a + (b - a) * make_rng(seed, 2).random(mc_samples)
-    best = np.inf
-    for i, fam in enumerate(families):
-        results = rotation.classify_batch(fam, ts, q_max=q_max, retire=True)
-        ratio = float(np.mean([r.classification == rotation.LOCKED for r in results]))
-        if ratio < eta_hat:
-            return RenormResult(i + 1, ratio, eta_hat)
-        best = min(best, ratio)
-    return RenormResult(None, float(best), eta_hat)

@@ -288,13 +288,12 @@ def window_boundaries(fam, p: int, q: int, t_bracket, tol: float = 1e-6) -> Wind
     return window_for_rational(fam, p, q, tol=tol, t_seed=seed)
 
 
-def lift_rationals(q_max: int, winding) -> list:
+def lift_rationals(q_max: int, winding: int) -> list:
     """Reduced (p, q) lift pairs whose windows live in t in [0, 1):
     p/q sweeps [0, winding), ordered by rotation value (Farey order)."""
     out = []
-    copies = max(1, int(math.ceil(winding)))
     for p0, q in farey.farey_sequence(q_max):
-        for k in range(copies):
+        for k in range(winding):
             out.append((p0 + k * q, q))
     out.sort(key=lambda f: f[0] / f[1])
     return out
@@ -333,8 +332,8 @@ def locked_measure(fam, q_max: int, mc_samples: int, tol: float = 1e-6,
     holds no candidate at one of ``rotation.RETIRE_CHECKPOINTS`` is an
     irrational candidate from then on.
 
-    The windows of p in [0, q N) tile [0, 1) only when f_{t+1} = f_t + N:
-    an integer winding N and every coefficient free of t.  Otherwise a
+    The windows of p in [0, q N) tile [0, 1) only when f_{t+1} = f_t + N,
+    N the winding: when every coefficient is free of t.  Otherwise a
     window can reach below t = 0, and the one at p = q N is never
     enumerated, so the widths are clipped to [0, 1] and the sum stays a
     lower bound.
@@ -343,9 +342,8 @@ def locked_measure(fam, q_max: int, mc_samples: int, tol: float = 1e-6,
         raise ValueError("mc_samples must be >= 1")
     if windows is None:
         windows = enumerate_windows(fam, q_max, tol=tol)
-    periodic = float(fam.winding).is_integer() and all(
-        len(c.coeffs) == 1 for _, const, harm in fam.stack
-        for c in (const,) + tuple(x for _, a, b in harm for x in (a, b)))
+    periodic = all(len(c.coeffs) == 1 for _, const, harm in fam.stack
+                   for c in (const,) + tuple(x for _, a, b in harm for x in (a, b)))
     if periodic:
         lower = sum(w.width for w in windows)
     else:

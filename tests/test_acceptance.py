@@ -29,7 +29,7 @@ from circledyn.skew import (
     winding_check,
 )
 from circledyn.windows import enumerate_windows, locked_measure, window_boundaries
-from test_skew import central_derivatives, deriv_tuple
+from snapshot import central_derivatives, deriv_tuple, snapshot
 
 GOLDEN = (math.sqrt(5) - 1) / 2
 ZETA3 = 1.2020569031595943
@@ -227,7 +227,7 @@ def test_criterion_9_derivative_oracle():
     for _ in range(1000):
         rf = fams[int(rng.integers(len(fams)))]
         t, y = float(rng.random()), float(rng.random())
-        snap = rf.at(t)
+        snap = snapshot(rf, t)
         _, d1, d2, d3 = deriv_tuple(snap, np.array(y))
         for exact, fd in zip((d1, d2, d3), central_derivatives(snap, y)):
             worst = max(worst, abs(fd - exact) / max(1.0, abs(exact)))

@@ -4,16 +4,10 @@ import numpy as np
 import pytest
 import sympy
 
-from circledyn.circle_map import (
-    CircleFamily,
-    ComposedCircleMap,
-    TPoly,
-    TrigPoly,
-    family_norm,
-)
+from circledyn.circle_map import CircleFamily, TPoly, family_norm
 from circledyn.errors import DegenerateFamily
 from circledyn.gallery import arnold_family, rigid_family
-from test_skew import deriv_tuple
+from snapshot import ComposedCircleMap, TrigPoly, deriv_tuple
 
 TAU = 2 * math.pi
 RNG = np.random.default_rng(20240817)
@@ -66,11 +60,14 @@ class TestTPoly:
                 assert np.shape(got) == np.shape(want), (c, t)
                 assert np.asarray(got, float).tobytes() == np.asarray(want).tobytes(), (c, t)
 
-    def test_compose_affine(self):
-        p = TPoly((0.0, 1.0, 1.0))  # t + t^2
-        q = p.compose_affine(0.2, 0.4)  # p(0.2 + 0.4 s)
-        for s in (0.0, 0.3, 1.0):
-            assert q(s) == pytest.approx(p(0.2 + 0.4 * s), abs=1e-15)
+
+class TestWinding:
+    @pytest.mark.parametrize("winding", [0, -1, 2.5, True])
+    def test_winding_must_be_an_integer_at_least_one(self, winding):
+        # before the check, 0 divided by zero in enumerate_windows and -1
+        # found no lock in its bracket; a bool is an int, but not a winding
+        with pytest.raises(ValueError, match="winding must be an integer >= 1"):
+            CircleFamily(winding, TPoly((0.0,)), ((1, TPoly((0.0,)), TPoly((0.05,))),))
 
 
 class TestTrigPoly:
@@ -209,7 +206,7 @@ class TestFamilyNorm:
 
     def test_repeated_harmonic_index_is_merged(self):
         # j = 1 listed twice: the bounds and the orbits are those of the
-        # summed entry, as in the at(t) snapshot, not of the entries apart
+        # summed entry, as in the snapshot oracle, not of the entries apart
         dup = CircleFamily(1, TPoly((0.0,)), (
             (1, TPoly((0.01, 0.003)), TPoly((0.02,))),
             (2, TPoly((0.003,)), TPoly((0.001,))),
@@ -244,15 +241,3 @@ class TestComposedCircleMap:
         assert np.allclose(d1, 1.0 + p.deriv(1)(ys), atol=1e-14)
         assert np.allclose(d2, p.deriv(2)(ys), atol=1e-14)
         assert np.allclose(d3, p.deriv(3)(ys), atol=1e-14)
-
-
-class TestRenormalized:
-    def test_affine_reparameterization(self):
-        fam = arnold_family(0.07)
-        sub = fam.renormalized(0.2, 0.6)
-        assert sub.winding == pytest.approx(0.4)
-        for _ in range(15):
-            s, th = RNG.uniform(0, 1), RNG.uniform(0, 1)
-            assert sub.lift(s, th) == pytest.approx(
-                fam.lift(0.2 + 0.4 * s, th), abs=1e-13
-            )

@@ -907,8 +907,27 @@ class TestSampleCap:
         assert main(argv) == 2
         source = "CIRCLEDYN_T_RANGE: " if layer == "env" else ""
         assert capsys.readouterr().err.strip() == (
-            f"error: {source}--t-range must have n <= {cli.MAX_SAMPLES}, got {sweep!r}")
+            f"error: {source}--t-range must have 1 <= n <= {cli.MAX_SAMPLES}, got {sweep!r}")
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("argv, env, name", [
+        (["tongues", "--deltas", "0:0.1:0"], {}, "--deltas"),
+        (["rho", "--t", "0.5", "--t-range", "0:1:0"], {}, "--t-range"),
+        (["rho", "--t", "0.5"], {"CIRCLEDYN_T_RANGE": "0:1:0"}, "CIRCLEDYN_T_RANGE: --t-range"),
+    ], ids=["tongues-deltas", "rho-t-range", "rho-t-range-env"])
+    def test_empty_sweep_exit_2(self, argv, env, name, arnold_file, tmp_path, capsys,
+                                monkeypatch):
+        # n = 0 asks for no points: exit 2 rather than a header-only CSV or
+        # a sweep silently dropped next to --t
+        for key, value in env.items():
+            monkeypatch.setenv(key, value)
+        out = tmp_path / "o"
+        assert main([argv[0], "--input", arnold_file, *argv[1:], "--workers", "1",
+                     "--out", str(out)]) == 2
+        sweep = (list(env.values()) or [argv[-1]])[0]
+        assert capsys.readouterr().err.strip() == (
+            f"error: {name} must have 1 <= n <= {cli.MAX_SAMPLES}, got {sweep!r}")
+        assert not out.exists()
 
     def test_sweep_at_cap_parses(self):
         cfg = cli.RunConfig("rho", {"t_range": f"0:1:{cli.MAX_SAMPLES}"})

@@ -11,12 +11,8 @@ from circledyn.diophantine import (
     ZETA3,
     DioParams,
     dio_measure,
-    dio_member,
     exact_measure,
 )
-
-GOLDEN = (math.sqrt(5) - 1) / 2
-RNG = np.random.default_rng(1234)
 
 
 def test_zeta3_constant():
@@ -24,48 +20,6 @@ def test_zeta3_constant():
 
 
 class TestMembership:
-    def test_half_excluded_at_two(self):
-        for C in (0.01, 0.5, 2.0):
-            r = dio_member(0.5, DioParams(C, 100))
-            assert not r.member_up_to_cutoff
-            assert r.excluded_n == 2
-
-    def test_zero_excluded_at_one(self):
-        r = dio_member(0.0, DioParams(0.3, 10))
-        assert r.excluded_n == 1
-
-    def test_golden_member(self):
-        # direct-scan oracle: min over n <= 10^4 of 2|sin(pi n x)| n^3 stays
-        # far above C = 0.05 for the golden conjugate
-        ns = np.arange(1, 10_001, dtype=float)
-        oracle = np.min(2 * np.abs(np.sin(np.pi * ns * GOLDEN)) * ns ** 3)
-        assert oracle > 0.05
-        assert dio_member(GOLDEN, DioParams(0.05, 10_000)).member_up_to_cutoff
-
-    def test_monotone_in_C(self):
-        params_small = DioParams(0.02, 500)
-        params_big = DioParams(0.4, 500)
-        for x in RNG.uniform(0, 1, 60):
-            if dio_member(float(x), params_big).member_up_to_cutoff is False:
-                continue
-            # member at large C implies member at small C
-            assert dio_member(float(x), params_small).member_up_to_cutoff
-
-    def test_monotone_in_cutoff(self):
-        for x in RNG.uniform(0, 1, 60):
-            a = dio_member(float(x), DioParams(0.1, 50))
-            b = dio_member(float(x), DioParams(0.1, 500))
-            if not a.member_up_to_cutoff:
-                assert not b.member_up_to_cutoff
-                assert b.excluded_n == a.excluded_n
-
-    def test_symmetry(self):
-        params = DioParams(0.15, 300)
-        for x in RNG.uniform(0, 1, 40):
-            a = dio_member(float(x), params)
-            b = dio_member(1.0 - float(x), params)
-            assert a.member_up_to_cutoff == b.member_up_to_cutoff
-
     def test_params_validation(self):
         with pytest.raises(ValueError):
             DioParams(0.0, 10)

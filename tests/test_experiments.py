@@ -10,7 +10,6 @@ from circledyn.experiments import (
     intersection_measure,
     make_rng,
     norm_value,
-    renormalization_check,
     sample_family,
 )
 from circledyn.gallery import arnold_skew, c3_scaled_amplitude
@@ -220,33 +219,3 @@ class TestEtaCurve:
         a = eta_curve([0.1], 3, q_max=10, seed=15, mc_samples=200)
         b = eta_curve([0.1], 3, q_max=10, seed=15, mc_samples=200)
         assert a.eta == b.eta and a.eta_raw == b.eta_raw
-
-
-class TestRenormalizationCheck:
-    def test_zero_fiber_first_family_wins(self):
-        fams = restricted_list(0.0, 3)
-        res = renormalization_check(fams, (0.2, 0.2 + 1 / 3), q_max=10, seed=16,
-                                    eta_hat=0.05, mc_samples=200)
-        assert res.n_found == 1
-        assert res.ratio == 0.0
-
-    def test_interval_away_from_common_window(self):
-        fams = restricted_list(AMP, 4)
-        res = renormalization_check(fams, (0.2, 0.2 + 1 / 3), q_max=20, seed=17,
-                                    eta_hat=0.05, mc_samples=300)
-        assert res.n_found is not None
-        assert res.ratio < 0.05
-
-    def test_not_found_reports_best_ratio(self):
-        fams = restricted_list(AMP, 2)
-        res = renormalization_check(fams, (0.0, 0.01), q_max=5, seed=18,
-                                    eta_hat=0.0, mc_samples=100)
-        assert res.n_found is None
-        assert res.ratio >= 0.0
-
-    def test_halved_interval_still_beats_eta(self):
-        fams = restricted_list(AMP, 4)
-        res = renormalization_check(fams, (0.2, 0.2 + 1 / 6), q_max=20, seed=19,
-                                    eta_hat=0.05, mc_samples=300)
-        assert res.n_found is not None
-        assert res.ratio < 0.05

@@ -1,13 +1,15 @@
 """Definition-file parsers under fuzzed JSON-shaped input: each call either
-returns a map with finite coefficients or raises InputError."""
+returns a map with finite coefficients or raises InputError.  And the bytes
+of ``report.json``."""
 
+import json
 import math
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circledyn.errors import InputError
-from circledyn.io import MAX_HARMONIC, family_from_dict, skew_from_dict
+from circledyn.io import MAX_HARMONIC, ExperimentReport, family_from_dict, skew_from_dict
 
 # json.load can return NaN and +-Infinity, so floats include them
 SCALARS = (st.none() | st.booleans() | st.integers(-3, 4) | st.integers()
@@ -62,3 +64,26 @@ def test_skew_from_dict_fuzz(doc):
         assert F.m >= 2
         assert all(abs(jy) <= MAX_HARMONIC for _, jy, _, _ in F.harmonics)
         assert all(map(math.isfinite, coefficients(F.harmonics)))
+
+
+def test_report_json_is_the_seven_fields():
+    # the payload to_json wrote when it listed the fields by hand
+    report = ExperimentReport(
+        experiment="theoremA", tool_version="0.1.0",
+        inputs={"skew": "s.json", "config": {"qmax": 30, "seed": 7, "deltas": None}},
+        input_hashes={"skew": "ab" * 32},
+        hypotheses={"norms": [0.25, 0.5], "windings": (1, 2), "conforming": True,
+                    "nested": {"z": {"b": [1.5, {"c": -0.0}], "a": []}}},
+        wall_clock_s=1.25)
+    report.add_table("circles", ("n", "k", "c3"), [(1, 0, 0.125), (2, 1, math.inf)])
+    report.add_table("empty", ["x"], [])
+    old = {
+        "experiment": report.experiment,
+        "tool_version": report.tool_version,
+        "inputs": report.inputs,
+        "input_hashes": report.input_hashes,
+        "hypotheses": report.hypotheses,
+        "tables": report.tables,
+        "wall_clock_s": report.wall_clock_s,
+    }
+    assert report.to_json() == json.dumps(old, indent=2, sort_keys=True) + "\n"

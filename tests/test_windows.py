@@ -173,7 +173,6 @@ EDGE_FAMILIES = {
     "winding-2-t-dependent": (CircleFamily(2, TPoly((0.01, 0.02)), (
         (1, TPoly((0.0, 0.02)), TPoly((0.05, 0.01))),)), 4),
     "rigid": (rigid_family(), 5),
-    "renormalized": (arnold_family(0.05).renormalized(0.3, 0.7), 5),
     # t-derivative bound 1.5 >= winding 1: monotonicity is not certified,
     # so every midpoint is evaluated
     "uncertified": (CircleFamily(1, TPoly((0.0, 1.5)), (
@@ -225,18 +224,6 @@ class TestEdgeReplay:
         ws = enumerate_windows(arnold_family(0.1), 8, tol=1e-7)
         per_edge = len(calls) / (2 * len(ws))
         assert per_edge <= 6.0, f"{per_edge:.2f} full-grid evaluations per edge"
-
-
-class TestRenormalizationCovariance:
-    def test_window_endpoints_map_affinely(self):
-        fam = arnold_family(0.05)
-        a, b = 0.3, 0.7
-        sub = fam.renormalized(a, b)
-        w = window_for_rational(fam, 1, 2, tol=1e-9)
-        w_sub = window_for_rational(sub, 1, 2, tol=1e-9,
-                                    t_seed=(w.midpoint - a) / (b - a))
-        assert w_sub.t_lo == pytest.approx((w.t_lo - a) / (b - a), abs=1e-7)
-        assert w_sub.t_hi == pytest.approx((w.t_hi - a) / (b - a), abs=1e-7)
 
 
 class TestLockedMeasure:
