@@ -306,7 +306,7 @@ def cmd_windows(cfg: RunConfig) -> int:
     _check_window_tol(cfg, fam.winding)
     with _Pool(_workers(cfg)) as pool:
         ws = windows.enumerate_windows(fam, cfg.qmax, tol=cfg.tol, grid=cfg.grid or None,
-                                       map_fn=pool.map)
+                                       map_fn=pool)
     lm = windows.locked_measure(fam, cfg.qmax, cfg.samples, tol=cfg.tol, seed=cfg.seed,
                                 windows=ws, n_iter=cfg.niter or rotation.CLASSIFY_N_ITER)
     files = {
@@ -329,7 +329,7 @@ def cmd_tongues(cfg: RunConfig) -> int:
     deltas = _floats(cfg, "deltas", sweep=":" in cfg.deltas)
     with _Pool(_workers(cfg)) as pool:
         td = windows.tongue_diagram(profile, deltas, cfg.qmax, tol=cfg.tol,
-                                    grid=cfg.grid or None, map_fn=pool.map)
+                                    grid=cfg.grid or None, map_fn=pool)
     rows = [(d, w.p, w.q, w.t_lo, w.t_hi) for d, ws in zip(td.deltas, td.windows) for w in ws]
     _finish(cfg, {"tongues.csv": ("tongues", rows)}, inputs={"family": cfg.input})
     return 0

@@ -155,11 +155,12 @@ def _rounding_rate(fam, lip: float) -> float:
             + (2.0 + PHASE_ULPS / TAU) * (lip - 1.0))
 
 
-def _lock_decision(step, p: int, q: int, n: int, stride: int, margin: float) -> LockCheck:
+def _lock_decision(step, p: int, q: int, n: int, stride: int, margin) -> LockCheck:
     """The decision rule on D sampled at theta = i / n for every
     ``stride``-th i, with ``step`` the lift at the checked t: a sign change
     or |D| <= ``WITNESS_TOL`` locks, D clear of zero everywhere by more than
-    ``margin`` is not locked, and anything else is unresolved.  A lock's
+    ``margin(h)``, h = stride / n the grid spacing, is not locked, and
+    anything else is unresolved; the margin is taken only then.  A lock's
     witness is bisected from the first 1/n cell with a sign change; on a
     sub-grid, that cell is found among the fine points inside the first
     sub-grid cell with one, evaluated in one call."""
@@ -193,7 +194,7 @@ def _lock_decision(step, p: int, q: int, n: int, stride: int, margin: float) -> 
         return LockCheck(LOCKED, (0.5 * (lo + hi)) % 1.0)
 
     clear = max(float(np.min(disp)), -float(np.max(disp)))  # nan clears nothing
-    if clear > margin:
+    if clear > margin(stride / n):
         return LockCheck(NOT_LOCKED, None)
     return LockCheck(UNRESOLVED, None)
 
@@ -219,7 +220,9 @@ def is_locked(fam, t, p: int, q: int, grid: int | None = None) -> LockCheck:
     grid cell.  D is 1-periodic and C^2, so on a cell it stays above the
     chord between its ends less B2 h^2 / 8, hence above the smaller end
     value less that.  The eps covers a grid n that is not a power of two,
-    whose points i / n are rounded by up to eps / 2.
+    whose points i / n are rounded by up to eps / 2.  B2 and rho are taken
+    only once a grid shows no sign change and no zero, so a lock never
+    computes them.
 
     The rule is applied in two levels.  When ``LOCK_COARSE_STRIDE`` = s
     divides n and leaves at least ``LOCK_COARSE_MIN`` points, it first runs
@@ -286,21 +289,28 @@ def is_locked(fam, t, p: int, q: int, grid: int | None = None) -> LockCheck:
         raise ValueError("p/q must be reduced")
     n = grid or lock_grid_size(q)
     step = fam.step_factory(t)
-    lip = fam.dtheta_lift_bound(t)
-    try:
-        lip_q = lip ** q
-    except OverflowError:  # an infinite rho clears nothing
-        lip_q = math.inf
-    rate = _rounding_rate(fam, lip)
-    y = 1.0 + q * (sum(abs(w * t + float(c(t))) for w, c, _ in fam.stack) + lip - 1.0)
-    rho = 2.0 * EPS * (lip_q * q * rate * (y + 1.0) + y + abs(p) + 1.0)
-    b2 = fam.iterate_d2_bound(t, q)
+    bounds = []  # (B2, rho), taken by the first grid with no sign change
+
+    def margin(h):
+        if not bounds:
+            lip = fam.dtheta_lift_bound(t)
+            try:
+                lip_q = lip ** q
+            except OverflowError:  # an infinite rho clears nothing
+                lip_q = math.inf
+            rate = _rounding_rate(fam, lip)
+            y = 1.0 + q * (sum(abs(w * t + float(c(t))) for w, c, _ in fam.stack) + lip - 1.0)
+            bounds.extend((fam.iterate_d2_bound(t, q),
+                           2.0 * EPS * (lip_q * q * rate * (y + 1.0) + y + abs(p) + 1.0)))
+        b2, rho = bounds
+        return b2 * (h + EPS) ** 2 / 8.0 + rho
+
     s = LOCK_COARSE_STRIDE
     if n % s == 0 and n // s >= LOCK_COARSE_MIN:
-        chk = _lock_decision(step, p, q, n, s, b2 * (s / n + EPS) ** 2 / 8.0 + rho)
+        chk = _lock_decision(step, p, q, n, s, margin)
         if chk.status != UNRESOLVED:
             return chk
-    return _lock_decision(step, p, q, n, 1, b2 * (1.0 / n + EPS) ** 2 / 8.0 + rho)
+    return _lock_decision(step, p, q, n, 1, margin)
 
 
 def _drift(rate, n: int, disp):
@@ -438,14 +448,16 @@ def classify_groups(groups, q_max: int = 30, n_iter: int = CLASSIFY_N_ITER, map_
     every value through its own family's float operations (``merge_phases``),
     and the rate of ``_decide`` comes from its own group.
 
-    The values of all groups, concatenated in order, go out in one block
-    per worker, the ``workers`` attribute of ``map_fn`` (see
-    ``classify_batch``), or in more, of equal size, where a block would
-    exceed ``SWEEP_PAIRS`` values; each block is one sweep.  Returns per
-    group the values of its pieces (its values within one block), in
-    order: each piece's list of results, or ``reduce`` of an iterator over
-    them, applied where the sweep ran, so that a caller that only counts
-    gets counts back from the workers.
+    The values of all groups are concatenated with the groups in order of
+    their families' harmonic counts per stage, so that a block merges
+    families of like counts and ``merge_phases`` pads few of them.  They go
+    out in one block per worker, the ``workers`` attribute of ``map_fn``
+    (see ``classify_batch``), or in more, of equal size, where a block
+    would exceed ``SWEEP_PAIRS`` values; each block is one sweep.  Returns
+    per group, in the order of ``groups``, the values of its pieces (its
+    values within one block), in order: each piece's list of results, or
+    ``reduce`` of an iterator over them, applied where the sweep ran, so
+    that a caller that only counts gets counts back from the workers.
     """
     groups = [(fam, np.asarray(ts, dtype=float)) for fam, ts in groups]
     if len({len(fam.stack) for fam, _ in groups}) > 1:
@@ -457,10 +469,12 @@ def classify_groups(groups, q_max: int = 30, n_iter: int = CLASSIFY_N_ITER, map_
     blocks = max(1, min(getattr(map_fn, "workers", 1), total), -(-total // SWEEP_PAIRS))
     each, extra = divmod(total, blocks)  # block sizes as np.array_split's
     cuts = [k * each + min(k, extra) for k in range(blocks + 1)]
-    ends = list(itertools.accumulate((ts.size for _, ts, _ in groups), initial=0))
+    order = sorted(range(len(groups)), key=lambda g: [len(h) for _, _, h in groups[g][0].stack])
+    ends = list(itertools.accumulate((groups[g][1].size for g in order), initial=0))
     # each block's task carries only its own slices of the groups' values
     tasks = [[(g, fam, ts[max(a, lo) - lo:min(b, hi) - lo], rate)
-              for g, ((fam, ts, rate), lo, hi) in enumerate(zip(groups, ends, ends[1:]))
+              for g, lo, hi in zip(order, ends, ends[1:])
+              for fam, ts, rate in [groups[g]]
               if max(a, lo) < min(b, hi)]
              for a, b in zip(cuts, cuts[1:])]
     task = functools.partial(_classify_block, q_max, n_iter, retire, reduce)

@@ -17,9 +17,19 @@ branch, so the root of B_plus is the least branch root and that of
 B_minus the greatest.  Illinois regula falsi on a few hundred branches
 at once locates it; the two ends of the final bisection cell holding it
 are evaluated first, and where monotonicity is certified every other
-midpoint takes its sign from the tightest evaluated bracket.  An edge
-then costs about four full-grid evaluations of B instead of twenty, and
-the windows are bit-identical to plain bisection's.
+midpoint takes its sign from the tightest evaluated bracket.  One grid
+point settles B_plus(t) > 0 or B_minus(t) <= 0, so the cell end that
+should have that sign is evaluated on the predicted branches alone, and
+on the whole grid only when they do not settle it.  A window then costs
+about four full-grid evaluations of B, where plain bisection takes about
+twenty per edge, and the windows are bit-identical to plain bisection's.
+
+The windows of a batch are solved together: every edge's solver runs up
+to its prediction, and the predictions of all of them run in lockstep,
+one kernel call per Illinois step for every live branch of every edge
+(entries sorted by q, each read at its own q in one pass of max-q
+steps).  Bracket expansion, cell ends and the final bisection stay per
+edge.
 """
 
 from __future__ import annotations
@@ -31,7 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import farey, rotation
-from .errors import NoLockInBracket
+from .circle_map import phase_step, take_phases
+from .errors import CircledynError, NoLockInBracket
 
 MAX_BISECT = 64
 # edge predictor: rounds per edge, branch stride of its first pass,
@@ -40,6 +51,10 @@ PREDICT_ROUNDS = 3
 PREDICT_STRIDE = 32
 PREDICT_STEPS = 40
 PREDICT_TOL = 1.0 / 64.0
+# most theta-grid points of the windows solved in one lockstep batch: the
+# predictor's live arrays grow with them, to a peak of 3.5 MB for 46
+# windows of 4096 points
+LOCKSTEP_POINTS = 2 ** 18
 
 
 @dataclass(frozen=True)
@@ -102,24 +117,56 @@ def _bisect(u, v, tol, positive):
     return u, v
 
 
-def _illinois(fam, p, q, edge, thetas, idx, a, b, fa, fb, width):
-    """Illinois regula falsi on the branches D(thetas[idx], t), from the
-    brackets [a, b] with values ``fa`` <= 0 < ``fb``, all in one array call
-    per step.
+def _branch_disp(fam, t, q, p, theta):
+    """D(theta, t) = lift_t^q(theta) - theta - p for arrays of entries, each
+    with its own t, q, p and theta, given in ascending q: one pass of max-q
+    steps of the array kernel, in which each entry is read at its own q and
+    then leaves the later steps."""
+    out = np.empty(theta.size)
+    data, y, done = fam.phase_data(t), theta, 0
+    step = phase_step(data)
+    for end in np.searchsorted(q, np.arange(1, q[-1] + 1), side="right").tolist():
+        y = step(y)
+        if end > done:
+            k = end - done
+            out[done:end] = y[:k] - theta[done:end] - p[done:end]
+            y, data, done = y[k:], take_phases(data, slice(k, None)), end
+            step = phase_step(data)
+    return out
 
-    A branch is dropped once its bracket cannot hold the least root (lo
-    edge) or the greatest (hi edge).  Returns the surviving indices and
-    their brackets.
+
+def _starts(g):
+    """Where each edge's run of entries starts in the grouped ``g``."""
+    return np.flatnonzero(np.diff(g, prepend=-1))
+
+
+def _illinois(fam, edges, g, idx, a, b, fa, fb, width):
+    """Illinois regula falsi on the branches D(theta, t) of several edges at
+    once.  Entry i is branch ``idx[i]`` of edge ``g[i]``, bracketed by
+    [a, b] with values ``fa`` <= 0 < ``fb``; ``edges`` holds the q, p, grid
+    size and lo flag of each edge.  The entries are grouped by edge and the
+    edges ordered by q, so each step evaluates every open bracket in one
+    kernel call.
+
+    A branch is dropped once its bracket cannot hold its edge's least root
+    (lo edge) or greatest (hi edge).  Returns the surviving entries' g, idx,
+    a and b.
     """
+    q, p, n, lo = edges
     side = np.zeros(idx.size)  # +1 / -1: the last step moved b / a
     for _ in range(PREDICT_STEPS):
-        drop = a > b.min() if edge == "lo" else b < a.max()
-        idx, a, b, fa, fb, side = (x[~drop] for x in (idx, a, b, fa, fb, side))
+        starts = _starts(g)
+        sizes = np.diff(starts, append=g.size)
+        least_b = np.repeat(np.minimum.reduceat(b, starts), sizes)
+        most_a = np.repeat(np.maximum.reduceat(a, starts), sizes)
+        keep = ~np.where(lo[g], a > least_b, b < most_a)
+        g, idx, a, b, fa, fb, side = (x[keep] for x in (g, idx, a, b, fa, fb, side))
         o = np.flatnonzero(b - a > width)
         if not o.size:
             break
         c = np.clip(b[o] - fb[o] * (b[o] - a[o]) / (fb[o] - fa[o]), a[o], b[o])
-        fc = rotation._lift_q_displacement(fam, c, q, p, thetas[idx[o]])
+        go = g[o]
+        fc = _branch_disp(fam, c, q[go], p[go], idx[o] / n[go])
         pos = fc > 0.0
         up, down = o[pos], o[~pos]
         # Illinois: halve the value at the end that stays put twice running
@@ -128,103 +175,248 @@ def _illinois(fam, p, q, edge, thetas, idx, a, b, fa, fb, width):
         b[up], fb[up], side[up] = c[pos], fc[pos], 1.0
         a[down], fa[down], side[down] = c[~pos], fc[~pos], -1.0
         b[o[fc == 0.0]] = c[fc == 0.0]  # an exact root closes its bracket
-    return idx, a, b
+    return g, idx, a, b
 
 
-def _predict_root(fam, p, q, edge, thetas, u, du, v, dv, tol, disp_at):
-    """Estimate of the B root inside [u, v] from the branches D(theta_i, t),
-    given the displacement arrays ``du``, ``dv`` at u and v.  A pass over
-    every branch at one t is a B evaluation, taken by ``disp_at``.
+def _predict_roots(fam, requests, tol):
+    """Estimates of the B roots of several edges from their branches
+    D(theta_i, t), found in lockstep.  ``requests`` are (p, q, edge, thetas,
+    u, v) as :func:`_edge_root` yields them, [u, v] the edge's bracket.
+    Returns per request the estimate and the indices of the branches that
+    may hold the root.
 
     Every branch is increasing in t, so the root of B_plus (lo edge) is the
-    least branch root and that of B_minus (hi edge) the greatest.  A large
-    branch set is first run on every PREDICT_STRIDE-th branch.  The fine
-    neighbours of the survivors then start from brackets split at the
-    survivors' best end.
+    least branch root and that of B_minus (hi edge) the greatest; the
+    branches that can hold it are those with D(v) > 0 (lo edge) or
+    D(u) <= 0 (hi edge).  Illinois regula falsi first runs on every
+    PREDICT_STRIDE-th branch.  The fine neighbours of its survivors then
+    start from brackets split at the survivors' best end; an edge with few
+    such branches on the stride runs on all of them instead.  Each pass
+    runs the branches of every edge in lockstep (:func:`_illinois`), and
+    the branch values at u, v and the split are one kernel call each, so
+    no grid array outlives its evaluation.
     """
-    in_branch = dv > 0.0 if edge == "lo" else du <= 0.0
-    idx = np.flatnonzero(in_branch)
-    a, b, fa, fb = np.full(idx.size, u), np.full(idx.size, v), du[idx], dv[idx]
-    if idx.size > 2 * PREDICT_STRIDE:
-        s = slice(None, None, PREDICT_STRIDE)
-        idx, a, b = _illinois(fam, p, q, edge, thetas, idx[s], a[s], b[s], fa[s], fb[s],
-                              tol * PREDICT_TOL)
-        t = b.min() if edge == "lo" else a.max()
-        near = np.zeros_like(in_branch)
-        near[(idx[:, None] + np.arange(-PREDICT_STRIDE, PREDICT_STRIDE + 1)) % thetas.size] = True
-        idx = np.flatnonzero(near & in_branch)
-        if idx.size == thetas.size:
-            ft = disp_at(t)
-        else:
-            ft = rotation._lift_q_displacement(fam, t, q, p, thetas[idx])
-        pos = ft > 0.0
-        a, fa = np.where(pos, u, t), np.where(pos, du[idx], ft)
-        b, fb = np.where(pos, t, v), np.where(pos, ft, dv[idx])
-    _, a, b = _illinois(fam, p, q, edge, thetas, idx, a, b, fa, fb, tol * PREDICT_TOL)
-    if edge == "lo":
-        return 0.5 * (a.min() + b.min())
-    return 0.5 * (a.max() + b.max())
+    order = sorted(range(len(requests)), key=lambda k: requests[k][1])
+    reqs = [requests[k] for k in order]
+    q = np.array([r[1] for r in reqs])
+    p = np.array([r[0] for r in reqs], dtype=float)
+    n = np.array([r[3].size for r in reqs])
+    lo = np.array([r[2] == "lo" for r in reqs])
+    u = np.array([r[4] for r in reqs])
+    v = np.array([r[5] for r in reqs])
+    edges = (q, p, n, lo)
+    width = tol * PREDICT_TOL
+
+    def at(g, idx, ts):
+        """D of the branches ``idx`` of the grouped edges ``g`` at each
+        per-edge t of ``ts``, in one kernel call."""
+        gg = np.tile(g, len(ts))
+        o = np.argsort(gg, kind="stable")
+        go = gg[o]
+        out = np.empty(gg.size)
+        out[o] = _branch_disp(fam, np.concatenate([t[g] for t in ts])[o], q[go], p[go],
+                              np.tile(idx, len(ts))[o] / n[go])
+        return np.split(out, len(ts))
+
+    g = np.repeat(np.arange(len(reqs)), -(-n // PREDICT_STRIDE))
+    idx = np.concatenate([np.arange(0, m, PREDICT_STRIDE) for m in n.tolist()])
+    du, dv = at(g, idx, (u, v))
+    coarse = np.where(lo[g], dv > 0.0, du <= 0.0)
+    wide = np.bincount(g[coarse], minlength=len(reqs)) > 2
+    coarse &= wide[g]
+    best = np.full(len(reqs), math.nan)  # the split of each wide edge
+    fine = [None if w else np.arange(m) for w, m in zip(wide.tolist(), n.tolist())]
+    if coarse.any():
+        g, idx, a, b = _illinois(fam, edges, g[coarse], idx[coarse], u[g[coarse]],
+                                 v[g[coarse]], du[coarse], dv[coarse], width)
+        starts = _starts(g)
+        ks = g[starts]
+        best[ks] = np.where(lo[ks], np.minimum.reduceat(b, starts), np.maximum.reduceat(a, starts))
+        reach = np.arange(-PREDICT_STRIDE, PREDICT_STRIDE + 1)
+        for k, survivors in zip(ks.tolist(), np.split(idx, starts[1:])):
+            near = np.zeros(n[k], dtype=bool)
+            near[(survivors[:, None] + reach) % n[k]] = True
+            fine[k] = np.flatnonzero(near)
+    g = np.repeat(np.arange(len(reqs)), [i.size for i in fine])
+    idx = np.concatenate(fine)
+    du, dv, dt = at(g, idx, (u, v, best))
+    keep = np.where(lo[g], dv > 0.0, du <= 0.0)
+    g, idx, du, dv, dt = (x[keep] for x in (g, idx, du, dv, dt))
+    t = best[g]
+    below, above = wide[g] & ~(dt > 0.0), wide[g] & (dt > 0.0)
+    g, idx, a, b = _illinois(fam, edges, g, idx, np.where(below, t, u[g]), np.where(above, t, v[g]),
+                             np.where(below, dt, du), np.where(above, dt, dv), width)
+    starts = _starts(g)
+    ks = g[starts]
+    est = np.where(lo[ks], np.minimum.reduceat(a, starts) + np.minimum.reduceat(b, starts),
+                   np.maximum.reduceat(a, starts) + np.maximum.reduceat(b, starts)) * 0.5
+    out = [(math.nan, None)] * len(requests)
+    for k, e, survivors in zip(ks.tolist(), est.tolist(), np.split(idx, starts[1:])):
+        out[order[k]] = (e, survivors)
+    return out
 
 
-def _edge_root(fam, p, q, edge, t_seed, radius0, tol, thetas, disp_at):
+def _edge_root(fam, p, q, edge, t_seed, radius0, tol, thetas, extremes):
     """Root of B_plus (edge='lo') or B_minus (edge='hi'), bracketed by
     geometric expansion around t_seed and then bisected to radius <= tol.
-    ``disp_at(t)`` is the displacement array D(thetas, t) of which B is
-    the max (lo edge) or the min (hi edge).
+    ``extremes(t)`` is the max and the min of the displacement D(thetas,
+    t), B_plus and B_minus, and ``extremes(t, idx)`` those of its values at
+    the indices ``idx``, or of the whole grid where t was evaluated there.
+
+    A generator: each round of prediction yields the request (p, q, edge,
+    thetas, u, v) of :func:`_predict_roots` and is sent its answer, an
+    estimate and the branches that may hold the root (or None).  Returns
+    the root and its bracket radius; raises CircledynError when the radius
+    cannot reach tol.
 
     B is strictly increasing in t when the t-derivative bound is below the
     winding.  The bisection then evaluates B only at midpoints strictly
     inside the tightest evaluated bracket; any other midpoint's sign
     follows from monotonicity.  Evaluating first the two ends of the final
     cell that holds the predicted root usually leaves no midpoint to
-    evaluate.  The result equals plain bisection's bit for bit whatever
-    the prediction, which only decides what is evaluated.
+    evaluate.  B_plus(t) > 0 and B_minus(t) <= 0 are settled by one grid
+    point, so the cell end that should have that sign is first evaluated
+    on the predicted branches alone, and on the whole grid only when they
+    do not settle it.  The result equals plain bisection's bit for bit
+    whatever the prediction, which only decides what is evaluated.
     """
-    def extremum(t):
-        disp = disp_at(t)
-        return float(np.max(disp) if edge == "lo" else np.min(disp)), disp
+    lo = edge == "lo"
+
+    def B(t, idx=None):
+        return extremes(t, idx)[0 if lo else 1]
 
     r = max(radius0, 4.0 * tol)
     u, v = t_seed - r, t_seed + r
-    (fu, du), (fv, dv) = extremum(u), extremum(v)
+    fu, fv = B(u), B(v)
     for _ in range(64):
         if fu < 0.0:
             break
         r *= 2.0
         u = t_seed - r
-        fu, du = extremum(u)
+        fu = B(u)
     for _ in range(64):
         if fv > 0.0:
             break
         r *= 2.0
         v = t_seed + r
-        fv, dv = extremum(v)
+        fv = B(v)
     if fu >= 0.0 or fv <= 0.0:
         raise NoLockInBracket(
             f"could not bracket the {edge} edge of the {p}/{q} window near t={t_seed:g}"
         )
 
     monotone = fam.dt_sup_bound() < fam.winding
-    # tightest evaluated bracket, with its displacement arrays: B <= 0 at
-    # ends[0], B > 0 at ends[1]
-    ends = [(u, du), (v, dv)]
+    ends = [u, v]  # tightest evaluated bracket: B <= 0 at ends[0], B > 0 at ends[1]
 
-    def positive(t):
-        if monotone and not ends[0][0] < t < ends[1][0]:
-            return t >= ends[1][0]
-        val, disp = extremum(t)
-        ends[1 if val > 0.0 else 0] = (t, disp)
+    def positive(t, branches=None):
+        if monotone and not ends[0] < t < ends[1]:
+            return t >= ends[1]
+        if branches is not None and branches.size:
+            val = B(t, branches)
+            if lo and val > 0.0:
+                ends[1] = t
+                return True
+            if not lo and val <= 0.0:
+                ends[0] = t
+                return False
+        val = B(t)
+        ends[1 if val > 0.0 else 0] = t
         return val > 0.0
 
     for _ in range(PREDICT_ROUNDS if monotone else 0):
-        est = _predict_root(fam, p, q, edge, thetas, *ends[0], *ends[1], tol, disp_at)
+        est, branches = yield (p, q, edge, thetas, *ends)
         cell = _bisect(u, v, tol, lambda mid: mid > est)
-        for t in cell:
-            positive(t)
-        if (ends[0][0], ends[1][0]) == cell:
+        positive(cell[0], None if lo else branches)
+        positive(cell[1], branches if lo else None)
+        if tuple(ends) == cell:
             break
     u, v = _bisect(u, v, tol, positive)
+    if (v - u) / 2.0 > tol:
+        raise CircledynError(
+            f"the {edge} edge of the {p}/{q} window near t={0.5 * (u + v):.6g} keeps a bracket "
+            f"radius of {(v - u) / 2.0:.3g} after {MAX_BISECT} bisections, above tol {tol:g}"
+        )
     return 0.5 * (u + v), 0.5 * (v - u)
+
+
+def _edge_solvers(fam, p, q, tol, thetas, seed):
+    """The lo and hi edge solvers of the p/q window.  Both edges start from
+    t = seed +- r and expand along seed +- r 2^k, and B_plus and B_minus
+    are the max and the min of one displacement array D(theta_i, t).  So
+    the edges share their evaluations: each t is evaluated on the whole
+    grid once per window, and only its extremes are kept."""
+    radius0 = fam.g_sup_bound() / fam.winding + 4.0 * tol
+    evals = {}
+
+    def extremes(t, idx=None):
+        if t in evals:
+            return evals[t]
+        whole = idx is None or idx.size == thetas.size
+        disp = rotation._lift_q_displacement(fam, t, q, p, thetas if whole else thetas[idx])
+        out = float(np.max(disp)), float(np.min(disp))
+        if whole:
+            evals[t] = out
+        return out
+
+    return [_edge_root(fam, p, q, edge, seed, radius0, tol, thetas, extremes)
+            for edge in ("lo", "hi")]
+
+
+def _solve(solvers, fam, tol):
+    """Run edge solvers (generators of :func:`_edge_root`) to their results,
+    answering each round of their requests with one lockstep call of
+    :func:`_predict_roots`."""
+    results, requests = [None] * len(solvers), {}
+
+    def advance(k, answer):
+        try:
+            requests[k] = solvers[k].send(answer)
+        except StopIteration as stop:
+            results[k] = stop.value
+
+    for k in range(len(solvers)):
+        advance(k, None)
+    while requests:
+        keys = list(requests)
+        answers = _predict_roots(fam, [requests.pop(k) for k in keys], tol)
+        for k, answer in zip(keys, answers):
+            advance(k, answer)
+    return results
+
+
+@rotation._quiet
+def _windows(fam, pairs, tol, grid=None) -> list:
+    """The windows of ``pairs``, (p, q, seed) triples, in order.  Each
+    window's grid is ``grid`` or ``rotation.lock_grid_size(q)``, and the
+    windows of up to ``LOCKSTEP_POINTS`` grid points at a time are solved
+    together, their edge predictions in lockstep (:func:`_solve`).  Windows
+    narrower than tol collapse to width-0 markers.  An orbit that overflows
+    ends in inf or nan quietly, and its edge in an error."""
+    batches, points = [[]], 0
+    for p, q, seed in pairs:
+        size = grid or rotation.lock_grid_size(q)
+        if batches[-1] and points + size > LOCKSTEP_POINTS:
+            batches.append([])
+            points = 0
+        batches[-1].append((p, q, size, seed))
+        points += size
+    out, grids = [], {}
+    for batch in batches:
+        edges = _solve([solver for p, q, size, seed in batch
+                        for solver in _edge_solvers(fam, p, q, tol, grids.setdefault(
+                            size, np.arange(size) / size), seed)], fam, tol)
+        for (p, q, _, _), (t_lo, r_lo), (t_hi, r_hi) in zip(batch, edges[::2], edges[1::2]):
+            radius = max(r_lo, r_hi)
+            width = t_hi - t_lo
+            # each edge is known to +-tol, so width <= 2 tol is
+            # indistinguishable from a point (small factor absorbs
+            # bisection rounding)
+            if width <= 2.0 * tol * (1.0 + 1e-6):
+                mid = 0.5 * (t_lo + t_hi)
+                out.append(Window(p, q, mid, mid, 0.0, radius))
+            else:
+                out.append(Window(p, q, t_lo, t_hi, width, radius))
+    return out
 
 
 def window_for_rational(fam, p: int, q: int, tol: float = 1e-6,
@@ -233,35 +425,11 @@ def window_for_rational(fam, p: int, q: int, tol: float = 1e-6,
 
     The seed defaults to the rigid-rotation prediction p / (q * winding);
     expansion of the bisection bracket absorbs the periodic-part offset.
-    Windows narrower than tol collapse to width-0 markers.
-
-    Both edges start from t = seed +- r and expand along seed +- r 2^k, and
-    B_plus and B_minus are the max and the min of one displacement array
-    D(theta_i, t).  So the edges share the arrays they evaluate: each t is
-    evaluated once per window.  The arrays are dropped with the window.
+    Windows narrower than tol collapse to width-0 markers.  This is
+    :func:`enumerate_windows`'s solver on one window.
     """
-    grid = grid or rotation.lock_grid_size(q)
-    n = fam.winding
-    seed = t_seed if t_seed is not None else p / (q * n)
-    radius0 = fam.g_sup_bound() / n + 4.0 * tol
-    thetas = np.arange(grid) / grid
-    evals = {}
-
-    def disp_at(t):
-        if t not in evals:
-            evals[t] = rotation._lift_q_displacement(fam, t, q, p, thetas)
-        return evals[t]
-
-    t_lo, r_lo = _edge_root(fam, p, q, "lo", seed, radius0, tol, thetas, disp_at)
-    t_hi, r_hi = _edge_root(fam, p, q, "hi", seed, radius0, tol, thetas, disp_at)
-    radius = max(r_lo, r_hi)
-    width = t_hi - t_lo
-    # each edge is known to +-tol, so width <= 2 tol is indistinguishable
-    # from a point (small factor absorbs bisection rounding)
-    if width <= 2.0 * tol * (1.0 + 1e-6):
-        mid = 0.5 * (t_lo + t_hi)
-        return Window(p, q, mid, mid, 0.0, radius)
-    return Window(p, q, t_lo, t_hi, width, radius)
+    seed = t_seed if t_seed is not None else p / (q * fam.winding)
+    return _windows(fam, [(p, q, seed)], tol, grid)[0]
 
 
 def window_boundaries(fam, p: int, q: int, t_bracket, tol: float = 1e-6) -> Window:
@@ -299,24 +467,32 @@ def lift_rationals(q_max: int, winding: int) -> list:
     return out
 
 
-def _window_at(fam, tol, grid, pq) -> Window:
+def _chunk_windows(fam, tol, grid, pairs) -> list:
     # module level, so that a process pool can pickle it with its arguments
-    return window_for_rational(fam, pq[0], pq[1], tol, grid)
+    return _windows(fam, [(p, q, p / (q * fam.winding)) for p, q in pairs], tol, grid)
 
 
 def enumerate_windows(fam, q_max: int, tol: float = 1e-6,
                       grid: int | None = None, map_fn=map) -> list:
     """One window per reduced rational with q <= q_max, in Farey order.
 
-    ``map_fn`` lets a caller substitute a worker pool (such as a process
-    pool's ``map``); results are emitted in deterministic Farey order
-    regardless of completion order.
+    The rationals go out in one interleaved chunk per worker of ``map_fn``,
+    its ``workers`` attribute (one chunk for a ``map_fn`` without it, such
+    as the plain ``map``), and each chunk is solved with its edge
+    predictions in lockstep.  Every window equals
+    :func:`window_for_rational`'s, so the results, emitted in Farey order,
+    do not depend on the chunks.
     """
     if q_max < 1:
         raise ValueError("q_max must be >= 1")
     fam.check_diffeo()
     pairs = lift_rationals(q_max, fam.winding)
-    return list(map_fn(functools.partial(_window_at, fam, tol, grid), pairs))
+    chunks = max(1, min(getattr(map_fn, "workers", 1), len(pairs)))
+    out = [None] * len(pairs)
+    for k, ws in enumerate(map_fn(functools.partial(_chunk_windows, fam, tol, grid),
+                                  [pairs[k::chunks] for k in range(chunks)])):
+        out[k::chunks] = ws
+    return out
 
 
 def locked_measure(fam, q_max: int, mc_samples: int, tol: float = 1e-6,

@@ -332,6 +332,28 @@ class TestWindowsCommand:
         table = json.loads(read(os.path.join(out, "report.json")))["tables"]["mc_iterates"]
         assert 256 * 50 <= int(table["rows"][0][1]) <= 300 * 50
 
+    @pytest.mark.parametrize("const, at, radius", [(1e12, "-1e+12", "6.1e-05"),
+                                                   (1e300, "-1e+300", "7.44e+283"),
+                                                   (1.7e308, "-inf", "inf")])
+    def test_edge_beyond_tol_exits_2(self, const, at, radius, tmp_path):
+        # near t = -const the floats, or 64 bisections of the first bracket,
+        # are too coarse for --tol 1e-6; at 1.7e308 the orbits overflow
+        fam = tmp_path / "far.json"
+        fam.write_text(json.dumps({"label": "far", "winding": 1, "const": [const],
+                                   "harmonics": [{"j": 1, "a": [0.0], "b": [0.1]}]}))
+        out = tmp_path / "o"
+        res = subprocess.run(
+            [sys.executable, "-W", "default", "-m", "circledyn.cli", "windows",
+             "--input", str(fam), "--qmax", "2", "--tol", "1e-6", "--samples", "10",
+             "--workers", "1", "--out", str(out)],
+            capture_output=True, text=True,
+        )
+        assert res.returncode == 2, res.stderr
+        assert f"0/1 window near t={at} keeps a bracket radius of {radius} " in res.stderr
+        assert "above tol 1e-06" in res.stderr
+        assert "Warning" not in res.stderr, res.stderr
+        assert not out.exists()
+
 
 class TestDioCommand:
     def test_csv(self, tmp_path):

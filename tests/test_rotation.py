@@ -269,6 +269,28 @@ class TestTwoLevelLockCheck:
         assert chk.status == LOCKED
         assert abs(fam.lift(5e-4, chk.witness) - chk.witness) <= 1e-8
 
+    def test_a_lock_takes_no_margin(self, monkeypatch):
+        # B2 and rho serve only a grid clear of zero
+        fam, taken, grids = arnold_family(0.1), [], []
+        real_bound, real_disp = StageStack.iterate_d2_bound, rotation._q_disp
+
+        def bound(self, t, q):
+            taken.append(q)
+            return real_bound(self, t, q)
+
+        def disp(step, q, p, thetas):
+            if np.size(thetas) == rotation.lock_grid_size(q):
+                grids.append(q)
+            return real_disp(step, q, p, thetas)
+
+        monkeypatch.setattr(StageStack, "iterate_d2_bound", bound)
+        monkeypatch.setattr(rotation, "_q_disp", disp)
+        for t, p, q in [(0.0, 0, 1), (0.05, 0, 1), (0.5, 1, 2)]:
+            assert is_locked(fam, t, p, q).status == LOCKED
+        assert grids == [] and taken == []  # every lock was found on the sub-grid
+        assert is_locked(fam, 0.3, 0, 1).status == NOT_LOCKED
+        assert taken == [1]
+
     def test_most_checks_skip_the_full_grid(self, monkeypatch):
         fams = first_per_period(arnold_skew(2, c3_scaled_amplitude(0.05)), 3)
         calls, grids = [], []
@@ -526,24 +548,33 @@ class TestLargeParameter:
 
     def test_rounding_guard_bound_is_t_free_on_unit_interval(self, monkeypatch):
         # on [0, 1] the guard takes one t-free bound per batch; the other
-        # bounds belong to the lock checks' margins
+        # bounds belong to the lock checks' margins, which every check that
+        # does not lock takes, with its B2, and a lock only when its
+        # sub-grid showed no sign change
         fam = three_stage_family()
-        bounds, checks = [], []
-        real_bound, real_check = StageStack.dtheta_lift_bound, rotation.is_locked
+        bounds, margins, checks = [], [], []
+        real_bound, real_d2 = StageStack.dtheta_lift_bound, StageStack.iterate_d2_bound
+        real_check = rotation.is_locked
 
         def bound(self, t=None):
             bounds.append(t)
             return real_bound(self, t)
 
+        def d2(self, t, q):
+            margins.append(t)
+            return real_d2(self, t, q)
+
         def check(*args, **kwargs):
-            checks.append(args)
-            return real_check(*args, **kwargs)
+            checks.append(real_check(*args, **kwargs))
+            return checks[-1]
 
         monkeypatch.setattr(StageStack, "dtheta_lift_bound", bound)
+        monkeypatch.setattr(StageStack, "iterate_d2_bound", d2)
         monkeypatch.setattr(rotation, "is_locked", check)
         classify_batch(fam, np.linspace(0.0, 1.0, 41), q_max=10)
         assert bounds.count(None) == 1
-        assert len(bounds) == 1 + len(checks)
+        assert bounds[1:] == margins
+        assert sum(c.status != LOCKED for c in checks) <= len(margins) <= len(checks)
         # a t outside [0, 1] keeps the bound at each t, so the guard fires
         bounds.clear()
         res = classify_batch(arnold_family(0.1), [0.5, 1e20])
@@ -728,6 +759,29 @@ class TestMergedSweep:
                     assert np.array_equal(got[at], np.broadcast_to(value, (n,)))
             start += n
 
+    def test_blocks_merge_families_of_like_harmonic_counts(self):
+        # cut in the callers' order, each block would mix 1 and 3 harmonics
+        one = arnold_family(0.1)
+        three = CircleFamily(1, TPoly((0.0,)), ((1, TPoly((0.02,)), TPoly((0.05,))),
+                                                (2, TPoly((0.01,)), TPoly((0.0,))),
+                                                (3, TPoly((0.0,)), TPoly((0.005,)))))
+        ts = np.random.default_rng(5).random(20)
+        groups = [(one, ts), (three, ts), (one, ts[:10]), (three, ts[10:])]
+        seen = []
+
+        class Pool:
+            workers = 2
+
+            def __call__(self, fn, blocks):
+                blocks = list(blocks)
+                seen.extend({len(fam.harmonics) for _, fam, _, _ in b} for b in blocks)
+                return map(fn, blocks)
+
+        merged = rotation.classify_groups(groups, q_max=6, map_fn=Pool())
+        assert seen == [{1}, {3}]
+        assert [[r for piece in pieces for r in piece] for pieces in merged] == \
+            [classify_batch(fam, t, q_max=6) for fam, t in groups]
+
     def test_compressed_phases_are_the_subset_phases(self, groups):
         fam, ts = groups[3]
         keep = np.random.default_rng(3).random(ts.size) < 0.5
@@ -765,10 +819,10 @@ def first_order_rule(fam, t, p, q, grid=None):
         rho = 2.0 * rotation.EPS * (lip_q * q * rotation._rounding_rate(fam, lip) * (y + 1.0)
                                     + y + abs(p) + 1.0)
         slack = (lip_q - 1.0) * (s / n) / 2.0 + rho
-        chk = rotation._lock_decision(step, p, q, n, s, margin + slack)
+        chk = rotation._lock_decision(step, p, q, n, s, lambda h: margin + slack)
         if chk.status != UNRESOLVED:
             return chk
-    return rotation._lock_decision(step, p, q, n, 1, margin)
+    return rotation._lock_decision(step, p, q, n, 1, lambda h: margin)
 
 
 def exact_d2(fam, t, q, theta):

@@ -1,11 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from circledyn import rotation, windows
 from circledyn.circle_map import CircleFamily, TPoly
-from circledyn.errors import DegenerateFamily, NoLockInBracket
+from circledyn.errors import CircledynError, DegenerateFamily, NoLockInBracket
 from circledyn.gallery import arnold_family, rigid_family
 from circledyn.rotation import LOCKED, NOT_LOCKED, UNRESOLVED, is_locked
 from circledyn.windows import (
@@ -95,7 +96,9 @@ class TestBoundaryMonotonicity:
 def plain_edge_root(fam, p, q, edge, t_seed, radius0, tol, thetas, disp_at):
     """The edge solver as it was before the branch predictor and before
     the edges of a window shared their evaluations: geometric expansion,
-    then bisection that evaluates B at every midpoint."""
+    then bisection that evaluates B at every midpoint.  A generator, as
+    ``windows._edge_root`` is, that asks for no prediction."""
+    yield from ()
 
     def B(t):
         disp = rotation._lift_q_displacement(fam, t, q, p, thetas)
@@ -156,7 +159,7 @@ def edge_windows(monkeypatch, fam, q_max, tol, edge_root=None, predict=None):
         if edge_root is not None:
             m.setattr(windows, "_edge_root", edge_root)
         if predict is not None:
-            m.setattr(windows, "_predict_root", predict)
+            m.setattr(windows, "_predict_roots", predict)
         out = [window_for_rational(fam, p, q, tol)
                for p, q in windows.lift_rationals(q_max, fam.winding)]
     return out, calls
@@ -209,8 +212,9 @@ class TestEdgeReplay:
 
     @pytest.mark.parametrize("wrong", ["nan", "lower-end", "upper-end"])
     def test_wrong_prediction_costs_only_evaluations(self, monkeypatch, wrong):
-        def predict(fam, p, q, edge, thetas, u, du, v, dv, tol, disp_at):
-            return {"nan": math.nan, "lower-end": u, "upper-end": v}[wrong]
+        def predict(fam, requests, tol):
+            return [({"nan": math.nan, "lower-end": u, "upper-end": v}[wrong], None)
+                    for p, q, edge, thetas, u, v in requests]
 
         fam = arnold_family(0.1)
         good, good_calls = edge_windows(monkeypatch, fam, 5, 1e-8)
@@ -224,6 +228,115 @@ class TestEdgeReplay:
         ws = enumerate_windows(arnold_family(0.1), 8, tol=1e-7)
         per_edge = len(calls) / (2 * len(ws))
         assert per_edge <= 6.0, f"{per_edge:.2f} full-grid evaluations per edge"
+
+
+@pytest.fixture(scope="module")
+def two_worker_pool():
+    from circledyn.cli import _Pool
+
+    with _Pool(2) as pool:
+        yield pool
+
+
+class TestLockstep:
+    """``enumerate_windows`` solves the windows of a chunk together: their
+    edge predictions run in lockstep, and a cell end is evaluated on the
+    whole grid only for a sign that a few branches cannot settle."""
+
+    @pytest.mark.parametrize("name", sorted(EDGE_FAMILIES))
+    def test_equals_per_pair_solver_and_plain_bisection(self, monkeypatch, name,
+                                                        two_worker_pool):
+        fam, q_max = EDGE_FAMILIES[name]
+        per_pair, _ = edge_windows(monkeypatch, fam, q_max, 1e-9)
+        plain, _ = edge_windows(monkeypatch, fam, q_max, 1e-9, edge_root=plain_edge_root)
+        serial = enumerate_windows(fam, q_max, tol=1e-9)
+        pooled = enumerate_windows(fam, q_max, tol=1e-9, map_fn=two_worker_pool)
+        assert as_bits(serial) == as_bits(pooled) == as_bits(per_pair) == as_bits(plain)
+
+    def test_lockstep_batches_equal_one_batch(self, monkeypatch):
+        fam, q_max = EDGE_FAMILIES["winding-2-t-dependent"]
+        whole = enumerate_windows(fam, q_max, tol=1e-9)
+        monkeypatch.setattr(windows, "LOCKSTEP_POINTS", 3 * rotation.lock_grid_size(q_max))
+        assert as_bits(enumerate_windows(fam, q_max, tol=1e-9)) == as_bits(whole)
+
+    def test_predictor_kernel_calls_do_not_grow_with_windows(self, monkeypatch):
+        kernel, rounds = [], []
+        real_kernel, real_predict = windows._branch_disp, windows._predict_roots
+
+        def counting_kernel(*args):
+            kernel.append(args[0])
+            return real_kernel(*args)
+
+        def counting_predict(fam, requests, tol):
+            rounds.append(len(requests))
+            return real_predict(fam, requests, tol)
+
+        monkeypatch.setattr(windows, "_branch_disp", counting_kernel)
+        monkeypatch.setattr(windows, "_predict_roots", counting_predict)
+        ws = enumerate_windows(arnold_family(0.1), 8)
+        # every edge of the 22 windows in one lockstep round: two Illinois
+        # passes of at most PREDICT_STEPS steps, and the calls that start them
+        assert rounds == [2 * len(ws)]
+        assert len(kernel) <= 2 * windows.PREDICT_STEPS + 2
+
+    def test_at_most_four_full_grid_evaluations_per_window(self, monkeypatch):
+        calls = count_grid_evals(monkeypatch)
+        ws = enumerate_windows(arnold_family(0.1), 8)
+        per_window = {(w.p, w.q): 0 for w in ws}
+        for p, q, _ in calls:
+            per_window[(p, q)] += 1
+        assert max(per_window.values()) <= 4, per_window
+
+    @pytest.mark.parametrize("name", sorted(EDGE_FAMILIES))
+    def test_branch_values_equal_the_full_grid(self, monkeypatch, name):
+        fam, q_max = EDGE_FAMILIES[name]
+        subsets = []
+        real = rotation._lift_q_displacement
+
+        def recording(f, t, q, p, thetas):
+            if np.ndim(t) == 0 and np.size(thetas) < rotation.lock_grid_size(q):
+                subsets.append((t, q, p, np.array(thetas)))
+            return real(f, t, q, p, thetas)
+
+        monkeypatch.setattr(rotation, "_lift_q_displacement", recording)
+        enumerate_windows(fam, q_max, tol=1e-9)
+        monkeypatch.undo()
+        if name != "uncertified":  # no prediction without monotonicity
+            assert subsets
+        for t, q, p, thetas in subsets:
+            n = rotation.lock_grid_size(q)
+            idx = np.rint(thetas * n).astype(int)
+            assert np.array_equal(idx / n, thetas)
+            full = rotation._lift_q_displacement(fam, t, q, p, np.arange(n) / n)
+            part = rotation._lift_q_displacement(fam, t, q, p, thetas)
+            assert full[idx].tobytes() == part.tobytes()
+
+    @pytest.mark.parametrize("wrong", ["none", "one-far-branch", "every-branch"])
+    def test_wrong_branches_cost_only_evaluations(self, monkeypatch, wrong):
+        real = windows._predict_roots
+
+        def predict(fam, requests, tol):
+            out = []
+            for (est, _), (p, q, edge, thetas, *_) in zip(real(fam, requests, tol), requests):
+                far = np.array([0 if edge == "hi" else thetas.size // 2])
+                out.append((est, {"none": np.array([], dtype=int), "one-far-branch": far,
+                                  "every-branch": np.arange(thetas.size)}[wrong]))
+            return out
+
+        fam = arnold_family(0.1)
+        good, good_calls = edge_windows(monkeypatch, fam, 5, 1e-8)
+        bad, bad_calls = edge_windows(monkeypatch, fam, 5, 1e-8, predict=predict)
+        old, _ = edge_windows(monkeypatch, fam, 5, 1e-8, edge_root=plain_edge_root)
+        assert as_bits(bad) == as_bits(good) == as_bits(old)
+        assert len(bad_calls) >= len(good_calls)
+
+    @pytest.mark.parametrize("const, radius", [(1e12, 6e-5), (1e300, 1e283)])
+    def test_edge_that_cannot_reach_tol_raises(self, const, radius):
+        fam = CircleFamily(1, TPoly((const,)), ((1, TPoly((0.0,)), TPoly((0.1,))),))
+        with pytest.raises(CircledynError, match="0/1 window") as exc:
+            window_for_rational(fam, 0, 1, tol=1e-6)
+        found = re.search(r"radius of (\S+) after .* above tol 1e-06$", str(exc.value))
+        assert found and float(found.group(1)) > radius
 
 
 class TestLockedMeasure:
