@@ -1,4 +1,4 @@
-"""Reduced-fraction enumeration: Farey sequences and Stern-Brocot descent."""
+"""Reduced-fraction enumeration: Farey sequences and slices of them."""
 
 from __future__ import annotations
 
@@ -27,29 +27,14 @@ def farey_sequence(q_max: int):
         yield (a, b)
 
 
-def _unit_interval_fractions(lo: float, hi: float, q_max: int):
-    """Reduced fractions with denominator <= q_max inside [lo, hi] cap [0, 1]."""
-    out = []
-    if lo <= 0.0 <= hi:
-        out.append((0, 1))
-    if lo <= 1.0 <= hi:
-        out.append((1, 1))
-    stack = [(0, 1, 1, 1)]
-    while stack:
-        a, b, c, d = stack.pop()
-        p, q = a + c, b + d
-        if q > q_max:
-            continue
-        x = p / q
-        if x < lo:
-            stack.append((p, q, c, d))
-        elif x > hi:
-            stack.append((a, b, p, q))
-        else:
-            out.append((p, q))
-            stack.append((a, b, p, q))
-            stack.append((p, q, c, d))
-    return out
+@functools.lru_cache(maxsize=8)
+def _unit_table(q_max: int):
+    """The reduced fractions (p, q) in [0, 1] with q <= q_max, ascending,
+    and their values p / q as a read-only array."""
+    fracs = (*farey_sequence(q_max), (1, 1))
+    vals = np.array([p / q for p, q in fracs])
+    vals.flags.writeable = False
+    return fracs, vals
 
 
 def fractions_in_interval(lo: float, hi: float, q_max: int):
@@ -57,27 +42,21 @@ def fractions_in_interval(lo: float, hi: float, q_max: int):
 
     The numerator may be negative or exceed q.  Results are sorted by
     denominator then value, which is the natural order for trying cheap
-    lock denominators first.
+    lock denominators first.  Each unit interval [base, base + 1] that
+    [lo, hi] meets is a slice of the sorted table of p/q in [0, 1],
+    found by comparing the floats p / q with lo - base and hi - base; off
+    [0, 1] that may decide a fraction within an ulp of an end otherwise
+    than a float (p + base q) / q would.
     """
     if hi < lo:
         return []
+    fracs, vals = _unit_table(q_max)
     found = set()
     for base in range(math.floor(lo), math.floor(hi) + 1):
         u, v = max(lo - base, 0.0), min(hi - base, 1.0)
-        if u > v:
-            continue
-        for p, q in _unit_interval_fractions(u, v, q_max):
-            found.add((p + base * q, q))
+        i, j = np.searchsorted(vals, u), np.searchsorted(vals, v, side="right")
+        found.update((p + base * q, q) for p, q in fracs[i:j])
     return sorted(found, key=lambda f: (f[1], f[0]))
-
-
-@functools.lru_cache(maxsize=8)
-def _unit_values(q_max: int):
-    """The values p / q of the reduced fractions in [0, 1] with q <= q_max,
-    ascending, as the floats that Stern-Brocot descent compares."""
-    vals = np.array([p / q for p, q in farey_sequence(q_max)] + [1.0])
-    vals.flags.writeable = False
-    return vals
 
 
 def holds_fraction(lo, hi, q_max: int):
@@ -92,6 +71,6 @@ def holds_fraction(lo, hi, q_max: int):
     """
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     base = np.floor(lo)
-    vals = _unit_values(q_max)
+    vals = _unit_table(q_max)[1]
     x = vals[np.searchsorted(vals, lo - base)]  # lo - base <= 1.0 = vals[-1]
     return (lo <= hi) & (x <= hi - base)

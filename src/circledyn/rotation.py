@@ -3,8 +3,9 @@
 The rotation number of a circle homeomorphism lift satisfies the classical
 displacement inequality  |lift^n(theta) - theta - n * rho| < 1  for every
 theta and n, so the orbit average (lift^n(theta0) - theta0) / n carries the
-rigorous error bar 1/n.  Rational locks are certified by sign changes of the
-periodic displacement function, never by floating-point equality of rho.
+rigorous error bar 1/n.  Rational locks are decided by the sign of the
+periodic displacement function on a grid, never by floating-point equality
+of rho.
 """
 
 from __future__ import annotations
@@ -24,7 +25,10 @@ NOT_LOCKED = "not_locked"
 IRRATIONAL_CANDIDATE = "irrational_candidate"
 UNRESOLVED = "unresolved"
 
-WITNESS_TOL = 1e-9
+# |D| within LOCK_TOL of zero at a grid point locks even without a sign
+# change: a tolerance, not a certificate, which lets rigid rotations at
+# rational t lock
+LOCK_TOL = 1e-9
 # is_locked's first pass: every LOCK_COARSE_STRIDE-th grid point, used when
 # that leaves at least LOCK_COARSE_MIN points
 LOCK_COARSE_STRIDE = 32
@@ -72,14 +76,12 @@ class RotationResult:
     classification: str = UNRESOLVED
     p: int | None = None
     q: int | None = None
-    witness: float | None = None
     displacement: float = 0.0
 
 
 @dataclass(frozen=True)
 class LockCheck:
     status: str  # LOCKED / NOT_LOCKED / UNRESOLVED
-    witness: float | None = None
 
 
 def lock_grid_size(q: int) -> int:
@@ -134,9 +136,9 @@ def rho_estimate(fam, t, theta0: float = 0.0, n_iter: int = DEFAULT_N_ITER) -> R
 
 
 def _q_disp(step, q: int, p: int, thetas):
-    """D(theta) = lift^q(theta) - theta - p, with ``step`` one application
-    of the lift (a ``step_factory`` closure); a float or an array of
-    thetas, which the steps leave unchanged."""
+    """D(theta) = lift^q(theta) - theta - p on an array of thetas, which
+    the steps leave unchanged, with ``step`` one application of the lift (a
+    ``step_factory`` closure)."""
     out = thetas
     for _ in range(q):
         out = step(out)
@@ -157,46 +159,19 @@ def _rounding_rate(fam, lip: float) -> float:
 
 def _lock_decision(step, p: int, q: int, n: int, stride: int, margin) -> LockCheck:
     """The decision rule on D sampled at theta = i / n for every
-    ``stride``-th i, with ``step`` the lift at the checked t: a sign change
-    or |D| <= ``WITNESS_TOL`` locks, D clear of zero everywhere by more than
-    ``margin(h)``, h = stride / n the grid spacing, is not locked, and
-    anything else is unresolved; the margin is taken only then.  A lock's
-    witness is bisected from the first 1/n cell with a sign change; on a
-    sub-grid, that cell is found among the fine points inside the first
-    sub-grid cell with one, evaluated in one call."""
-    thetas = np.arange(0, n, stride) / n
-    disp = _q_disp(step, q, p, thetas)
-    i_min = int(np.argmin(np.abs(disp)))
-    if abs(disp[i_min]) <= WITNESS_TOL:
-        return LockCheck(LOCKED, float(thetas[i_min] % 1.0))
-
-    sign = np.sign(disp)
-    flips = np.nonzero(sign != np.roll(sign, -1))[0]
-    if flips.size:
-        i = int(flips[0])
-        k, f_lo = i * stride, disp[i]
-        if stride > 1:
-            inner = _q_disp(step, q, p, np.arange(k + 1, k + stride) / n)
-            vals = np.concatenate(([f_lo], inner, [disp[(i + 1) % disp.size]]))
-            j = int(np.nonzero(np.sign(vals[:-1]) != np.sign(vals[1:]))[0][0])
-            k, f_lo = k + j, vals[j]
-        lo = k / n
-        hi = lo + 1.0 / n
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            f_mid = _q_disp(step, q, p, mid)
-            if abs(f_mid) <= WITNESS_TOL:
-                return LockCheck(LOCKED, mid % 1.0)
-            if (f_mid > 0) == (f_lo > 0):
-                lo, f_lo = mid, f_mid
-            else:
-                hi = mid
-        return LockCheck(LOCKED, (0.5 * (lo + hi)) % 1.0)
-
-    clear = max(float(np.min(disp)), -float(np.max(disp)))  # nan clears nothing
-    if clear > margin(stride / n):
-        return LockCheck(NOT_LOCKED, None)
-    return LockCheck(UNRESOLVED, None)
+    ``stride``-th i, with ``step`` the lift at the checked t, from the grid
+    extremes lo = min D and hi = max D: lo <= ``LOCK_TOL`` and hi >=
+    -``LOCK_TOL`` locks (a sign change, or a value within the tolerance),
+    D clear of zero everywhere by more than ``margin(h)``, h = stride / n
+    the grid spacing, is not locked, and anything else, a nan included, is
+    unresolved; the margin is taken only then."""
+    disp = _q_disp(step, q, p, np.arange(0, n, stride) / n)
+    lo, hi = float(np.min(disp)), float(np.max(disp))  # nan if any D is nan
+    if lo <= LOCK_TOL and hi >= -LOCK_TOL:
+        return LockCheck(LOCKED)
+    if max(lo, -hi) > margin(stride / n):
+        return LockCheck(NOT_LOCKED)
+    return LockCheck(UNRESOLVED)
 
 
 @_quiet
@@ -206,10 +181,16 @@ def is_locked(fam, t, p: int, q: int, grid: int | None = None) -> LockCheck:
     Works on D(theta) = lift^q(theta) - theta - p over the grid of n
     points theta_i = i / n, with L = ``dtheta_lift_bound(t)``:
 
-    * a sign change (or |D| below ``WITNESS_TOL``) certifies a periodic
-      point, hence rho = p/q exactly; the witness theta* is returned;
+    * min D <= 0 <= max D, a sign change, certifies a periodic point,
+      hence rho = p/q exactly;
+    * min D <= ``LOCK_TOL`` and max D >= -``LOCK_TOL`` also locks: a grid
+      value within the tolerance of zero with no sign change is a
+      tolerance, not a certificate, and it is what lets rigid rotations
+      at rational t lock;
     * min D > margin or max D < -margin certifies no periodic point;
-    * anything else is unresolved, the honest outcome near window edges.
+    * anything else is unresolved, the honest outcome near window edges,
+      and so is a grid with a nan on it (an orbit that overflowed, or a
+      t of nan or +-inf).
 
     The margin bounds how far D can dip below its grid values between
     them, plus the rounding rho of D (below):
@@ -221,14 +202,13 @@ def is_locked(fam, t, p: int, q: int, grid: int | None = None) -> LockCheck:
     chord between its ends less B2 h^2 / 8, hence above the smaller end
     value less that.  The eps covers a grid n that is not a power of two,
     whose points i / n are rounded by up to eps / 2.  B2 and rho are taken
-    only once a grid shows no sign change and no zero, so a lock never
-    computes them.
+    only once a grid shows no lock, so a lock never computes them.
 
     The rule is applied in two levels.  When ``LOCK_COARSE_STRIDE`` = s
     divides n and leaves at least ``LOCK_COARSE_MIN`` points, it first runs
     on the sub-grid theta_i, i = 0, s, 2s, ..., the same floats as the full
-    grid's, with h = s / n.  A sign change or a zero there is one on the
-    full grid too, so it locks at once, and a sub-grid clear of the margin
+    grid's, with h = s / n.  A lock there is one on the full grid too, so
+    it locks at once, and a sub-grid clear of the margin
     certifies by itself.  Otherwise the full grid decides, with h = 1 / n.
     A check the sub-grid leaves to the full grid gets the full grid's
     status; one it decides as not locked may be left unresolved by the full
@@ -252,7 +232,7 @@ def is_locked(fam, t, p: int, q: int, grid: int | None = None) -> LockCheck:
     eps/2 2 pi j |y| from the product w y, eps/2 (2 pi j |y| + pi) from the
     sum with |phi| <= pi, and eps pi from phi.  With R off by eps R, sin
     good to 4 ulp (numpy's on arrays, libm's ``math.sin`` on the float
-    orbit of one t's rho estimate or of a bisection step) and the product
+    orbit of one t's rho estimate) and the product
     R sin rounded, harmonic j is off by at most eps R (2 (2 pi j) |y| +
     PHASE_ULPS), and R <= |a_j| + |b_j|.  Summed over the harmonics, with
     j >= 1, that is at most eps (2 s_i |y| + PHASE_ULPS s_i / 2 pi), where
@@ -289,7 +269,7 @@ def is_locked(fam, t, p: int, q: int, grid: int | None = None) -> LockCheck:
         raise ValueError("p/q must be reduced")
     n = grid or lock_grid_size(q)
     step = fam.step_factory(t)
-    bounds = []  # (B2, rho), taken by the first grid with no sign change
+    bounds = []  # (B2, rho), taken by the first grid with no lock
 
     def margin(h):
         if not bounds:
@@ -325,7 +305,9 @@ def _decide(fam, t, disp: float, n_iter: int, q_max: int, rate: float | None,
             bar=(-math.inf, math.inf)) -> RotationResult:
     """Try every candidate p/q within the 1/n_iter error bar of the mean
     displacement ``disp``, and within ``bar`` (the intersected error bars
-    of a retiring sweep's checkpoints), cheapest denominator first.
+    of a retiring sweep's checkpoints), cheapest denominator first.  The
+    first that ``is_locked`` locks is the result's p/q; there is no
+    witness theta, only the lock check's status.
 
     Each iterate of the orbit rounds by about eps r Y, where Y = n_iter
     |disp| + 1 bounds the lift values and, as derived in :func:`is_locked`
@@ -351,8 +333,7 @@ def _decide(fam, t, disp: float, n_iter: int, q_max: int, rate: float | None,
         chk = is_locked(fam, t, p, q)
         if chk.status == LOCKED:
             pr, qr = (p % q, q) if q > 1 else (0, 1)
-            return RotationResult(disp % 1.0, err, n_iter, LOCKED, pr, qr,
-                                  chk.witness, disp)
+            return RotationResult(disp % 1.0, err, n_iter, LOCKED, pr, qr, disp)
         if chk.status == UNRESOLVED:
             unresolved = True
     cls = UNRESOLVED if unresolved else IRRATIONAL_CANDIDATE
@@ -364,10 +345,10 @@ def classify(fam, t, q_max: int = 30, n_iter: int = CLASSIFY_N_ITER) -> Rotation
     or unresolved.
 
     Candidate rationals are the reduced fractions within the rho error bar,
-    enumerated by Stern-Brocot descent and tried cheapest denominator first.
-    ``irrational_candidate`` means every candidate certified not-locked; it
-    is deliberately weaker than conjugacy to an irrational rotation, which
-    no finite computation can certify.
+    sliced from a table of Farey fractions and tried cheapest denominator
+    first.  ``irrational_candidate`` means every candidate certified
+    not-locked; it is deliberately weaker than conjugacy to an irrational
+    rotation, which no finite computation can certify.
     """
     base = rho_estimate(fam, t, n_iter=n_iter)
     # the t-free bound holds for every t in [0, 1]
@@ -499,7 +480,7 @@ def classify_batch(fam, ts, q_max: int = 30, n_iter: int = CLASSIFY_N_ITER, map_
     final: an ``irrational_candidate`` with ``n_iter`` = n and error bound
     1/n, which leaves the sweep.  The others run on to ``n_iter``, where
     ``_decide`` tries only the candidates inside their intersected bar.  A
-    locked p/q lies in every bar, so locks keep their (p, q, witness), and
+    locked p/q lies in every bar, so locks keep their (p, q), and
     a survivor's mean displacement is bit for bit the full sweep's.  The
     only class that can change is ``unresolved`` (a candidate that the full
     sweep left undecided, or a failed rounding guard at ``n_iter``), to

@@ -98,9 +98,6 @@ class LockedMeasure:
 class TongueDiagram:
     deltas: tuple
     windows: tuple  # tuple of tuples of Window, aligned with deltas
-    label: str = ""
-    q_max: int = 0
-    tol: float = 0.0
 
 
 def _bisect(u, v, tol, positive):
@@ -547,5 +544,5 @@ def tongue_diagram(profile, deltas, q_max: int, tol: float = 1e-6,
         fam = profile.scaled(d)
         per_delta.append(tuple(enumerate_windows(fam, q_max, tol=tol, grid=grid,
                                                  map_fn=map_fn)))
-    return TongueDiagram(deltas, tuple(per_delta), profile.label, q_max, tol)
+    return TongueDiagram(deltas, tuple(per_delta))
 

@@ -44,6 +44,28 @@ def test_interval_descent_matches_brute():
         q_max = int(RNG.integers(1, 25))
         got = set(fractions_in_interval(x - r, x + r, q_max))
         assert got == brute_fractions(x - r, x + r, q_max)
+    # denominators up to the lock checks' cap, narrow bars, integer ends
+    # and point intervals, at fractions and off them.  The search compares
+    # the float p/q of the unit interval with lo - base and hi - base, so
+    # off [0, 1] it may differ from the brute force's float (p + base q)/q
+    # for a fraction within an ulp of an end: 8/7 is not in the point
+    # interval [fl(8/7), fl(8/7)], as fl(1/7) > fl(8/7) - 1 (and, exactly,
+    # 8/7 > fl(8/7))
+    for _ in range(300):
+        q_max = int(RNG.integers(1, 141))
+        q = int(RNG.integers(1, q_max + 1))
+        x = [RNG.uniform(-1, 2), float(RNG.integers(-1, 3)),
+             int(RNG.integers(-q, 2 * q)) / q][int(RNG.integers(3))]
+        r = 10 ** RNG.uniform(-9, 0)
+        for lo, hi in [(x - r, x + r), (x, x + r), (x - r, x), (x, x)]:
+            got = fractions_in_interval(lo, hi, q_max)
+            assert got == sorted(got, key=lambda f: (f[1], f[0]))
+            want = brute_fractions(lo, hi, q_max)
+            if 0.0 <= lo and hi <= 1.0:
+                assert set(got) == want, (lo, hi, q_max)
+            for p, q in set(got) ^ want:
+                gap = min(abs(Fraction(p, q) - Fraction(lo)), abs(Fraction(p, q) - Fraction(hi)))
+                assert gap <= 2.0 ** -52, (lo, hi, p, q)
 
 
 def test_interval_includes_exact_endpoints():

@@ -59,9 +59,7 @@ class TestRhoEstimate:
 
 class TestIsLocked:
     def test_arnold_fixed_point_at_zero(self):
-        chk = is_locked(arnold_family(0.1), 0.0, 0, 1)
-        assert chk.status == LOCKED
-        assert chk.witness is not None
+        assert is_locked(arnold_family(0.1), 0.0, 0, 1).status == LOCKED
 
     def test_outside_closed_form_window(self):
         # fixed-point condition t + 0.1 sin(2 pi theta) = 0 solvable iff |t| <= 0.1
@@ -77,14 +75,23 @@ class TestIsLocked:
         with pytest.raises(ValueError):
             is_locked(rigid_family(), 0.5, 2, 4)
 
-    def test_witness_certifies(self):
+    def test_window_lock_has_a_sign_change(self):
         fam = arnold_family(0.1)
+        thetas = np.arange(rotation.lock_grid_size(1)) / rotation.lock_grid_size(1)
         for t in (0.0, 0.05, 0.09):
-            chk = is_locked(fam, t, 0, 1)
-            assert chk.status == LOCKED
-            # independent check of the witness: |lift(theta*) - theta*| small
-            d = fam.lift(t, chk.witness) - chk.witness
-            assert abs(d) <= 1e-8
+            assert is_locked(fam, t, 0, 1).status == LOCKED
+            # independent check: lift - id changes sign, so a fixed point
+            # lies between two grid points
+            d = fam.lift(t, thetas) - thetas
+            assert d.min() < 0.0 < d.max()
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_t_is_unresolved(self, t):
+        # D is nan on the whole grid (nan is no sign change), or for the
+        # rigid family at +-inf infinite, with an infinite rounding bound
+        for fam in (arnold_family(0.1), rigid_family(), three_stage_family()):
+            for p, q in [(0, 1), (1, 2), (2, 5)]:
+                assert is_locked(fam, t, p, q).status == UNRESOLVED, (fam.label, p, q)
 
     def test_lock_grid_capped(self):
         assert [rotation.lock_grid_size(q) for q in (1, 20, 21, 30, 31, 140)] == [
@@ -228,17 +235,74 @@ def sampled_family():
     return sample_family(np.random.default_rng(5), 0.9)
 
 
-def full_grid_checks(fam, ts, spread=0.02, q_max=30):
-    """(t, p, q, status of the full-grid rule) for the reduced fractions
-    near each t's mean displacement, so that every outcome occurs."""
+def near_checks(fam, ts, spread=0.02, q_max=30):
+    """(t, p, q) for the reduced fractions near each t's mean
+    displacement, so that every outcome occurs."""
     out = []
+    for t in ts:
+        d = float(rotation.displacement_batch(fam, t, n_iter=1024))
+        for p, q in farey.fractions_in_interval(d - spread, d + spread, q_max)[:8]:
+            out.append((float(t), p, q))
+    return out
+
+
+def full_grid_checks(fam, ts, spread=0.02, q_max=30):
+    """``near_checks`` with the status of the full-grid rule."""
     with pytest.MonkeyPatch.context() as m:
         m.setattr(rotation, "LOCK_COARSE_STRIDE", 1)
-        for t in ts:
-            d = float(rotation.displacement_batch(fam, t, n_iter=1024))
-            for p, q in farey.fractions_in_interval(d - spread, d + spread, q_max)[:8]:
-                out.append((float(t), p, q, is_locked(fam, float(t), p, q).status))
-    return out
+        return [(t, p, q, is_locked(fam, t, p, q).status)
+                for t, p, q in near_checks(fam, ts, spread, q_max)]
+
+
+def rigid_tol_family():
+    """A rigid rotation offset by 1e-10: D is constant, 1e-10 for 0/1 at
+    t = 0, so that check locks by ``LOCK_TOL`` alone."""
+    return CircleFamily(1, TPoly((1e-10,)), (), label="rigid-1e-10")
+
+
+def sign_scan(fam, t, p, q):
+    """Oracle: the lock rule as a cyclic sign scan of D on the full grid,
+    with D iterated by ``fam.lift``.  UNRESOLVED when D has a nan, LOCKED
+    on a sign flip or a |D| <= ``LOCK_TOL``, and None otherwise (not
+    locked or unresolved, as the margin decides)."""
+    n = rotation.lock_grid_size(q)
+    thetas = np.arange(n) / n
+    with np.errstate(all="ignore"):
+        y = thetas
+        for _ in range(q):
+            y = fam.lift(t, y)
+        d = y - thetas - p
+    if np.isnan(d).any():
+        return UNRESOLVED
+    sign = np.sign(d)
+    if np.any(sign != np.roll(sign, -1)) or np.min(np.abs(d)) <= rotation.LOCK_TOL:
+        return LOCKED
+    return None
+
+
+class TestSignScanOracle:
+    """``is_locked`` decides from the grid extremes of D on one or two
+    levels; it must lock exactly where the full-grid sign scan does, and
+    leave a grid with a nan unresolved."""
+
+    @pytest.mark.parametrize("make", [lambda: arnold_family(0.1), two_harmonic_family,
+                                      three_stage_family, sampled_family, rigid_tol_family],
+                             ids=["arnold", "two-harmonic", "three-stage", "sampled",
+                                  "rigid-1e-10"])
+    def test_status_equals_sign_scan(self, make):
+        fam = make()
+        ts = np.concatenate([np.random.default_rng(11).random(12), [0.0, 0.5]])
+        checks = near_checks(fam, ts) + [(t, p, q) for t in (math.nan, math.inf, -math.inf)
+                                         for p, q in [(0, 1), (1, 2)]]
+        seen = set()
+        for t, p, q in checks:
+            want, got = sign_scan(fam, t, p, q), is_locked(fam, t, p, q).status
+            seen.add(want)
+            if want is None:
+                assert got != LOCKED, (t, p, q)
+            else:
+                assert got == want, (t, p, q)
+        assert seen == {LOCKED, UNRESOLVED, None}
 
 
 class TestTwoLevelLockCheck:
@@ -265,9 +329,10 @@ class TestTwoLevelLockCheck:
         # sub-grid points
         n = rotation.lock_grid_size(1)
         fam = CircleFamily(1, TPoly((0.0,)), ((n // 32, TPoly((1e-3,)), TPoly((0.0,))),))
-        chk = is_locked(fam, 5e-4, 0, 1)
-        assert chk.status == LOCKED
-        assert abs(fam.lift(5e-4, chk.witness) - chk.witness) <= 1e-8
+        assert is_locked(fam, 5e-4, 0, 1).status == LOCKED
+        thetas = np.arange(n) / n
+        d = fam.lift(5e-4, thetas) - thetas
+        assert d[::32].min() > 0.0 > d.min()  # the sign change is between sub-grid points
 
     def test_a_lock_takes_no_margin(self, monkeypatch):
         # B2 and rho serve only a grid clear of zero
@@ -317,15 +382,14 @@ class TestTwoLevelLockCheck:
     @pytest.mark.parametrize("make", [lambda: arnold_family(0.1), two_harmonic_family,
                                       three_stage_family, sampled_family],
                              ids=["arnold", "two-harmonic", "three-stage", "sampled"])
-    def test_witness_bisects_from_a_fine_cell(self, make, monkeypatch):
-        # a lock found on the sub-grid looks up the first 1/n cell with a
-        # sign change in one call, then bisects from that cell as the
-        # full-grid rule does: at most one call more per check
+    def test_sub_grid_lock_takes_at_most_one_call_more(self, make, monkeypatch):
+        # a lock evaluates D once per decision level: once on the full grid,
+        # at most twice (sub-grid, then full grid) in two levels
         fam = make()
         ts = np.concatenate([np.random.default_rng(11).random(12), [0.0, 0.5]])
         locks = [c for c in full_grid_checks(fam, ts) if c[3] == LOCKED]
         assert locks
-        real_disp, real_q = rotation._lift_q_displacement, rotation._q_disp
+        real_q = rotation._q_disp
         calls = []
 
         def disp(*args):
@@ -333,35 +397,28 @@ class TestTwoLevelLockCheck:
             return real_q(*args)
 
         monkeypatch.setattr(rotation, "_q_disp", disp)
-        totals, witnesses = [], []
+        totals = []
         for stride in (rotation.LOCK_COARSE_STRIDE, 1):
             monkeypatch.setattr(rotation, "LOCK_COARSE_STRIDE", stride)
             calls.clear()
             for t, p, q, _ in locks:
-                chk = is_locked(fam, t, p, q)
-                assert chk.status == LOCKED
-                witnesses.append((t, p, q, chk.witness))
+                assert is_locked(fam, t, p, q).status == LOCKED
             totals.append(len(calls))
+        assert totals[1] == len(locks)
         assert totals[0] <= totals[1] + len(locks), totals
-        for t, p, q, w in witnesses:
-            n = rotation.lock_grid_size(q)
-            k = math.floor(w * n)
-            ends = real_disp(fam, t, q, p, np.array([k, k + 1]) / n)
-            at_w = abs(real_disp(fam, t, q, p, w))
-            assert ends[0] * ends[1] <= 0 or at_w <= rotation.WITNESS_TOL
 
     @pytest.mark.parametrize("make", [lambda: arnold_family(0.1), two_harmonic_family,
                                       three_stage_family, sampled_family],
                              ids=["arnold", "two-harmonic", "three-stage", "sampled"])
     def test_one_step_closure_per_decision_level(self, make, monkeypatch):
-        # the sub-grid, the fine inner points and every bisection step of a
-        # check run at one t, so they share one step_factory closure
+        # the sub-grid and the full grid of a check run at one t, so they
+        # share one step_factory closure
         fam = make()
         ts = np.concatenate([np.random.default_rng(11).random(12), [0.0, 0.5]])
         checks = full_grid_checks(fam, ts)
-        builds, levels, bisect = [], [], []
+        builds, levels = [], []
         real_factory = StageStack.step_factory
-        real_decision, real_q = rotation._lock_decision, rotation._q_disp
+        real_decision = rotation._lock_decision
 
         def factory(self, t):
             builds.append(t)
@@ -371,22 +428,13 @@ class TestTwoLevelLockCheck:
             levels.append(1)
             return real_decision(*args)
 
-        def q_disp(step, q, p, thetas):
-            if np.ndim(thetas) == 0:
-                bisect.append(1)
-            return real_q(step, q, p, thetas)
-
         monkeypatch.setattr(StageStack, "step_factory", factory)
         monkeypatch.setattr(rotation, "_lock_decision", decision)
-        monkeypatch.setattr(rotation, "_q_disp", q_disp)
-        longest = 0
         for t, p, q, _ in checks:
-            for counted in (builds, levels, bisect):
-                counted.clear()
+            builds.clear()
+            levels.clear()
             is_locked(fam, t, p, q)
             assert 1 <= len(builds) <= len(levels), (t, p, q, len(builds), len(levels))
-            longest = max(longest, len(bisect))
-        assert longest >= 5  # some witness bisection ran several steps
 
 
 def exact_step(fam, t: float, y: float):
@@ -905,7 +953,7 @@ class TestSecondOrderMargin:
             for grid in (None, 512, 128):
                 new, old = is_locked(fam, t, p, q, grid), first_order_rule(fam, t, p, q, grid)
                 statuses.add(new.status)
-                # (c) only unresolved moves, to not locked; a lock's witness stays
+                # (c) only unresolved moves, to not locked
                 if old.status == UNRESOLVED and new.status == NOT_LOCKED:
                     moved += 1
                 else:
