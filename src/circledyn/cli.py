@@ -41,9 +41,10 @@ from .errors import (
 
 ENV_PREFIX = "CIRCLEDYN_"
 # Largest Monte Carlo sample count, and largest n of an a:b:n sweep.  Peak
-# memory grows by about 1.6 kB per t for rho (results, rows and report) and
-# 0.4 kB per sample for windows and theoremA: rho --t-range 0:1:2^18 peaked
-# at 456 MB (numpy 2.4.6, 2-core VM), below a MAX_LOCK_GRID check's 670 MB.
+# memory grows by about 0.5 kB per t for rho (results and CSV rows) and
+# 0.4 kB per sample for windows and theoremA: rho --t-range 0:1:2^18 --niter
+# 64 --qmax 5 peaked at 166 MB (numpy 2.4.6, 2-core VM), below a
+# MAX_LOCK_GRID check's 670 MB.
 MAX_SAMPLES = 2 ** 18
 # Largest --eta-families, per norm level.  A sampled family takes about
 # 21 ms to build and 6 kB to hold, and its sweep about 0.35 s at the default
@@ -327,10 +328,12 @@ def cmd_tongues(cfg: RunConfig) -> int:
     profile = io.load_family(cfg.input)
     _check_window_tol(cfg, profile.winding)
     deltas = _floats(cfg, "deltas", sweep=":" in cfg.deltas)
+    rows = []
     with _Pool(_workers(cfg)) as pool:
-        td = windows.tongue_diagram(profile, deltas, cfg.qmax, tol=cfg.tol,
-                                    grid=cfg.grid or None, map_fn=pool)
-    rows = [(d, w.p, w.q, w.t_lo, w.t_hi) for d, ws in zip(td.deltas, td.windows) for w in ws]
+        for d in deltas:
+            ws = windows.enumerate_windows(profile.scaled(d), cfg.qmax, tol=cfg.tol,
+                                           grid=cfg.grid or None, map_fn=pool)
+            rows += [(d, w.p, w.q, w.t_lo, w.t_hi) for w in ws]
     _finish(cfg, {"tongues.csv": ("tongues", rows)}, inputs={"family": cfg.input})
     return 0
 
@@ -436,30 +439,30 @@ def cmd_theoremA(cfg: RunConfig) -> int:
 
 def _finish(cfg: RunConfig, files: dict, inputs: dict, hypotheses: dict | None = None,
             report_tables: dict | None = None):
-    """Write the report, effective config, and CSVs atomically, in that order
-    of assembly: everything is computed before the first byte lands.
-    ``report_tables`` (name -> (header, rows)) go into the report only."""
-    outdir = cfg.out
-    os.makedirs(outdir, exist_ok=True)
-    report = io.ExperimentReport(
-        experiment=cfg.subcommand,
-        tool_version=__version__,
-        inputs={**inputs, "config": dict(sorted(cfg.values.items()))},
-        input_hashes={
-            name: io.hash_file(path)
-            for name, path in inputs.items()
-            if isinstance(path, str) and os.path.exists(path)
-        },
-        hypotheses=hypotheses or {},
-        wall_clock_s=time.perf_counter() - (cfg.t0 or time.perf_counter()),
-    )
+    """Write the CSVs (file name -> (schema, rows)), then the report and the
+    effective config, each atomically, once every result is computed.  The
+    report lists each CSV's data rows and bytes under ``outputs`` and holds
+    no CSV row; ``report_tables`` (name -> (header, rows)) go into the
+    report only.  A rerun with the same inputs and seed reproduces every
+    file but the report's wall clock."""
+    outputs = {}
     for fname, (schema, rows) in files.items():
-        report.add_table(fname.removesuffix(".csv"), io.CSV_SCHEMAS[schema], rows)
-        io.write_csv(os.path.join(outdir, fname), io.CSV_SCHEMAS[schema], rows)
-    for name, (header, rows) in (report_tables or {}).items():
-        report.add_table(name, header, rows)
-    io.write_report(os.path.join(outdir, "report.json"), report)
-    cfg.dump(outdir)
+        size = io.write_csv(os.path.join(cfg.out, fname), io.CSV_SCHEMAS[schema], rows)
+        outputs[fname] = {"rows": len(rows), "bytes": size}
+    io.write_report(os.path.join(cfg.out, "report.json"), {
+        "experiment": cfg.subcommand,
+        "tool_version": __version__,
+        "inputs": {**inputs, "config": dict(sorted(cfg.values.items()))},
+        "input_hashes": {name: io.hash_file(path) for name, path in inputs.items()
+                         if isinstance(path, str) and os.path.exists(path)},
+        "hypotheses": hypotheses or {},
+        "outputs": outputs,
+        "tables": {name: {"header": list(header),
+                          "rows": [[io.fmt_cell(v) for v in row] for row in rows]}
+                   for name, (header, rows) in (report_tables or {}).items()},
+        "wall_clock_s": time.perf_counter() - (cfg.t0 or time.perf_counter()),
+    })
+    cfg.dump(cfg.out)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,4 +1,4 @@
-"""Definition-file parsing, CSV emission, and experiment reports.
+"""Definition-file parsing, CSV emission, and the run report.
 
 All CSV floats are written with 17 significant digits so values round-trip
 losslessly; all output files are written to a temporary sibling and renamed,
@@ -11,7 +11,6 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .errors import InputError
@@ -46,12 +45,15 @@ def fmt_cell(v) -> str:
     return str(v)
 
 
-def write_csv(path, header, rows):
-    """Atomic CSV write with a fixed header and LF line endings."""
+def write_csv(path, header, rows) -> int:
+    """Atomic CSV write with a fixed header and LF line endings; returns the
+    number of bytes written."""
     text = ",".join(header) + "\n"
     for row in rows:
         text += ",".join(fmt_cell(v) for v in row) + "\n"
-    _atomic_write(path, text.encode())
+    data = text.encode()
+    _atomic_write(path, data)
+    return len(data)
 
 
 def _atomic_write(path, data: bytes):
@@ -200,34 +202,7 @@ def load_skew(path) -> SkewMap:
     return skew_from_dict(load_json(path), where=str(path))
 
 
-@dataclass
-class ExperimentReport:
-    """Self-contained record of one experiment run.
-
-    Rerunning with identical inputs and seed reproduces every table
-    bit-for-bit; the wall clock is informational and excluded from that
-    guarantee.
-    """
-
-    experiment: str
-    tool_version: str
-    inputs: dict = field(default_factory=dict)
-    input_hashes: dict = field(default_factory=dict)
-    hypotheses: dict = field(default_factory=dict)
-    tables: dict = field(default_factory=dict)  # name -> {header, rows}
-    wall_clock_s: float = 0.0
-
-    def add_table(self, name: str, header, rows):
-        self.tables[name] = {
-            "header": list(header),
-            "rows": [[fmt_cell(v) for v in row] for row in rows],
-        }
-
-    def to_json(self) -> str:
-        # the seven fields as they are: dataclasses.asdict would first
-        # deep-copy every table cell, which takes longer than the dump
-        return json.dumps(vars(self), indent=2, sort_keys=True) + "\n"
-
-
-def write_report(path, report: ExperimentReport):
-    _atomic_write(path, report.to_json().encode())
+def write_report(path, report: dict):
+    """Atomic write of the run record ``report`` as indented JSON with sorted
+    keys."""
+    _atomic_write(path, (json.dumps(report, indent=2, sort_keys=True) + "\n").encode())

@@ -94,12 +94,6 @@ class LockedMeasure:
     iterates: int
 
 
-@dataclass(frozen=True)
-class TongueDiagram:
-    deltas: tuple
-    windows: tuple  # tuple of tuples of Window, aligned with deltas
-
-
 def _bisect(u, v, tol, positive):
     """The edge bisection: halve [u, v] by ``positive(mid)`` (B(mid) > 0)
     until its half-width is <= tol."""
@@ -528,21 +522,3 @@ def locked_measure(fam, q_max: int, mc_samples: int, tol: float = 1e-6,
     unres = sum(r.classification == rotation.UNRESOLVED for r in results)
     return LockedMeasure(lower, locked / mc_samples, unres / mc_samples,
                          sum(r.n_iter for r in results))
-
-
-def tongue_diagram(profile, deltas, q_max: int, tol: float = 1e-6,
-                   grid: int | None = None, map_fn=map) -> TongueDiagram:
-    """Windows of ``profile`` scaled by each amplitude in ``deltas``.
-
-    The profile family supplies the unit periodic part; amplitude delta
-    multiplies it.  DegenerateFamily propagates for amplitudes beyond the
-    diffeomorphism range.
-    """
-    deltas = tuple(float(d) for d in deltas)
-    per_delta = []
-    for d in deltas:
-        fam = profile.scaled(d)
-        per_delta.append(tuple(enumerate_windows(fam, q_max, tol=tol, grid=grid,
-                                                 map_fn=map_fn)))
-    return TongueDiagram(deltas, tuple(per_delta))
-

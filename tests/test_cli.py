@@ -432,6 +432,39 @@ class TestTheoremACommand:
         assert len(hyp["norms"]) == 3 and hyp["norms_below_one"] is True
 
 
+class TestReportRecord:
+    """``report.json`` lists each CSV by its data rows and bytes, and holds
+    none of its rows."""
+
+    @pytest.mark.parametrize("argv", [
+        ["rho", "--input", "{arnold}", "--t", "0.05,0.25", "--t-range", "0:1:7",
+         "--qmax", "5"],
+        ["windows", "--input", "{arnold}", "--qmax", "3", "--samples", "50"],
+        ["dio", "--C", "0.2,0.1", "--nmax", "20", "--grid", "1000"],
+        ["theoremA", "--input", "{skew}", "--nmax", "2", "--samples", "20", "--qmax", "5",
+         "--eta-families", "1", "--eta-samples", "20"],
+    ], ids=["rho", "windows", "dio", "theoremA"])
+    def test_outputs_list_each_csv(self, argv, arnold_file, skew_file, tmp_path):
+        out = tmp_path / "o"
+        argv = [a.format(arnold=arnold_file, skew=skew_file) for a in argv]
+        assert main(serial(argv) + ["--out", str(out)]) == 0
+        report = json.loads(read(out / "report.json"))
+        csvs = sorted(p.name for p in out.iterdir() if p.suffix == ".csv")
+        assert csvs and sorted(report["outputs"]) == csvs
+        for fname in csvs:
+            data = (out / fname).read_bytes()
+            assert report["outputs"][fname] == {"rows": data.count(b"\n") - 1,
+                                                "bytes": len(data)}
+        assert not set(report["tables"]) & {name for f in csvs for name in (f, f[:-4])}
+
+    def test_report_of_a_large_sweep_stays_small(self, arnold_file, tmp_path):
+        out = tmp_path / "o"
+        assert main(["rho", "--input", arnold_file, "--t-range", "0:1:3000", "--niter", "64",
+                     "--qmax", "3", "--workers", "1", "--out", str(out)]) == 0
+        assert (out / "report.json").stat().st_size < 2048
+        assert json.loads(read(out / "report.json"))["outputs"]["rho.csv"]["rows"] == 3000
+
+
 class TestDeterminism:
     def test_serial_rerun_byte_identical(self, arnold_file, tmp_path):
         outs = []

@@ -1,6 +1,6 @@
 """Definition-file parsers under fuzzed JSON-shaped input: each call either
-returns a map with finite coefficients or raises InputError.  And the bytes
-of ``report.json``."""
+returns a map with finite coefficients or raises InputError.  And the record
+that ``report.json`` holds."""
 
 import json
 import math
@@ -8,8 +8,9 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from circledyn.cli import main
 from circledyn.errors import InputError
-from circledyn.io import MAX_HARMONIC, ExperimentReport, family_from_dict, skew_from_dict
+from circledyn.io import MAX_HARMONIC, family_from_dict, skew_from_dict
 
 # json.load can return NaN and +-Infinity, so floats include them
 SCALARS = (st.none() | st.booleans() | st.integers(-3, 4) | st.integers()
@@ -66,24 +67,21 @@ def test_skew_from_dict_fuzz(doc):
         assert all(map(math.isfinite, coefficients(F.harmonics)))
 
 
-def test_report_json_is_the_seven_fields():
-    # the payload to_json wrote when it listed the fields by hand
-    report = ExperimentReport(
-        experiment="theoremA", tool_version="0.1.0",
-        inputs={"skew": "s.json", "config": {"qmax": 30, "seed": 7, "deltas": None}},
-        input_hashes={"skew": "ab" * 32},
-        hypotheses={"norms": [0.25, 0.5], "windings": (1, 2), "conforming": True,
-                    "nested": {"z": {"b": [1.5, {"c": -0.0}], "a": []}}},
-        wall_clock_s=1.25)
-    report.add_table("circles", ("n", "k", "c3"), [(1, 0, 0.125), (2, 1, math.inf)])
-    report.add_table("empty", ["x"], [])
-    old = {
-        "experiment": report.experiment,
-        "tool_version": report.tool_version,
-        "inputs": report.inputs,
-        "input_hashes": report.input_hashes,
-        "hypotheses": report.hypotheses,
-        "tables": report.tables,
-        "wall_clock_s": report.wall_clock_s,
-    }
-    assert report.to_json() == json.dumps(old, indent=2, sort_keys=True) + "\n"
+def test_report_json_is_the_eight_fields(tmp_path):
+    fam = tmp_path / "arnold.json"
+    fam.write_text(json.dumps({"winding": 1, "harmonics": [{"j": 1, "a": [0.0], "b": [0.1]}]}))
+    out = tmp_path / "o"
+    assert main(["rho", "--input", str(fam), "--t", "0.05,0.25", "--qmax", "5",
+                 "--workers", "1", "--seed", "7", "--out", str(out)]) == 0
+    text = (out / "report.json").read_text()
+    report = json.loads(text)
+    assert text == json.dumps(report, indent=2, sort_keys=True) + "\n"
+    assert set(report) == {"experiment", "tool_version", "inputs", "input_hashes",
+                           "hypotheses", "outputs", "tables", "wall_clock_s"}
+    assert report["experiment"] == "rho"
+    assert report["inputs"]["family"] == str(fam)
+    assert report["inputs"]["config"]["seed"] == 7
+    assert set(report["input_hashes"]) == {"family"}
+    assert report["hypotheses"] == {} and report["tables"] == {}
+    assert list(report["outputs"]) == ["rho.csv"]
+    assert report["wall_clock_s"] >= 0.0

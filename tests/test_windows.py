@@ -12,7 +12,6 @@ from circledyn.rotation import LOCKED, NOT_LOCKED, UNRESOLVED, is_locked
 from circledyn.windows import (
     enumerate_windows,
     locked_measure,
-    tongue_diagram,
     window_boundaries,
     window_for_rational,
 )
@@ -380,19 +379,21 @@ class TestLockedMeasure:
 
 
 class TestTongueDiagram:
+    """The tongues subcommand's rows: the windows of a unit profile scaled by
+    each amplitude."""
+
     def test_zero_amplitude_row_is_points(self):
         profile = arnold_family(1.0)  # unit sine profile
-        td = tongue_diagram(profile, [0.0], 3, tol=1e-8)
-        assert all(w.width == 0.0 for w in td.windows[0])
+        ws = enumerate_windows(profile.scaled(0.0), 3, tol=1e-8)
+        assert all(w.width == 0.0 for w in ws)
 
     def test_tongues_widen_with_amplitude(self):
         profile = arnold_family(1.0)
-        deltas = [0.02, 0.06, 0.1]
-        td = tongue_diagram(profile, deltas, 3, tol=1e-7)
-        for idx in range(len(td.windows[0])):
-            widths = [td.windows[i][idx].width for i in range(len(deltas))]
+        rows = [enumerate_windows(profile.scaled(d), 3, tol=1e-7) for d in (0.02, 0.06, 0.1)]
+        for column in zip(*rows):
+            widths = [w.width for w in column]
             assert all(b >= a - 2e-7 for a, b in zip(widths, widths[1:]))
 
     def test_degenerate_amplitude_propagates(self):
         with pytest.raises(DegenerateFamily):
-            tongue_diagram(arnold_family(1.0), [0.2], 2)
+            enumerate_windows(arnold_family(1.0).scaled(0.2), 2)
