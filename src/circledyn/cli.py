@@ -309,7 +309,8 @@ def cmd_windows(cfg: RunConfig) -> int:
         ws = windows.enumerate_windows(fam, cfg.qmax, tol=cfg.tol, grid=cfg.grid or None,
                                        map_fn=pool)
     lm = windows.locked_measure(fam, cfg.qmax, cfg.samples, tol=cfg.tol, seed=cfg.seed,
-                                windows=ws, n_iter=cfg.niter or rotation.CLASSIFY_N_ITER)
+                                windows=ws, n_iter=cfg.niter or rotation.CLASSIFY_N_ITER,
+                                grid=cfg.grid or None)
     files = {
         "windows.csv": ("windows", [
             (w.p, w.q, w.t_lo, w.t_hi, w.width, w.bracket_radius) for w in ws
@@ -317,8 +318,8 @@ def cmd_windows(cfg: RunConfig) -> int:
         "measure.csv": ("measure", [(cfg.qmax, lm.lower, lm.mc, lm.unresolved_frac, cfg.seed)]),
     }
     _finish(cfg, files, inputs={"family": cfg.input},
-            report_tables={"mc_iterates": (("samples", "iterates"),
-                                           [(cfg.samples, lm.iterates)])})
+            report_tables={"mc_iterates": (("samples", "iterates", "decided_by_windows"),
+                                           [(cfg.samples, lm.iterates, lm.decided)])})
     return 0
 
 

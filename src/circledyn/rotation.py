@@ -157,6 +157,18 @@ def _rounding_rate(fam, lip: float) -> float:
             + (2.0 + PHASE_ULPS / TAU) * (lip - 1.0))
 
 
+def _lock_rounding(fam, q: int, p: int, lip: float, drift: float) -> float:
+    """rho of :func:`is_locked`, the rounding of D at two points, for a lift
+    whose derivative bound is ``lip`` = L and whose stage drifts sum to at
+    most ``drift`` in absolute value."""
+    try:
+        lip_q = lip ** q
+    except OverflowError:  # an infinite rho clears nothing
+        lip_q = math.inf
+    y = 1.0 + q * (drift + lip - 1.0)
+    return 2.0 * EPS * (lip_q * q * _rounding_rate(fam, lip) * (y + 1.0) + y + abs(p) + 1.0)
+
+
 def _lock_decision(step, p: int, q: int, n: int, stride: int, margin) -> LockCheck:
     """The decision rule on D sampled at theta = i / n for every
     ``stride``-th i, with ``step`` the lift at the checked t, from the grid
@@ -273,15 +285,9 @@ def is_locked(fam, t, p: int, q: int, grid: int | None = None) -> LockCheck:
 
     def margin(h):
         if not bounds:
-            lip = fam.dtheta_lift_bound(t)
-            try:
-                lip_q = lip ** q
-            except OverflowError:  # an infinite rho clears nothing
-                lip_q = math.inf
-            rate = _rounding_rate(fam, lip)
-            y = 1.0 + q * (sum(abs(w * t + float(c(t))) for w, c, _ in fam.stack) + lip - 1.0)
+            drift = sum(abs(w * t + float(c(t))) for w, c, _ in fam.stack)
             bounds.extend((fam.iterate_d2_bound(t, q),
-                           2.0 * EPS * (lip_q * q * rate * (y + 1.0) + y + abs(p) + 1.0)))
+                           _lock_rounding(fam, q, p, fam.dtheta_lift_bound(t), drift)))
         b2, rho = bounds
         return b2 * (h + EPS) ** 2 / 8.0 + rho
 

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import farey, rotation
-from .circle_map import phase_step, take_phases
+from .circle_map import EPS, phase_step, take_phases
 from .errors import CircledynError, NoLockInBracket
 
 MAX_BISECT = 64
@@ -51,6 +51,10 @@ PREDICT_ROUNDS = 3
 PREDICT_STRIDE = 32
 PREDICT_STEPS = 40
 PREDICT_TOL = 1.0 / 64.0
+# largest share of a grid that the fine pass takes around the coarse
+# survivors; beyond it, as on near-rigid families, whose branches hold their
+# roots close together, it runs on the survivors alone
+PREDICT_COVER = 0.25
 # most theta-grid points of the windows solved in one lockstep batch: the
 # predictor's live arrays grow with them, to a peak of 3.5 MB for 46
 # windows of 4096 points
@@ -82,16 +86,20 @@ class Window:
 @dataclass(frozen=True)
 class LockedMeasure:
     """Measure data for the locked parameter set at a given search depth:
-    a certified lower bound on the measure of the locked t in [0, 1] (the
-    window widths, clipped to [0, 1] unless the family is 1-periodic in
-    t), a Monte Carlo locked fraction, and the separately tracked
-    unresolved fraction.  ``iterates`` counts the orbit iterates of the
-    Monte Carlo sweep."""
+    ``lower``, the window widths t_hi - t_lo summed (each clipped to [0, 1]
+    unless the family is 1-periodic in t), a Monte Carlo locked fraction,
+    and the separately tracked unresolved fraction.  ``lower`` exceeds the
+    certified inner measure, the widths of [t_lo + r, t_hi - r], by the sum
+    of 2r over the positive-width windows (r the bracket radius): 7.0e-5 on
+    ``arnold_family(0.1)`` at q <= 12.  ``iterates`` counts the orbit
+    iterates of the Monte Carlo sweep, and ``decided`` the samples that the
+    windows locked without one."""
 
     lower: float
     mc: float
     unresolved_frac: float
     iterates: int
+    decided: int
 
 
 def _bisect(u, v, tol, positive):
@@ -181,11 +189,12 @@ def _predict_roots(fam, requests, tol):
     branches that can hold it are those with D(v) > 0 (lo edge) or
     D(u) <= 0 (hi edge).  Illinois regula falsi first runs on every
     PREDICT_STRIDE-th branch.  The fine neighbours of its survivors then
-    start from brackets split at the survivors' best end; an edge with few
-    such branches on the stride runs on all of them instead.  Each pass
-    runs the branches of every edge in lockstep (:func:`_illinois`), and
-    the branch values at u, v and the split are one kernel call each, so
-    no grid array outlives its evaluation.
+    start from brackets split at the survivors' best end, or the survivors
+    alone where their neighbours span more than ``PREDICT_COVER`` of the
+    grid; an edge with few such branches on the stride runs on all of them
+    instead.  Each pass runs the branches of every edge in lockstep
+    (:func:`_illinois`), and the branch values at u, v and the split are
+    one kernel call each, so no grid array outlives its evaluation.
     """
     order = sorted(range(len(requests)), key=lambda k: requests[k][1])
     reqs = [requests[k] for k in order]
@@ -227,7 +236,7 @@ def _predict_roots(fam, requests, tol):
         for k, survivors in zip(ks.tolist(), np.split(idx, starts[1:])):
             near = np.zeros(n[k], dtype=bool)
             near[(survivors[:, None] + reach) % n[k]] = True
-            fine[k] = np.flatnonzero(near)
+            fine[k] = np.flatnonzero(near) if near.mean() <= PREDICT_COVER else survivors
     g = np.repeat(np.arange(len(reqs)), [i.size for i in fine])
     idx = np.concatenate(fine)
     du, dv, dt = at(g, idx, (u, v, best))
@@ -486,39 +495,103 @@ def enumerate_windows(fam, q_max: int, tol: float = 1e-6,
     return out
 
 
+def _t_free(fam) -> bool:
+    """Whether every coefficient of ``fam`` is free of t, so that f_{t+1} =
+    f_t + N, N the winding."""
+    return all(len(c.coeffs) == 1 for _, const, harm in fam.stack
+               for c in (const,) + tuple(x for _, a, b in harm for x in (a, b)))
+
+
+def _window_locked(fam, ts, windows, q_max: int, n_iter: int, grid=None):
+    """Mask of the ``ts`` that ``classify_batch(fam, ts, q_max, n_iter,
+    retire=True)`` provably locks, read off ``windows``, which must be
+    ``enumerate_windows(fam, q_max, grid=grid)``'s: the t strictly inside
+    the certified inner window [t_lo + r, t_hi - r] of a positive-width
+    window, or of its shift by -1 or 1 when every coefficient is free of t.
+
+    Why the sweep locks such a t at p/q (p + k q N for a shift by k): B
+    increases in t where ``dt_sup_bound() < winding``, and the edge solver
+    evaluated B_plus > 0 on the lock grid at some t <= t_lo + r and B_minus
+    <= 0 at some t >= t_hi - r.  So on that grid max D > -rho and min D <
+    rho at t, rho the rounding of D at two points
+    (``rotation._lock_rounding``), no coarse grid clears the margin, and
+    ``is_locked`` locks where rho <= ``LOCK_TOL``.  p/q lies in every error
+    bar of the sweep, so ``_decide`` tries it and locks, at p/q or a
+    cheaper fraction, unless its rounding guard fails.
+
+    rho and the guard are bounded once per window and shift, from |t| at
+    its far end, the t-free derivative bound and |disp| <= |p|/q + 2 /
+    ``n_iter``; a window that fails either decides nothing, as does one
+    reaching beyond [-1, 1] when coefficients depend on t, where the t-free
+    bounds end.  Each inner end moves inward by a few ulps, for the
+    rounding of the ends, of a shift and of the stage drifts w t + c.  With
+    a ``grid``, or without certified monotonicity, no t is decided.
+    """
+    ts = np.asarray(ts, dtype=float)
+    ends = []
+    if grid is None and fam.dt_sup_bound() < fam.winding:
+        t_free = _t_free(fam)
+        lip = fam.dtheta_lift_bound()
+        rate = rotation._rounding_rate(fam, lip)
+        consts = sum(c.abs_bound() for _, c, _ in fam.stack)
+        for w in windows:
+            r = w.bracket_radius
+            reach = max(abs(w.t_lo), abs(w.t_hi)) + r
+            if w.width <= 0.0 or w.q > q_max or not (t_free or reach <= 1.0):
+                continue
+            for k in (-1, 0, 1) if t_free else (0,):
+                far, p = reach + abs(k), w.p + k * w.q * fam.winding
+                rho = rotation._lock_rounding(fam, w.q, max(abs(w.p), abs(p)), lip,
+                                              fam.winding * far + consts)
+                guard = rotation._drift(rate, n_iter, abs(p) / w.q + 2.0 / n_iter)
+                if rho <= rotation.LOCK_TOL and guard < 1.0 / n_iter:
+                    pad = 8.0 * EPS * (far + 1.0 + consts)
+                    ends.append((w.t_lo + r + k + pad, w.t_hi - r + k - pad))
+    if not ends:
+        return np.zeros(ts.shape, dtype=bool)
+    lo, hi = np.array(sorted(ends)).T
+    i = np.searchsorted(lo, ts) - 1  # the inner window that starts last below t
+    return (i >= 0) & (ts < hi[i])
+
+
 def locked_measure(fam, q_max: int, mc_samples: int, tol: float = 1e-6,
                    seed: int = 0, windows: list | None = None,
-                   n_iter: int = rotation.CLASSIFY_N_ITER) -> LockedMeasure:
-    """Certified-below plus Monte Carlo measure of the locked parameter set.
+                   n_iter: int = rotation.CLASSIFY_N_ITER, grid=None) -> LockedMeasure:
+    """Window-width plus Monte Carlo measure of the locked parameter set.
 
-    ``lower`` sums certified window widths (semi-computable from below at
-    finite q_max); ``mc`` is the fraction of seeded uniform t samples that
-    classify locked, with unresolved samples counted separately.  The
-    samples are classified by a retiring sweep of at most ``n_iter``
+    ``lower`` sums the window widths t_hi - t_lo; it exceeds the certified
+    inner measure by the sum of 2r (see :class:`LockedMeasure`).  ``mc`` is
+    the fraction of seeded uniform t samples that classify locked, with
+    unresolved samples counted separately.  A sample inside a certified
+    inner window is locked without its orbit (:func:`_window_locked`);
+    the others are classified by a retiring sweep of at most ``n_iter``
     iterates (``classify_batch`` with ``retire``): a sample whose error bar
     holds no candidate at one of ``rotation.RETIRE_CHECKPOINTS`` is an
-    irrational candidate from then on.
+    irrational candidate from then on.  ``windows`` defaults to
+    ``enumerate_windows(fam, q_max, tol, grid)``, and ``grid`` must be the
+    one they were solved on.
 
     The windows of p in [0, q N) tile [0, 1) only when f_{t+1} = f_t + N,
     N the winding: when every coefficient is free of t.  Otherwise a
     window can reach below t = 0, and the one at p = q N is never
-    enumerated, so the widths are clipped to [0, 1] and the sum stays a
-    lower bound.
+    enumerated, so the widths are clipped to [0, 1].
     """
     if mc_samples < 1:
         raise ValueError("mc_samples must be >= 1")
     if windows is None:
-        windows = enumerate_windows(fam, q_max, tol=tol)
-    periodic = all(len(c.coeffs) == 1 for _, const, harm in fam.stack
-                   for c in (const,) + tuple(x for _, a, b in harm for x in (a, b)))
-    if periodic:
+        windows = enumerate_windows(fam, q_max, tol=tol, grid=grid)
+    if _t_free(fam):
         lower = sum(w.width for w in windows)
     else:
         lower = sum(max(0.0, min(w.t_hi, 1.0) - max(w.t_lo, 0.0)) for w in windows)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     ts = rng.random(mc_samples)
-    results = rotation.classify_batch(fam, ts, q_max=q_max, n_iter=n_iter, retire=True)
-    locked = sum(r.classification == rotation.LOCKED for r in results)
+    decided = _window_locked(fam, ts, windows, q_max, n_iter, grid)
+    rest = ts[~decided]
+    results = (rotation.classify_batch(fam, rest, q_max=q_max, n_iter=n_iter, retire=True)
+               if rest.size else [])
+    n_decided = int(np.count_nonzero(decided))
+    locked = n_decided + sum(r.classification == rotation.LOCKED for r in results)
     unres = sum(r.classification == rotation.UNRESOLVED for r in results)
     return LockedMeasure(lower, locked / mc_samples, unres / mc_samples,
-                         sum(r.n_iter for r in results))
+                         sum(r.n_iter for r in results), n_decided)

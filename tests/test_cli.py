@@ -319,18 +319,31 @@ class TestWindowsCommand:
         assert len(lines) == 3
         m = read(os.path.join(out, "measure.csv")).strip().splitlines()
         assert m[0] == "q_max,lower,mc,unresolved,seed"
-        # the Monte Carlo work goes into the report, not into a CSV
+        # the Monte Carlo work goes into the report, not into a CSV; the
+        # samples inside certified windows run no orbit
         table = json.loads(read(os.path.join(out, "report.json")))["tables"]["mc_iterates"]
-        assert table["header"] == ["samples", "iterates"]
-        samples, iterates = (int(v) for v in table["rows"][0])
-        assert samples == 200 and 256 * 200 <= iterates < 4096 * 200
+        assert table["header"] == ["samples", "iterates", "decided_by_windows"]
+        samples, iterates, decided = (int(v) for v in table["rows"][0])
+        assert samples == 200 and 0 < decided < 200
+        assert 256 * (200 - decided) <= iterates < 4096 * 200
 
     def test_niter_caps_the_monte_carlo_sweep(self, arnold_file, tmp_path):
         out = str(tmp_path / "w")
         assert main(["windows", "--input", arnold_file, "--qmax", "2", "--niter", "300",
                      "--out", out, "--samples", "50", "--workers", "1"]) == 0
         table = json.loads(read(os.path.join(out, "report.json")))["tables"]["mc_iterates"]
-        assert 256 * 50 <= int(table["rows"][0][1]) <= 300 * 50
+        _, iterates, decided = (int(v) for v in table["rows"][0])
+        assert 256 * (50 - decided) <= iterates <= 300 * (50 - decided)
+
+    def test_grid_decides_no_sample_by_windows(self, arnold_file, tmp_path):
+        # windows solved on another grid than the lock checks' say nothing
+        # about the sweep's lock checks
+        out = str(tmp_path / "w")
+        assert main(["windows", "--input", arnold_file, "--qmax", "2", "--grid", "1024",
+                     "--out", out, "--samples", "50", "--workers", "1"]) == 0
+        table = json.loads(read(os.path.join(out, "report.json")))["tables"]["mc_iterates"]
+        _, iterates, decided = (int(v) for v in table["rows"][0])
+        assert decided == 0 and 256 * 50 <= iterates
 
     @pytest.mark.parametrize("const, at, radius", [(1e12, "-1e+12", "6.1e-05"),
                                                    (1e300, "-1e+300", "7.44e+283"),

@@ -1,3 +1,4 @@
+import functools
 import math
 import re
 
@@ -336,6 +337,114 @@ class TestLockstep:
             window_for_rational(fam, 0, 1, tol=1e-6)
         found = re.search(r"radius of (\S+) after .* above tol 1e-06$", str(exc.value))
         assert found and float(found.group(1)) > radius
+
+
+class TestPredictorCover:
+    """On near-rigid families the coarse survivors' neighbourhoods span most
+    of the grid, and the fine pass runs on the survivors alone."""
+
+    def test_near_rigid_branch_budget(self, monkeypatch):
+        fam = arnold_family(1.0).scaled(0.005)
+        real = windows._branch_disp
+
+        def branches_and_windows(cover):
+            count = []
+
+            def counting(f, t, q, p, theta):
+                count.append(theta.size)
+                return real(f, t, q, p, theta)
+
+            with monkeypatch.context() as m:
+                m.setattr(windows, "_branch_disp", counting)
+                m.setattr(windows, "PREDICT_COVER", cover)
+                ws = enumerate_windows(fam, 12)
+            return sum(count), ws
+
+        capped, ws = branches_and_windows(windows.PREDICT_COVER)
+        uncapped, old = branches_and_windows(1.0)
+        points = sum(rotation.lock_grid_size(w.q) for w in ws)
+        # 0.5 and 5.4 grids' worth of branches per window
+        assert capped <= 2 * points < uncapped
+        assert as_bits(ws) == as_bits(old)
+
+
+def mc_ts(seed, samples):
+    """The t samples of ``locked_measure(..., seed=seed)``."""
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    return rng.random(samples)
+
+
+def check_window_decisions(fam, q_max, samples, seed, tol=1e-7):
+    """Every sample that the windows decide locks in a full retiring sweep,
+    and ``locked_measure`` counts the full sweep's classes.  Returns the
+    number decided."""
+    ws = enumerate_windows(fam, q_max, tol=tol)
+    ts = mc_ts(seed, samples)
+    decided = windows._window_locked(fam, ts, ws, q_max, rotation.CLASSIFY_N_ITER)
+    full = [r.classification for r in
+            rotation.classify_batch(fam, ts, q_max=q_max, retire=True)]
+    assert all(full[i] == LOCKED for i in np.flatnonzero(decided))
+    lm = locked_measure(fam, q_max, samples, seed=seed, windows=ws)
+    assert lm.decided == np.count_nonzero(decided)
+    assert (lm.mc, lm.unresolved_frac) == (full.count(LOCKED) / samples,
+                                           full.count(UNRESOLVED) / samples)
+    return lm.decided
+
+
+class TestWindowDecisions:
+    """``locked_measure`` locks the samples inside certified inner windows
+    without their orbits; every such sample is one the sweep would lock."""
+
+    @pytest.mark.parametrize("name", sorted(EDGE_FAMILIES))
+    def test_counts_equal_the_full_sweep(self, name):
+        fam, q_max = EDGE_FAMILIES[name]
+        decided = check_window_decisions(fam, q_max, 2000, seed=5)
+        # no positive width (rigid), or no certified monotonicity
+        assert (decided == 0) == (name in ("rigid", "uncertified"))
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("amp", [0.02, 0.05, 0.1, 0.15])
+    def test_counts_equal_the_full_sweep_at_criterion_3(self, amp):
+        assert check_window_decisions(arnold_family(amp), 30, 2000, seed=7, tol=1e-6) > 0
+
+    def test_only_the_certified_inner_window_decides(self):
+        fam = arnold_family(0.1)
+        ws = [w for w in enumerate_windows(fam, 5, tol=1e-6) if w.width > 0.0]
+        inside, edges = [], []
+        for w in ws:
+            r = w.bracket_radius
+            lo, hi = w.t_lo + r, w.t_hi - r
+            for k in (-1, 0, 1):  # arnold_family is free of t
+                inside.append(0.5 * (lo + hi) + k)
+                edges += [w.t_lo + r / 2 + k, w.t_hi - r / 2 + k,
+                          np.nextafter(lo, math.inf) + k, np.nextafter(hi, -math.inf) + k]
+        decide = functools.partial(windows._window_locked, fam, windows=ws, q_max=5,
+                                   n_iter=rotation.CLASSIFY_N_ITER)
+        assert decide(np.array(inside)).all()
+        assert not decide(np.array(edges)).any()
+
+    def test_t_dependent_family_is_not_wrapped(self):
+        fam, q_max = EDGE_FAMILIES["winding-2-t-dependent"]
+        ws = [w for w in enumerate_windows(fam, q_max, tol=1e-7) if w.width > 0.0]
+        mids = np.array([w.midpoint for w in ws])
+        shifted = np.concatenate([mids - 1.0, mids + 1.0])
+        shifted = shifted[(shifted >= 0.0) & (shifted < 1.0)]
+        assert shifted.size
+        decide = functools.partial(windows._window_locked, fam, windows=ws, q_max=q_max,
+                                   n_iter=rotation.CLASSIFY_N_ITER)
+        assert decide(mids).all()
+        assert not decide(shifted).any()
+
+    def test_rounding_and_drift_guards(self):
+        # the 0/1 window near t = -1e6 keeps too few bits for LOCK_TOL; that
+        # of 400000/1 passes it, but 10^5 iterates there fail _decide's guard
+        far = CircleFamily(1, TPoly((1e6,)), ((1, TPoly((0.0,)), TPoly((0.01,))),))
+        w = window_for_rational(far, 0, 1, tol=1e-6)
+        assert not windows._window_locked(far, [w.midpoint], [w], 1, 4096).any()
+        fam = arnold_family(0.01)
+        w = window_for_rational(fam, 400_000, 1, tol=1e-6)
+        assert windows._window_locked(fam, [w.midpoint], [w], 1, 4096).all()
+        assert not windows._window_locked(fam, [w.midpoint], [w], 1, 100_000).any()
 
 
 class TestLockedMeasure:
