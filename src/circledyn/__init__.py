@@ -24,8 +24,7 @@ _EXPORTS = {
                  "RotationResult", "classify", "is_locked", "rho_estimate"),
     "skew": ("PeriodicCircle", "RestrictedFamily", "SkewMap", "a3_check", "periodic_circles",
              "quasi_search", "restricted_family", "skew_apply", "winding_check"),
-    "windows": ("LockedMeasure", "Window", "enumerate_windows", "locked_measure",
-                "window_boundaries"),
+    "windows": ("LockedMeasure", "Window", "enumerate_windows", "locked_measure"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = sorted(_MODULE_OF)

@@ -60,7 +60,7 @@ class TPoly:
         return TPoly(P.polyder(self.coeffs))
 
     def abs_bound(self) -> float:
-        """Upper bound for sup_{t in [0,1]} |p(t)|."""
+        """Upper bound for sup_{|t| <= 1} |p(t)|."""
         return float(sum(abs(c) for c in self.coeffs))
 
     def scaled(self, s: float) -> "TPoly":

@@ -16,15 +16,10 @@ def farey_sequence(q_max: int):
     if q_max < 1:
         raise ValueError("q_max must be >= 1")
     a, b, c, d = 0, 1, 1, q_max
-    yield (a, b)
-    while c < d or (c, d) == (1, 1):
-        if (c, d) == (1, 1):
-            return
+    while (a, b) != (1, 1):
+        yield (a, b)
         k = (q_max + b) // d
         a, b, c, d = c, d, k * c - a, k * d - b
-        if (a, b) == (1, 1):
-            return
-        yield (a, b)
 
 
 @functools.lru_cache(maxsize=8)

@@ -310,10 +310,10 @@ def _drift(rate, n: int, disp):
 def _decide(fam, t, disp: float, n_iter: int, q_max: int, rate: float | None,
             bar=(-math.inf, math.inf)) -> RotationResult:
     """Try every candidate p/q within the 1/n_iter error bar of the mean
-    displacement ``disp``, and within ``bar`` (the intersected error bars
-    of a retiring sweep's checkpoints), cheapest denominator first.  The
-    first that ``is_locked`` locks is the result's p/q; there is no
-    witness theta, only the lock check's status.
+    displacement ``disp``, widened by its rounding drift, and within ``bar``
+    (the intersected error bars of a retiring sweep's checkpoints),
+    cheapest denominator first.  The first that ``is_locked`` locks is the
+    result's p/q; there is no witness theta, only the lock check's status.
 
     Each iterate of the orbit rounds by about eps r Y, where Y = n_iter
     |disp| + 1 bounds the lift values and, as derived in :func:`is_locked`
@@ -333,8 +333,9 @@ def _decide(fam, t, disp: float, n_iter: int, q_max: int, rate: float | None,
     err = 1.0 / n_iter
     if rate is None:
         rate = _rounding_rate(fam, fam.dtheta_lift_bound(t))
-    unresolved = not _drift(rate, n_iter, disp) < err
-    lo, hi = max(disp - err, bar[0]), min(disp + err, bar[1])
+    drift = _drift(rate, n_iter, disp)
+    unresolved = not drift < err
+    lo, hi = max(disp - (err + drift), bar[0]), min(disp + (err + drift), bar[1])
     for p, q in [] if unresolved else farey.fractions_in_interval(lo, hi, q_max):
         chk = is_locked(fam, t, p, q)
         if chk.status == LOCKED:

@@ -339,12 +339,13 @@ def _edge_root(fam, p, q, edge, t_seed, radius0, tol, thetas, extremes):
     return 0.5 * (u + v), 0.5 * (v - u)
 
 
-def _edge_solvers(fam, p, q, tol, thetas, seed):
+def _edge_solvers(fam, p, q, tol, thetas):
     """The lo and hi edge solvers of the p/q window.  Both edges start from
-    t = seed +- r and expand along seed +- r 2^k, and B_plus and B_minus
-    are the max and the min of one displacement array D(theta_i, t).  So
-    the edges share their evaluations: each t is evaluated on the whole
-    grid once per window, and only its extremes are kept."""
+    t = s +- r, s = p / (q N) the rigid rotation's, and expand along s +- r
+    2^k, and B_plus and B_minus are the max and the min of one displacement
+    array D(theta_i, t).  So the edges share their evaluations: each t is
+    evaluated on the whole grid once per window, and only its extremes are
+    kept."""
     radius0 = fam.g_sup_bound() / fam.winding + 4.0 * tol
     evals = {}
 
@@ -358,7 +359,7 @@ def _edge_solvers(fam, p, q, tol, thetas, seed):
             evals[t] = out
         return out
 
-    return [_edge_root(fam, p, q, edge, seed, radius0, tol, thetas, extremes)
+    return [_edge_root(fam, p, q, edge, p / (q * fam.winding), radius0, tol, thetas, extremes)
             for edge in ("lo", "hi")]
 
 
@@ -385,75 +386,37 @@ def _solve(solvers, fam, tol):
 
 
 @rotation._quiet
-def _windows(fam, pairs, tol, grid=None) -> list:
-    """The windows of ``pairs``, (p, q, seed) triples, in order.  Each
-    window's grid is ``grid`` or ``rotation.lock_grid_size(q)``, and the
-    windows of up to ``LOCKSTEP_POINTS`` grid points at a time are solved
-    together, their edge predictions in lockstep (:func:`_solve`).  Windows
-    narrower than tol collapse to width-0 markers.  An orbit that overflows
-    ends in inf or nan quietly, and its edge in an error."""
-    batches, points = [[]], 0
-    for p, q, seed in pairs:
-        size = grid or rotation.lock_grid_size(q)
-        if batches[-1] and points + size > LOCKSTEP_POINTS:
-            batches.append([])
-            points = 0
-        batches[-1].append((p, q, size, seed))
-        points += size
-    out, grids = [], {}
-    for batch in batches:
-        edges = _solve([solver for p, q, size, seed in batch
-                        for solver in _edge_solvers(fam, p, q, tol, grids.setdefault(
-                            size, np.arange(size) / size), seed)], fam, tol)
-        for (p, q, _, _), (t_lo, r_lo), (t_hi, r_hi) in zip(batch, edges[::2], edges[1::2]):
-            radius = max(r_lo, r_hi)
-            width = t_hi - t_lo
-            # each edge is known to +-tol, so width <= 2 tol is
-            # indistinguishable from a point (small factor absorbs
-            # bisection rounding)
-            if width <= 2.0 * tol * (1.0 + 1e-6):
-                mid = 0.5 * (t_lo + t_hi)
-                out.append(Window(p, q, mid, mid, 0.0, radius))
-            else:
-                out.append(Window(p, q, t_lo, t_hi, width, radius))
+def _solve_windows(fam, tol, grid, pairs) -> list:
+    """The windows of ``pairs``, reduced (p, q), in order, solved together:
+    their edge predictions run in lockstep (:func:`_solve`).  Each window's
+    grid is ``grid`` or ``rotation.lock_grid_size(q)``.  Windows narrower
+    than tol collapse to width-0 markers.  An orbit that overflows ends in
+    inf or nan quietly, and its edge in an error.  Module level, so that a
+    process pool can pickle it with its arguments."""
+    sizes = [grid or rotation.lock_grid_size(q) for _, q in pairs]
+    grids = {n: np.arange(n) / n for n in set(sizes)}
+    edges = _solve([solver for (p, q), n in zip(pairs, sizes)
+                    for solver in _edge_solvers(fam, p, q, tol, grids[n])], fam, tol)
+    out = []
+    for (p, q), (t_lo, r_lo), (t_hi, r_hi) in zip(pairs, edges[::2], edges[1::2]):
+        radius = max(r_lo, r_hi)
+        width = t_hi - t_lo
+        # each edge is known to +-tol, so width <= 2 tol is
+        # indistinguishable from a point (small factor absorbs
+        # bisection rounding)
+        if width <= 2.0 * tol * (1.0 + 1e-6):
+            mid = 0.5 * (t_lo + t_hi)
+            out.append(Window(p, q, mid, mid, 0.0, radius))
+        else:
+            out.append(Window(p, q, t_lo, t_hi, width, radius))
     return out
 
 
-def window_for_rational(fam, p: int, q: int, tol: float = 1e-6,
-                        grid: int | None = None, t_seed: float | None = None) -> Window:
+def window_for_rational(fam, p: int, q: int, tol: float = 1e-6) -> Window:
     """Locate the locking window for lift displacement p over period q.
-
-    The seed defaults to the rigid-rotation prediction p / (q * winding);
-    expansion of the bisection bracket absorbs the periodic-part offset.
-    Windows narrower than tol collapse to width-0 markers.  This is
-    :func:`enumerate_windows`'s solver on one window.
-    """
-    seed = t_seed if t_seed is not None else p / (q * fam.winding)
-    return _windows(fam, [(p, q, seed)], tol, grid)[0]
-
-
-def window_boundaries(fam, p: int, q: int, t_bracket, tol: float = 1e-6) -> Window:
-    """Certified window through a seed found inside ``t_bracket``.
-
-    Scans 17 points of the bracket for a parameter certifying the lock
-    (midpoint outward); raises NoLockInBracket when none certifies.  The
-    returned interval is the full connected window containing the seed,
-    with both edges bisected to bracket radius <= tol.
-    """
-    if math.gcd(abs(p), q) != 1:
-        raise ValueError("p/q must be reduced")
-    a, b = float(t_bracket[0]), float(t_bracket[1])
-    if b < a:
-        raise ValueError("empty bracket")
-    seed = None
-    probes = np.linspace(a, b, 17)
-    for t in sorted(probes, key=lambda x: abs(x - 0.5 * (a + b))):
-        if rotation.is_locked(fam, float(t), p, q).status == rotation.LOCKED:
-            seed = float(t)
-            break
-    if seed is None:
-        raise NoLockInBracket(f"no parameter in [{a:g}, {b:g}] certifies lock {p}/{q}")
-    return window_for_rational(fam, p, q, tol=tol, t_seed=seed)
+    This is :func:`enumerate_windows`'s batch solver on one pair, so the
+    window equals its p/q window there bit for bit."""
+    return _solve_windows(fam, tol, None, [(p, q)])[0]
 
 
 def lift_rationals(q_max: int, winding: int) -> list:
@@ -467,32 +430,36 @@ def lift_rationals(q_max: int, winding: int) -> list:
     return out
 
 
-def _chunk_windows(fam, tol, grid, pairs) -> list:
-    # module level, so that a process pool can pickle it with its arguments
-    return _windows(fam, [(p, q, p / (q * fam.winding)) for p, q in pairs], tol, grid)
-
-
 def enumerate_windows(fam, q_max: int, tol: float = 1e-6,
                       grid: int | None = None, map_fn=map) -> list:
     """One window per reduced rational with q <= q_max, in Farey order.
 
-    The rationals go out in one interleaved chunk per worker of ``map_fn``,
-    its ``workers`` attribute (one chunk for a ``map_fn`` without it, such
-    as the plain ``map``), and each chunk is solved with its edge
-    predictions in lockstep.  Every window equals
-    :func:`window_for_rational`'s, so the results, emitted in Farey order,
-    do not depend on the chunks.
+    The Farey-ordered rationals are cut once into contiguous batches, and
+    ``map_fn`` maps the batch solver over them.  There is one run of
+    batches per worker of ``map_fn``, its ``workers`` attribute (one for a
+    ``map_fn`` without it, such as the plain ``map``), each run holding an
+    equal share of the rationals; a run is cut further wherever a batch
+    would pass ``LOCKSTEP_POINTS`` grid points.  A batch's windows are
+    solved with their edge predictions in lockstep.  Every window equals
+    :func:`window_for_rational`'s, so the results do not depend on the cut.
     """
     if q_max < 1:
         raise ValueError("q_max must be >= 1")
     fam.check_diffeo()
     pairs = lift_rationals(q_max, fam.winding)
-    chunks = max(1, min(getattr(map_fn, "workers", 1), len(pairs)))
-    out = [None] * len(pairs)
-    for k, ws in enumerate(map_fn(functools.partial(_chunk_windows, fam, tol, grid),
-                                  [pairs[k::chunks] for k in range(chunks)])):
-        out[k::chunks] = ws
-    return out
+    runs = max(1, min(getattr(map_fn, "workers", 1), len(pairs)))
+    batches = []
+    for k in range(runs):
+        points = LOCKSTEP_POINTS  # a run starts a new batch
+        for p, q in pairs[k * len(pairs) // runs:(k + 1) * len(pairs) // runs]:
+            size = grid or rotation.lock_grid_size(q)
+            if points + size > LOCKSTEP_POINTS:
+                batches.append([])
+                points = 0
+            batches[-1].append((p, q))
+            points += size
+    return [w for ws in map_fn(functools.partial(_solve_windows, fam, tol, grid), batches)
+            for w in ws]
 
 
 def _t_free(fam) -> bool:

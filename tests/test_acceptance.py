@@ -28,7 +28,7 @@ from circledyn.skew import (
     skew_apply,
     winding_check,
 )
-from circledyn.windows import enumerate_windows, locked_measure, window_boundaries
+from circledyn.windows import enumerate_windows, locked_measure, window_for_rational
 from snapshot import central_derivatives, deriv_tuple, snapshot
 
 GOLDEN = (math.sqrt(5) - 1) / 2
@@ -59,7 +59,7 @@ def test_criterion_1_rotation_exactness():
 
 def test_criterion_2_closed_form_window():
     t0 = time.perf_counter()
-    w = window_boundaries(arnold_family(0.1), 0, 1, (-0.05, 0.05), tol=1e-7)
+    w = window_for_rational(arnold_family(0.1), 0, 1, tol=1e-7)
     lo_err = abs(w.t_lo + 0.1)
     hi_err = abs(w.t_hi - 0.1)
     elapsed = time.perf_counter() - t0

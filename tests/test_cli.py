@@ -367,6 +367,19 @@ class TestWindowsCommand:
         assert "Warning" not in res.stderr, res.stderr
         assert not out.exists()
 
+    def test_unbracketable_edge_exits_2(self, tmp_path, capsys):
+        # theta + t^2 never drops below 0/1, so its lo edge has no bracket
+        fam = tmp_path / "square.json"
+        fam.write_text(json.dumps({"label": "square", "winding": 1, "const": [0.0, 0.0, 1.0],
+                                   "harmonics": []}))
+        out = tmp_path / "o"
+        assert main(["windows", "--input", str(fam), "--qmax", "2", "--samples", "10",
+                     "--workers", "1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "error: could not bracket the lo edge of the 0/1 window" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 class TestDioCommand:
     def test_csv(self, tmp_path):

@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from circledyn.farey import farey_sequence, fractions_in_interval
 
@@ -29,12 +30,10 @@ def test_farey_sequence_order_and_count():
     )
 
 
-def test_farey_sequence_matches_brute():
-    got = set(farey_sequence(7))
-    want = {(p, q) for p, q in brute_fractions(0.0, 0.9999, 7)}
-    want.add((0, 1))
-    want = {f for f in want if f[0] / f[1] < 1.0 and f[0] >= 0}
-    assert got == want
+@pytest.mark.parametrize("q_max", [1, 2, 3, 7, 30, 140])
+def test_farey_sequence_matches_brute(q_max):
+    want = sorted(brute_fractions(0.0, 0.9999, q_max), key=lambda f: Fraction(*f))
+    assert list(farey_sequence(q_max)) == want
 
 
 def test_interval_descent_matches_brute():

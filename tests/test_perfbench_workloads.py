@@ -37,3 +37,17 @@ def test_workload_outputs_pass_the_benchmark_checks(name, tmp_path):
     wl = workloads.generate(name, SEED, str(inputs))
     assert cli.main(wl.argv + ["--out", out]) == 0
     assert workloads.check(wl, out) == []
+
+
+def test_pooled_windows_equal_serial(tmp_path):
+    inputs = tmp_path / "in"
+    inputs.mkdir()
+    wl = workloads.generate("windows-arnold", SEED, str(inputs))
+    at = wl.argv.index("--workers") + 1
+    digests = []
+    for workers in ("1", "2"):
+        out = str(tmp_path / f"out{workers}")
+        argv = wl.argv[:at] + [workers] + wl.argv[at + 1:]
+        assert cli.main(argv + ["--out", out]) == 0
+        digests.append(workloads.csv_digests(out))
+    assert digests[0] == digests[1]

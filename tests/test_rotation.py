@@ -140,6 +140,17 @@ class TestClassify:
         assert res.classification == LOCKED
         assert (res.p, res.q) == (1, 2)
 
+    def test_final_bar_is_widened_by_the_drift(self):
+        # the computed mean displacement may be off by the rounding drift
+        # (4.55e-13 here), so 1/2 just outside the 1/n bar must still be tried
+        fam, n = rigid_family(), 4096
+        disp = 0.5 + 1.0 / n + 1e-13
+        assert 1e-13 < rotation._drift(1.0, n, disp) < 1e-12
+        assert is_locked(fam, 0.5, 1, 2).status == LOCKED
+        res = rotation._decide(fam, 0.5, disp, n, 5, None)
+        assert res.classification == LOCKED
+        assert (res.p, res.q) == (1, 2)
+
     def test_consistency_with_estimate(self):
         fam = arnold_family(0.08)
         for t in RNG.uniform(0, 1, 12):

@@ -10,12 +10,7 @@ from circledyn.circle_map import CircleFamily, TPoly
 from circledyn.errors import CircledynError, DegenerateFamily, NoLockInBracket
 from circledyn.gallery import arnold_family, rigid_family
 from circledyn.rotation import LOCKED, NOT_LOCKED, UNRESOLVED, is_locked
-from circledyn.windows import (
-    enumerate_windows,
-    locked_measure,
-    window_boundaries,
-    window_for_rational,
-)
+from circledyn.windows import enumerate_windows, locked_measure, window_for_rational
 
 RNG = np.random.default_rng(998877)
 
@@ -24,7 +19,7 @@ class TestWindowBoundaries:
     def test_arnold_closed_form(self):
         # fixed-point condition t + 0.1 sin(2 pi theta) = 0: window is exactly
         # [-0.1, 0.1]
-        w = window_boundaries(arnold_family(0.1), 0, 1, (-0.05, 0.05), tol=1e-8)
+        w = window_for_rational(arnold_family(0.1), 0, 1, tol=1e-8)
         assert w.t_lo == pytest.approx(-0.1, abs=1e-6)
         assert w.t_hi == pytest.approx(0.1, abs=1e-6)
         assert w.width == pytest.approx(0.2, abs=2e-6)
@@ -40,9 +35,12 @@ class TestWindowBoundaries:
         w12 = window_for_rational(fam, 1, 2, tol=1e-7)
         assert 0.0 < w12.width < w0.width
 
-    def test_no_lock_in_bracket(self):
-        with pytest.raises(NoLockInBracket):
-            window_boundaries(arnold_family(0.1), 0, 1, (0.3, 0.4))
+    def test_unbracketable_edge_raises(self):
+        # theta + t^2 never drops below 0/1, so no t has B_plus < 0
+        fam = CircleFamily(1, TPoly((0.0, 0.0, 1.0)), ())
+        with pytest.raises(NoLockInBracket,
+                           match="could not bracket the lo edge of the 0/1 window"):
+            window_for_rational(fam, 0, 1)
 
 
 class TestEnumerateWindows:
@@ -239,7 +237,7 @@ def two_worker_pool():
 
 
 class TestLockstep:
-    """``enumerate_windows`` solves the windows of a chunk together: their
+    """``enumerate_windows`` solves the windows of a batch together: their
     edge predictions run in lockstep, and a cell end is evaluated on the
     whole grid only for a sign that a few branches cannot settle."""
 
