@@ -46,10 +46,10 @@ ENV_PREFIX = "CIRCLEDYN_"
 # 64 --qmax 5 peaked at 166 MB (numpy 2.4.6, 2-core VM), below a
 # MAX_LOCK_GRID check's 670 MB.
 MAX_SAMPLES = 2 ** 18
-# Largest --eta-families, per norm level.  A sampled family takes about
-# 21 ms to build and 6 kB to hold, and its sweep about 0.35 s at the default
-# 2000 samples (numpy 2.4.6, 2-core VM), so the cap's 4 x 1024 families
-# hold about 25 MB and run for some 25 minutes per core.
+# Largest --eta-families, per norm level.  A sampling slot takes about
+# 17 ms to build its 4 families, a family 6 kB to hold and its sweep about
+# 0.35 s at the default 2000 samples (numpy 2.4.6, 2-core VM), so the cap's
+# 4 x 1024 families hold about 25 MB and run for some 25 minutes per core.
 MAX_ETA_FAMILIES = 2 ** 10
 
 _COMMANDS = {
@@ -432,7 +432,7 @@ def cmd_theoremA(cfg: RunConfig) -> int:
             "norm_bounds": norm_bounds,
             "norm_bounds_below_one": all(v < 1.0 for v in norm_bounds),
             "conforming": res.conforming,
-            "eta_at_max_norm": ec.at(r_star),
+            "eta_at_max_norm": ec.eta[-1],
         },
     )
     return 0

@@ -140,21 +140,18 @@ class EtaCurve:
     iterates: tuple
     seed: int
 
-    def at(self, r: float) -> float:
-        """Envelope value at norm r (step interpolation, clamped)."""
-        idx = int(np.searchsorted(self.r, r, side="right")) - 1
-        return self.eta[max(idx, 0)]
 
-
-def sample_family(rng: np.random.Generator, r: float) -> CircleFamily:
-    """Random winding-1 family with norm rescaled to hit r exactly.
+def sample_family(rng: np.random.Generator, rs) -> list:
+    """One random winding-1 family, rescaled to hit each norm r of ``rs``
+    exactly: the families of one sampling slot, in the order of ``rs``.
 
     One to three distinct harmonics j <= 4 are drawn, with coefficients
     of degree 1 in t, so both norm components are exercised.  Rescaling
     is safe: the norm is linear in the periodic part, and c3 = r < 1
-    forces the diffeomorphism condition.
+    forces the diffeomorphism condition.  At r = 0 the family is the
+    rigid rotation, with zero coefficients.
     """
-    if r < 0.0:
+    if any(r < 0.0 for r in rs):
         raise ValueError("r must be >= 0")
     n_h = int(rng.integers(1, 4))
     js = rng.choice(np.arange(1, 5), size=n_h, replace=False)
@@ -163,16 +160,14 @@ def sample_family(rng: np.random.Generator, r: float) -> CircleFamily:
         a = TPoly((rng.normal(), 0.3 * rng.normal()))
         b = TPoly((rng.normal(), 0.3 * rng.normal()))
         harmonics.append((j, a, b))
-    fam = CircleFamily(1, TPoly((0.0,)), tuple(harmonics), label=f"sample-r{r:g}")
-    if r == 0.0:
-        return CircleFamily(1, TPoly((0.0,)), (), label="sample-r0")
+    fam = CircleFamily(1, TPoly((0.0,)), tuple(harmonics), label="sample")
     value = family_norm(fam, check=False).value
-    return fam.scaled(r / value)
+    return [fam.scaled(r / value) for r in rs]
 
 
 def _sample(key):
-    seed, ri, fi, r = key
-    return sample_family(make_rng(seed, 1, ri, fi), r)
+    seed, fi, rs = key
+    return sample_family(make_rng(seed, 1, 0, fi), rs)
 
 
 def _tally(results):
@@ -191,8 +186,10 @@ def eta_curve(r_grid, sample_families_per_r: int, q_max: int = 30, seed: int = 0
     the largest Monte Carlo locked fraction, then apply an isotonic cleanup
     (eta is a sup over nested classes, so it must be nondecreasing).
 
-    Every sampled family is built by a ``map_fn`` task, and all of them are
-    classified on one shared t sample by ``rotation.classify_groups``:
+    Each of the ``sample_families_per_r`` sampling slots is a ``map_fn``
+    task that draws one family and scales it to every level (common random
+    numbers across the levels, see :func:`sample_family`).  All families
+    are classified on one shared t sample by ``rotation.classify_groups``:
     merged sweeps, one block per worker of ``map_fn`` (see
     ``classify_batch``), whose workers send back only each family's locked
     count and iterates.  The sweeps retire samples early, as in
@@ -201,17 +198,18 @@ def eta_curve(r_grid, sample_families_per_r: int, q_max: int = 30, seed: int = 0
     """
     if mc_samples < 1:
         raise ValueError("mc_samples must be >= 1")
+    if sample_families_per_r < 1:
+        raise ValueError("sample_families_per_r must be >= 1")
     rs = sorted(float(r) for r in r_grid)
+    if not rs:
+        raise ValueError("r_grid must hold at least one norm level")
     ts = make_rng(seed, 0).random(mc_samples)
-    keys = [(seed, ri, fi, r) for ri, r in enumerate(rs) for fi in range(sample_families_per_r)]
-    fams = list(map_fn(_sample, keys))
+    slots = list(map_fn(_sample, [(seed, fi, rs) for fi in range(sample_families_per_r)]))
     tallies = [tuple(map(sum, zip(*pieces))) for pieces in rotation.classify_groups(
-        [(fam, ts) for fam in fams], q_max=q_max, n_iter=n_iter, map_fn=map_fn, retire=True,
-        reduce=_tally)]
-    levels = [tallies[ri * sample_families_per_r:(ri + 1) * sample_families_per_r]
-              for ri in range(len(rs))]
-    raw = [max(locked / mc_samples for locked, _ in level) if level else 0.0
-           for level in levels]
+        [(fam, ts) for level in zip(*slots) for fam in level], q_max=q_max,
+        n_iter=n_iter, map_fn=map_fn, retire=True, reduce=_tally)]
+    levels = [tallies[ri * len(slots):(ri + 1) * len(slots)] for ri in range(len(rs))]
+    raw = [max(locked / mc_samples for locked, _ in level) for level in levels]
     eta = list(np.maximum.accumulate(raw))
     return EtaCurve(tuple(rs), tuple(eta), tuple(raw),
                     tuple(tuple(n for _, n in level) for level in levels), seed)

@@ -2,10 +2,10 @@
 
 The rotation number of a circle homeomorphism lift satisfies the classical
 displacement inequality  |lift^n(theta) - theta - n * rho| < 1  for every
-theta and n, so the orbit average (lift^n(theta0) - theta0) / n carries the
-rigorous error bar 1/n.  Rational locks are decided by the sign of the
-periodic displacement function on a grid, never by floating-point equality
-of rho.
+theta and n, so the orbit average lift^n(0) / n carries the rigorous error
+bar 1/n, plus the rounding drift of the orbit.  Rational locks are decided
+by the sign of the periodic displacement function on a grid, never by
+floating-point equality of rho.
 """
 
 from __future__ import annotations
@@ -107,26 +107,26 @@ def _quiet(fn):
 
 
 @_quiet
-def displacement_batch(fam, ts, theta0: float = 0.0, n_iter: int = CLASSIFY_N_ITER):
-    """Mean lift displacement per iterate for an array of parameters (or a
-    single one, as a 0-d array)."""
+def displacement_batch(fam, ts, n_iter: int = CLASSIFY_N_ITER):
+    """Mean lift displacement per iterate of the orbit of 0, for an array of
+    parameters (or a single one, as a 0-d array)."""
     ts = np.asarray(ts, dtype=float)
     step = fam.step_factory(ts)
-    theta = np.full_like(ts, theta0)
+    theta = np.zeros_like(ts)
     for _ in range(n_iter):
         theta = step(theta)
-    return (theta - theta0) / n_iter
+    return theta / n_iter
 
 
-def rho_estimate(fam, t, theta0: float = 0.0, n_iter: int = DEFAULT_N_ITER) -> RotationResult:
-    """Estimate rho(f_t) = lim (lift^n(theta0) - theta0) / n.
+def rho_estimate(fam, t, n_iter: int = DEFAULT_N_ITER) -> RotationResult:
+    """Estimate rho(f_t) = lim lift^n(0) / n.
 
-    Returns the estimate mod 1 with error bound 1/n (displacement
-    inequality); classification is left unresolved.
+    Returns the estimate mod 1, unresolved, with error bound 1/n from the
+    displacement inequality: the rounding of the orbit is left out.
     """
     if n_iter < 1:
         raise ValueError("n_iter must be >= 1")
-    disp = float(displacement_batch(fam, t, theta0=theta0, n_iter=n_iter))
+    disp = float(displacement_batch(fam, t, n_iter=n_iter))
     return RotationResult(
         estimate=disp % 1.0,
         error_bound=1.0 / n_iter,
@@ -314,6 +314,7 @@ def _decide(fam, t, disp: float, n_iter: int, q_max: int, rate: float | None,
     (the intersected error bars of a retiring sweep's checkpoints),
     cheapest denominator first.  The first that ``is_locked`` locks is the
     result's p/q; there is no witness theta, only the lock check's status.
+    The result's error bound is the widened bar, 1/n_iter plus the drift.
 
     Each iterate of the orbit rounds by about eps r Y, where Y = n_iter
     |disp| + 1 bounds the lift values and, as derived in :func:`is_locked`
@@ -330,12 +331,12 @@ def _decide(fam, t, disp: float, n_iter: int, q_max: int, rate: float | None,
     few fractional bits), or the orbit overflowed, nothing is tested and
     the result is unresolved.
     """
-    err = 1.0 / n_iter
     if rate is None:
         rate = _rounding_rate(fam, fam.dtheta_lift_bound(t))
     drift = _drift(rate, n_iter, disp)
-    unresolved = not drift < err
-    lo, hi = max(disp - (err + drift), bar[0]), min(disp + (err + drift), bar[1])
+    unresolved = not drift < 1.0 / n_iter
+    err = 1.0 / n_iter + drift
+    lo, hi = max(disp - err, bar[0]), min(disp + err, bar[1])
     for p, q in [] if unresolved else farey.fractions_in_interval(lo, hi, q_max):
         chk = is_locked(fam, t, p, q)
         if chk.status == LOCKED:
@@ -396,8 +397,8 @@ def _sweep(pieces, q_max: int, n_iter: int, retire: bool):
         empty[ok] = ~farey.holds_fraction(lo[k], hi[k], q_max)
         if not empty.any():
             continue
-        for i, d in zip(live[empty].tolist(), disp[empty].tolist()):
-            out[i] = RotationResult(d % 1.0, 1.0 / n, n, IRRATIONAL_CANDIDATE,
+        for i, d, e in zip(live[empty].tolist(), disp[empty].tolist(), drift[empty].tolist()):
+            out[i] = RotationResult(d % 1.0, 1.0 / n + e, n, IRRATIONAL_CANDIDATE,
                                     displacement=d)
         live, theta = live[~empty], theta[~empty]
         if not live.size:
@@ -485,11 +486,11 @@ def classify_batch(fam, ts, q_max: int = 30, n_iter: int = CLASSIFY_N_ITER, map_
     ``_decide``'s guard holds at n) and intersected with the earlier bars,
     it is rigorous, so a sample whose bar holds no p/q with q <= q_max is
     final: an ``irrational_candidate`` with ``n_iter`` = n and error bound
-    1/n, which leaves the sweep.  The others run on to ``n_iter``, where
-    ``_decide`` tries only the candidates inside their intersected bar.  A
-    locked p/q lies in every bar, so locks keep their (p, q), and
-    a survivor's mean displacement is bit for bit the full sweep's.  The
-    only class that can change is ``unresolved`` (a candidate that the full
+    1/n + drift, which leaves the sweep.  The others run on to ``n_iter``,
+    where ``_decide`` tries only the candidates inside their intersected
+    bar.  A locked p/q lies in every bar, so locks keep their (p, q), and a
+    survivor's mean displacement is bit for bit the full sweep's.  The only
+    class that can change is ``unresolved`` (a candidate that the full
     sweep left undecided, or a failed rounding guard at ``n_iter``), to
     ``irrational_candidate``.  Callers that only count classes opt in;
     ``n_iter`` is then a cap.

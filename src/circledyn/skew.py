@@ -141,7 +141,6 @@ class RestrictedFamily(StageStack):
     t-winding number equals the circle period n.
     """
 
-    skew: SkewMap
     circle: PeriodicCircle
     stages: tuple  # tuple of (const TPoly, harmonics (j, TPoly, TPoly)) per fiber
     label: str = ""
@@ -171,12 +170,12 @@ def restricted_family(F: SkewMap, circle: PeriodicCircle) -> RestrictedFamily:
         stages.append(F.fiber_stage(x))
         x = (F.m * x) % 1
     label = f"{F.label}|{circle.x0}" if F.label else f"restriction@{circle.x0}"
-    rf = RestrictedFamily(F, circle, tuple(stages), label=label)
+    rf = RestrictedFamily(circle, tuple(stages), label=label)
     rf.check_diffeo()
     return rf
 
 
-def a3_check(rf: RestrictedFamily, R: float, y_grid: int = C3_Y_GRID) -> tuple:
+def a3_check(rf: RestrictedFamily, R: float) -> tuple:
     """Compare the C3(y) norm of lift - (theta + n t), over t in [0, 1],
     against the closeness-to-identity threshold R.  Returns (sup_c3,
     passes).
@@ -184,7 +183,7 @@ def a3_check(rf: RestrictedFamily, R: float, y_grid: int = C3_Y_GRID) -> tuple:
     When ``StageStack.c3_bound``, certified for every t and y, is below R,
     it is sup_c3 and the circle passes: no grid runs.  Otherwise sup_c3 is
     ``StageStack.c3_sup`` on C3_T_GRID values of t and a y grid of at least
-    ``y_grid`` points, where the theta sup at each of those t is certified
+    C3_Y_GRID points, where the theta sup at each of those t is certified
     and the sup over t is a grid estimate, and passes = sup_c3 < R.
     """
     if not 0.0 < R < 1.0:
@@ -192,7 +191,7 @@ def a3_check(rf: RestrictedFamily, R: float, y_grid: int = C3_Y_GRID) -> tuple:
     bound = rf.c3_bound()
     if bound < R:
         return bound, True
-    sup = rf.c3_sup(C3_T_GRID, y_grid)
+    sup = rf.c3_sup(C3_T_GRID, C3_Y_GRID)
     return sup, sup < R
 
 

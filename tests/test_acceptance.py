@@ -130,7 +130,7 @@ def test_criterion_6_intersection_decay_proxy():
     nonincreasing = all(b <= a for a, b in zip(mu, mu[1:]))
     r_star = max(res.norms)
     ec = eta_curve([r_star / 2, r_star], 8, q_max=30, seed=SEED, mc_samples=2000)
-    eta_hat = ec.at(r_star)
+    eta_hat = ec.eta[-1]
     sigma = math.sqrt(mu[-1] * (1 - mu[-1]) / res.t_samples)
     bound = mu[0] * eta_hat ** 5 + 3 * sigma
     elapsed = time.perf_counter() - t0

@@ -2,8 +2,8 @@
 import numpy as np
 import pytest
 
-from circledyn import rotation
-from circledyn.circle_map import StageStack, TPoly
+from circledyn import experiments, rotation
+from circledyn.circle_map import StageStack, TPoly, family_norm
 from circledyn.errors import HypothesisViolation
 from circledyn.experiments import (
     eta_curve,
@@ -192,22 +192,58 @@ class TestEtaCurve:
         assert ec.eta[0] < 0.1
 
     def test_sample_family_hits_requested_norm(self):
-        for i, r in enumerate((0.05, 0.3, 0.8)):
-            fam = sample_family(make_rng(14, i), r)
-            assert norm_value(fam) == pytest.approx(r, rel=1e-6)
+        rs = (0.0, 0.05, 0.3, 0.8)
+        for i in range(3):
+            fams = sample_family(make_rng(14, i), rs)
+            assert len(fams) == len(rs)
+            for fam, r in zip(fams, rs):
+                assert norm_value(fam) == pytest.approx(r, rel=1e-6, abs=1e-15)
+
+    def test_slot_families_are_one_profile_scaled(self):
+        # one draw per slot: the levels share the harmonic indices, and the
+        # coefficients of levels i and j are in the ratio r_i / r_j
+        rs = (0.05, 0.3, 0.8)
+        for i in range(5):
+            fams = sample_family(make_rng(16, i), rs)
+            base = [(j, a.coeffs, b.coeffs) for j, a, b in fams[0].harmonics]
+            for fam, r in zip(fams[1:], rs[1:]):
+                assert [j for j, _, _ in fam.harmonics] == [j for j, _, _ in base]
+                assert fam.const.coeffs == (0.0,) and fam.winding == 1
+                for (_, a, b), (_, a0, b0) in zip(fam.harmonics, base):
+                    assert a.coeffs == pytest.approx([c * r / rs[0] for c in a0], rel=1e-12)
+                    assert b.coeffs == pytest.approx([c * r / rs[0] for c in b0], rel=1e-12)
+
+    def test_one_norm_per_slot(self, monkeypatch):
+        calls = []
+
+        def counted(fam, check=True):
+            calls.append(fam)
+            return family_norm(fam, check)
+
+        monkeypatch.setattr(experiments, "family_norm", counted)
+        ec = eta_curve([0.05, 0.1, 0.2, 0.4], 3, q_max=10, seed=18, mc_samples=20)
+        assert len(calls) == 3
+        assert len(ec.eta) == 4 and all(len(level) == 3 for level in ec.iterates)
+
+    def test_no_level_or_slot_is_an_error(self):
+        with pytest.raises(ValueError, match="r_grid"):
+            eta_curve([], 3, q_max=10, seed=18, mc_samples=20)
+        with pytest.raises(ValueError, match="sample_families_per_r"):
+            eta_curve([0.1], 0, q_max=10, seed=18, mc_samples=20)
 
     @pytest.mark.parametrize("map_fn", [map, TwoBlocks()], ids=["serial", "two-blocks"])
     def test_merged_sweep_equals_per_family_sweeps(self, map_fn):
         # each sampled family classified on its own, as eta_curve did before
-        # it merged them; two blocks cut the 9 x 150 values within family 5
-        rs, per_r, seed = [0.0, 0.05, 0.4], 3, 17
+        # it merged them; two blocks cut the 9 x 150 values in two.  At norm
+        # 0.9 and seed 16, a family of the top level locks 3 of the samples
+        rs, per_r, seed = [0.0, 0.05, 0.9], 3, 16
         ts = make_rng(seed, 0).random(150)
+        slots = [sample_family(make_rng(seed, 1, 0, fi), rs) for fi in range(per_r)]
         raw, iterates = [], []
-        for ri, r in enumerate(rs):
+        for ri in range(len(rs)):
             fracs = []
-            for fi in range(per_r):
-                res = rotation.classify_batch(sample_family(make_rng(seed, 1, ri, fi), r), ts,
-                                              q_max=10, retire=True)
+            for slot in slots:
+                res = rotation.classify_batch(slot[ri], ts, q_max=10, retire=True)
                 fracs.append(float(np.mean([x.classification == rotation.LOCKED for x in res])))
                 iterates.append(sum(x.n_iter for x in res))
             raw.append(max(fracs))

@@ -39,10 +39,13 @@ def test_workload_outputs_pass_the_benchmark_checks(name, tmp_path):
     assert workloads.check(wl, out) == []
 
 
-def test_pooled_windows_equal_serial(tmp_path):
+@pytest.mark.parametrize("name", ["windows-arnold", "theoremA-par"])
+def test_pooled_windows_equal_serial(name, tmp_path):
+    # windows-arnold's window batches and theoremA-par's sampling slot and
+    # sweep blocks go through cli._Pool.map
     inputs = tmp_path / "in"
     inputs.mkdir()
-    wl = workloads.generate("windows-arnold", SEED, str(inputs))
+    wl = workloads.generate(name, SEED, str(inputs))
     at = wl.argv.index("--workers") + 1
     digests = []
     for workers in ("1", "2"):

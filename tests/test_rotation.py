@@ -38,12 +38,14 @@ class TestRhoEstimate:
         assert abs(res.estimate - GOLDEN) <= 1e-4
 
     def test_attracting_fixed_point_drives_estimate_to_zero(self):
-        # brute-force orbit oracle: the orbit of 0.25 converges to the
-        # attracting fixed point at theta = 0.5, so displacement/n -> 0
-        fam = arnold_family(0.2 / (2 * math.pi))
+        # brute-force orbit oracle: under theta + (0.2 / 2 pi) cos(2 pi theta)
+        # the orbit of 0 converges to the attracting fixed point at theta =
+        # 1/4 (derivative 0.8), so displacement/n -> 0
+        fam = CircleFamily(1, TPoly((0.0,)), ((1, TPoly((0.2 / (2 * math.pi),)), TPoly((0.0,))),))
         prev = None
         for n in (100, 1000, 10_000):
-            res = rho_estimate(fam, 0.0, theta0=0.25, n_iter=n)
+            res = rho_estimate(fam, 0.0, n_iter=n)
+            assert res.displacement * n == pytest.approx(0.25, abs=1e-9)
             d = min(res.estimate, 1.0 - res.estimate)
             if prev is not None:
                 assert d < prev
@@ -150,6 +152,9 @@ class TestClassify:
         res = rotation._decide(fam, 0.5, disp, n, 5, None)
         assert res.classification == LOCKED
         assert (res.p, res.q) == (1, 2)
+        # the reported bar is the one searched, so it holds p/q
+        assert res.error_bound == 1.0 / n + rotation._drift(1.0, n, disp)
+        assert circle_dist(res.p / res.q, res.estimate) <= res.error_bound
 
     def test_consistency_with_estimate(self):
         fam = arnold_family(0.08)
@@ -243,7 +248,7 @@ class TestSharedDisplacementPath:
 
 
 def sampled_family():
-    return sample_family(np.random.default_rng(5), 0.9)
+    return sample_family(np.random.default_rng(5), [0.9])[0]
 
 
 def near_checks(fam, ts, spread=0.02, q_max=30):
@@ -603,7 +608,12 @@ class TestLargeParameter:
         ts = np.linspace(0.0, 1.0, 41)
         guarded = classify_batch(fam, ts, q_max=10)
         monkeypatch.setattr(rotation, "EPS", 0.0)
-        assert classify_batch(fam, ts, q_max=10) == guarded
+        bare = classify_batch(fam, ts, q_max=10)
+        # only the error bars, which carry the drift, differ
+        assert all(r.error_bound == 1.0 / r.n_iter for r in bare)
+        assert all(r.error_bound > 1.0 / r.n_iter for r in guarded)
+        assert ([dataclasses.replace(r, error_bound=0.0) for r in bare]
+                == [dataclasses.replace(r, error_bound=0.0) for r in guarded])
 
     def test_rounding_guard_bound_is_t_free_on_unit_interval(self, monkeypatch):
         # on [0, 1] the guard takes one t-free bound per batch; the other
@@ -692,12 +702,15 @@ class TestRetiringSweep:
         n_iter = rotation.CLASSIFY_N_ITER
         assert all(r.n_iter == n_iter for r in full)
         changed = retired = 0
-        for a, b in zip(full, ret):
+        for t, a, b in zip(ts.tolist(), full, ret):
             if b.n_iter < n_iter:
                 retired += 1
                 assert b.n_iter in rotation.RETIRE_CHECKPOINTS
                 assert b.classification == IRRATIONAL_CANDIDATE
-                assert b.error_bound == 1.0 / b.n_iter
+                # the bar it was retired on, widened by the drift at t
+                rate = rotation._rounding_rate(fam, fam.dtheta_lift_bound(t))
+                drift = rotation._drift(rate, b.n_iter, b.displacement)
+                assert b.error_bound == 1.0 / b.n_iter + drift
             else:  # a survivor's mean displacement is the full sweep's, bit for bit
                 assert b.displacement == a.displacement
             if a.classification == LOCKED:
@@ -744,14 +757,14 @@ class TestRetiringSweep:
 
 def merged_groups():
     """(family, t values) for one-stage families with 0 to 3 harmonics, the
-    rigid one (r = 0) first, with their own sample sizes.
+    rigid one first, with their own sample sizes.
 
     The first four take seeded t in [0, 1], t near window edges and t near
     1e8, where the rigid family's rounding rate passes the guard at
     CLASSIFY_N_ITER iterates and the others' fail it.  The last has winding
     2^27 and t in [0, 1] only, so it takes the t-free rate, which fails the
     guard for t above about 0.4 where the rigid family's would pass."""
-    fams = [sample_family(np.random.default_rng(0), 0.0), arnold_family(0.13),
+    fams = [rigid_family(), arnold_family(0.13),
             two_harmonic_family(), sampled_family()]
     groups = []
     for i, fam in enumerate(fams):
@@ -931,7 +944,7 @@ def margin_checks():
     xdep = SkewMap(2, ((0, 1, TPoly((0.0,)), TPoly((0.004,))),
                        (1, 1, TPoly((0.0, 0.002)), TPoly((0.003,)))))
     fams = [arnold_family(a) for a in (0.159, *rng.uniform(0.02, 0.155, 5))]
-    fams += [sample_family(rng, r) for r in rng.uniform(0.2, 0.95, 4)]
+    fams += [sample_family(rng, [r])[0] for r in rng.uniform(0.2, 0.95, 4)]
     fams += [restricted_family(xdep, c) for c in periodic_circles(2, 4)[1::3]]
     out = [(fams[0], 0.25, 0, 1), (fams[0], 0.1, 0, 1)]
     for fam in fams:
