@@ -23,7 +23,7 @@ _EXPORTS = {
     "rotation": ("IRRATIONAL_CANDIDATE", "LOCKED", "NOT_LOCKED", "UNRESOLVED", "LockCheck",
                  "RotationResult", "classify", "is_locked", "rho_estimate"),
     "skew": ("PeriodicCircle", "RestrictedFamily", "SkewMap", "a3_check", "periodic_circles",
-             "quasi_search", "restricted_family", "skew_apply", "winding_check"),
+             "quasi_search", "restricted_family"),
     "windows": ("LockedMeasure", "Window", "enumerate_windows", "locked_measure"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -228,17 +228,14 @@ def _workers(cfg: RunConfig) -> int:
 
 
 class _Pool:
-    """Order-preserving map over a worker pool; workers == 1 stays serial."""
+    """Order-preserving map over a worker pool, started on the first call
+    that has ``workers`` > 1 and at least 2 items; any other call is serial."""
 
     def __init__(self, workers: int):
         self.workers = workers
         self._pool = None
 
     def __enter__(self):
-        if self.workers > 1:
-            import concurrent.futures
-
-            self._pool = concurrent.futures.ProcessPoolExecutor(max_workers=self.workers)
         return self
 
     def __exit__(self, *exc):
@@ -247,8 +244,12 @@ class _Pool:
 
     def map(self, fn, items):
         items = list(items)
-        if self._pool is None or len(items) <= 1:
+        if self.workers <= 1 or len(items) <= 1:
             return [fn(x) for x in items]
+        if self._pool is None:
+            import concurrent.futures
+
+            self._pool = concurrent.futures.ProcessPoolExecutor(max_workers=self.workers)
         return list(self._pool.map(fn, items, chunksize=max(1, len(items) // (4 * self.workers))))
 
     __call__ = map  # a map_fn that tells its worker count
@@ -351,9 +352,10 @@ def cmd_dio(cfg: RunConfig) -> int:
     for p in params:
         m = diophantine.dio_measure(p)
         rows.append((p.C, p.n_max, m.estimate, m.analytic_lower, m.grid_error))
-        exact.append((p.C, p.n_max, m.estimate, m.exact_error))
+        exact.append((p.C, p.n_max, m.estimate, m.exact_error, m.certified_lower))
+    header = ("C", "n_max", "exact", "exact_error", "certified_lower")
     _finish(cfg, {"dio.csv": ("dio", rows)}, inputs={},
-            report_tables={"dio_exact": (("C", "n_max", "exact", "exact_error"), exact)})
+            report_tables={"dio_exact": (header, exact)})
     return 0
 
 

@@ -55,6 +55,7 @@ class DioMeasure:
     analytic_lower: float | None
     grid_error: float
     exact_error: float
+    certified_lower: float | None
 
 
 def analytic_lower_bound(C: float) -> float | None:
@@ -104,10 +105,22 @@ def dio_measure(params: DioParams) -> DioMeasure:
     ``ANALYTIC_C_MAX``.  ``grid_error`` is the crude bound min(1, n_max
     (n_max + 1) / 2 grid) that a count of ``grid`` cell midpoints would
     carry; it bounds no error of the estimate.
+
+    ``certified_lower`` = estimate - C / (6 n_max^2) - ``exact_error`` is a
+    lower end of the true Diophantine set's measure, for C <=
+    ``ANALYTIC_C_MAX``, and empty above it.  As in
+    :func:`analytic_lower_bound`, a level n >= 2 removes at most 2 (n - 1)
+    h_n <= (2 / pi) asin(y_n) <= (asin Y / Y) C / (pi n^3), Y = C / 2, and
+    sum_{n > N} 1 / n^3 <= 1 / 2N^2, so the levels past N = n_max remove
+    at most (asin Y / Y) C / (2 pi N^2) <= C / (6 N^2), as asin(Y) / Y <=
+    pi / 3 for Y <= 1/2.  ``exact_error`` is twice a bound of at least 4u,
+    so its slack covers the rounding of the two subtractions.
     """
     est, err = exact_measure(params)
     grid_error = min(1.0, params.n_max * (params.n_max + 1) / (2 * params.grid))
-    return DioMeasure(est, analytic_lower_bound(params.C), grid_error, err)
+    tail = params.C / (6.0 * params.n_max ** 2)
+    lower = est - (tail + err) if params.C <= ANALYTIC_C_MAX else None
+    return DioMeasure(est, analytic_lower_bound(params.C), grid_error, err, lower)
 
 
 def exact_measure(params: DioParams) -> tuple[float, float]:

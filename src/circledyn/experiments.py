@@ -85,7 +85,8 @@ def intersection_measure(families, t_samples: int, q_max: int = 30, seed: int = 
     ``classify_batch`` decides each value as it would alone.  Its sweep
     retires the samples whose error bars rule out every candidate early
     (``retire``), so ``n_iter`` is a cap.  ``map_fn`` splits each family's
-    samples into blocks, one per worker (see ``classify_batch``).
+    samples into blocks, one per worker but none of fewer than
+    ``rotation.MIN_BLOCK`` samples (see ``classify_batch``).
 
     Raises HypothesisViolation when any family norm reaches 1; a
     non-increasing winding sequence is recorded (``windings_increasing``)
@@ -190,8 +191,8 @@ def eta_curve(r_grid, sample_families_per_r: int, q_max: int = 30, seed: int = 0
     task that draws one family and scales it to every level (common random
     numbers across the levels, see :func:`sample_family`).  All families
     are classified on one shared t sample by ``rotation.classify_groups``:
-    merged sweeps, one block per worker of ``map_fn`` (see
-    ``classify_batch``), whose workers send back only each family's locked
+    merged sweeps, cut into blocks for the workers of ``map_fn`` as
+    ``classify_batch`` cuts them, which send back only each family's locked
     count and iterates.  The sweeps retire samples early, as in
     :func:`intersection_measure`.  Each sample is classified as it would be
     alone, so the curve and the iterates do not depend on the blocks.

@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import rotation
 from .circle_map import TAU, FamilyNorm, StageStack, TPoly, merge_terms
 from .errors import DegenerateFiber
@@ -51,16 +49,6 @@ class SkewMap:
         harm = merge_terms(((int(jx), int(jy)), a, b) for jx, jy, a, b in self.harmonics)
         object.__setattr__(self, "harmonics", tuple((jx, jy, a, b) for (jx, jy), a, b in harm))
 
-    def g(self, t, x, y):
-        t = np.asarray(t, dtype=float)
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        out = np.zeros(np.broadcast_shapes(t.shape, x.shape, y.shape))
-        for jx, jy, a, b in self.harmonics:
-            w = TAU * (jx * x + jy * y)
-            out = out + a(t) * np.cos(w) + b(t) * np.sin(w)
-        return out if out.ndim else float(out)
-
     def fiber_stage(self, x: Fraction):
         """Periodic part of the fiber map over the vertical circle at x,
         as (const TPoly, harmonics in y with TPoly coefficients).
@@ -82,15 +70,6 @@ class SkewMap:
             else:
                 terms.append((abs(jy), ay, by))
         return const, tuple(merge_terms(terms))
-
-
-def skew_apply(F: SkewMap, t, xy):
-    """One application of the torus map: (m x mod 1, y + t + g mod 1).
-
-    A Fraction x stays exact; floats are reduced in floating point.
-    """
-    x, y = xy
-    return (F.m * x) % 1, (y + t + F.g(t, float(x), y)) % 1.0
 
 
 @dataclass(frozen=True)
@@ -201,21 +180,6 @@ def restricted_norm(rf: RestrictedFamily) -> FamilyNorm:
     fallback and without a t margin (a grid estimate in t), and the
     t-derivative deviation bound.  ``c3_bound`` gives the certified one."""
     return FamilyNorm(c3_g=rf.c3_sup(C3_T_GRID, C3_Y_GRID), c0_dt=rf.dt_sup_bound())
-
-
-def winding_check(rf: RestrictedFamily) -> float:
-    """Mean over a 64 x 64 (t, theta) grid of (d/dt lift) / n, by central
-    differences with step 1e-6.
-
-    For families within C3 distance R of rotations the result stays within
-    R of 1; this is the observable form of "the t-winding number is n".
-    """
-    dt = 1e-6
-    grid = (np.arange(64) + 0.5) / 64
-    tt, xx = np.meshgrid(grid, grid, indexing="ij")
-    hi = rf.lift(tt + dt, xx)
-    lo = rf.lift(tt - dt, xx)
-    return float(np.mean((hi - lo) / (2.0 * dt))) / rf.winding
 
 
 def first_per_period(F: SkewMap, n_max: int) -> list:

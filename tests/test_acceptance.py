@@ -25,11 +25,10 @@ from circledyn.skew import (
     periodic_circles,
     quasi_search,
     restricted_family,
-    skew_apply,
-    winding_check,
 )
 from circledyn.windows import enumerate_windows, locked_measure, window_for_rational
 from snapshot import central_derivatives, deriv_tuple, snapshot
+from torus import skew_apply, winding_check
 
 GOLDEN = (math.sqrt(5) - 1) / 2
 ZETA3 = 1.2020569031595943
@@ -179,7 +178,8 @@ def test_criterion_7_quasiperiodic_search_depth():
            elapsed, 600.0)
 
 
-def test_criterion_8_determinism(tmp_path):
+def test_criterion_8_determinism(tmp_path, small_blocks):
+    # small_blocks: theoremA's few samples still go out in one block per worker
     t0 = time.perf_counter()
     fam_path = tmp_path / "fam.json"
     fam_path.write_text(json.dumps({

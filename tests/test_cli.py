@@ -1,4 +1,5 @@
 import argparse
+import concurrent.futures
 import contextlib
 import io
 import json
@@ -64,6 +65,19 @@ def serial(argv):
 def read(path):
     with open(path) as fh:
         return fh.read()
+
+
+def pool_starts(monkeypatch):
+    """The worker counts of the process pools started from now on."""
+    started = []
+
+    class Counted(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            started.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counted)
+    return started
 
 
 class TestRho:
@@ -396,9 +410,17 @@ class TestDioCommand:
                      "--grid", "5000", "--out", out]) == 0
         lines = read(os.path.join(out, "dio.csv")).strip().splitlines()
         exact = json.loads(read(os.path.join(out, "report.json")))["tables"]["dio_exact"]
-        assert exact["header"] == ["C", "n_max", "exact", "exact_error"]
+        assert exact["header"] == ["C", "n_max", "exact", "exact_error", "certified_lower"]
         assert [r[:2] for r in exact["rows"]] == [r.split(",")[:2] for r in lines[1:]]
         assert [r[2] for r in exact["rows"]] == [r.split(",")[2] for r in lines[1:]]
+
+    def test_certified_lower_in_report(self, tmp_path):
+        # proven for C <= 1 only, and empty above
+        out = str(tmp_path / "d")
+        assert main(["dio", "--C", "0.2,1.4", "--nmax", "60", "--out", out]) == 0
+        rows = json.loads(read(os.path.join(out, "report.json")))["tables"]["dio_exact"]["rows"]
+        lower = diophantine.dio_measure(diophantine.DioParams(0.2, 60)).certified_lower
+        assert [r[4] for r in rows] == [cio.fmt_cell(lower), ""]
 
     def test_grid_beyond_memory(self, tmp_path):
         # ten billion cells: the measure tests no grid
@@ -520,7 +542,8 @@ class TestDeterminism:
             assert read(os.path.join(out1, fname)) == read(os.path.join(out2, fname))
 
 
-    def test_rho_parallel_matches_serial(self, tmp_path):
+    @pytest.mark.usefixtures("small_blocks")
+    def test_rho_parallel_matches_serial(self, tmp_path, monkeypatch):
         # two workers sweep two blocks, one of them holding a t outside
         # [0, 1], so the blocks and the choice of rounding bound both show
         fam = tmp_path / "phased.json"
@@ -531,11 +554,14 @@ class TestDeterminism:
         args = ["rho", "--input", str(fam), "--t-range", "0:1:600", "--t", "1e20",
                 "--qmax", "4", "--niter", "256"]
         outs = [str(tmp_path / f"w{w}") for w in (1, 2)]
+        started = pool_starts(monkeypatch)
         for out, workers in zip(outs, ("1", "2")):
             assert main(args + ["--out", out, "--workers", workers]) == 0
+        assert started == [2]  # by the pooled call only
         serial, parallel = (read(os.path.join(out, "rho.csv")) for out in outs)
         assert serial == parallel and len(serial.splitlines()) == 602
 
+    @pytest.mark.usefixtures("small_blocks")
     def test_theoremA_parallel_split_matches_serial(self, tmp_path):
         # at fiber C3 0.3 and seed 11, 3 of 300 samples lie in family 1's
         # locking windows and survive it, so two workers split the survivors
@@ -565,6 +591,7 @@ class TestDeterminism:
             serial, parallel = (read(os.path.join(out, fname)) for out in outs)
             assert serial == parallel, fname
 
+    @pytest.mark.usefixtures("small_blocks")
     def test_theoremA_eta_sweep_parallel_matches_serial(self, skew_file, tmp_path):
         # 4 levels x 3 sampled families, merged into one sweep and cut into
         # two blocks by two workers
@@ -643,6 +670,25 @@ class TestWorkers:
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: cores)
         assert cli._workers(cli.RunConfig("rho", {"workers": 0})) == expected
+
+    @pytest.mark.usefixtures("no_pools")
+    def test_small_sweep_starts_no_pool(self, arnold_file, tmp_path):
+        # two values are one block, so two workers have nothing to share
+        outs = [str(tmp_path / f"w{w}") for w in (1, 2)]
+        for out, workers in zip(outs, ("1", "2")):
+            assert main(["rho", "--input", arnold_file, "--t", "0.3,0.6", "--qmax", "5",
+                         "--out", out, "--workers", workers]) == 0
+        serial, pooled = (read(os.path.join(out, "rho.csv")) for out in outs)
+        assert serial == pooled and len(serial.splitlines()) == 3
+
+    def test_pool_starts_on_first_use(self, monkeypatch):
+        started = pool_starts(monkeypatch)
+        with cli._Pool(2) as pool:
+            assert pool.map(abs, [-3]) == [3] and started == []
+            assert pool.map(abs, [-1, 2, -4]) == [1, 2, 4] and started == [2]
+            assert pool.map(abs, [-5, 6]) == [5, 6] and started == [2]
+        with cli._Pool(1) as pool:
+            assert pool.map(abs, [-1, 2, -4]) == [1, 2, 4] and started == [2]
 
 
 # -- fuzzed option values ----------------------------------------------------

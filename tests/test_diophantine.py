@@ -68,6 +68,18 @@ class TestMeasure:
             else:
                 assert lower is None
 
+    def test_certified_lower_end_holds_at_a_finer_cutoff(self):
+        # levels 61..240 remove 4.68e-6 of the 9.26e-6 that the tail bound
+        # C / 6 n_max^2 allows, so half the bound would fail here
+        m = dio_measure(DioParams(0.2, 60))
+        assert m.certified_lower == m.estimate - (0.2 / (6 * 60 ** 2) + m.exact_error)
+        assert m.certified_lower <= exact_measure(DioParams(0.2, 240))[0]
+        for C in (0.05, 0.5, 1.0):
+            for n_max in (1, 2, 7, 60):
+                lower = dio_measure(DioParams(C, n_max)).certified_lower
+                assert lower <= exact_measure(DioParams(C, 2000))[0]
+        assert dio_measure(DioParams(1.4, 60)).certified_lower is None
+
     def test_formula_fails_above_the_range(self):
         # the union bound C / (pi n^3) per level undercounts asin(y) / y
         assert exact_measure(DioParams(2.0, 1))[0] == 0.0 < 1.0 - 2.0 * ZETA3 / math.pi

@@ -130,6 +130,7 @@ class TestNestedIntersection:
 
     @pytest.mark.parametrize("map_fn", [map, TwoBlocks()], ids=["map", "two-blocks"])
     @pytest.mark.parametrize("seed", NESTED_SEEDS)
+    @pytest.mark.usefixtures("small_blocks")
     @pytest.mark.parametrize("name", sorted(NESTED_MAPS))
     def test_equals_flat_classification(self, name, seed, map_fn, flat_reference):
         fams, _, inds = flat_reference(name, seed)
@@ -232,6 +233,7 @@ class TestEtaCurve:
             eta_curve([0.1], 0, q_max=10, seed=18, mc_samples=20)
 
     @pytest.mark.parametrize("map_fn", [map, TwoBlocks()], ids=["serial", "two-blocks"])
+    @pytest.mark.usefixtures("small_blocks")
     def test_merged_sweep_equals_per_family_sweeps(self, map_fn):
         # each sampled family classified on its own, as eta_curve did before
         # it merged them; two blocks cut the 9 x 150 values in two.  At norm

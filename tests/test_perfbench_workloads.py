@@ -39,10 +39,8 @@ def test_workload_outputs_pass_the_benchmark_checks(name, tmp_path):
     assert workloads.check(wl, out) == []
 
 
-@pytest.mark.parametrize("name", ["windows-arnold", "theoremA-par"])
-def test_pooled_windows_equal_serial(name, tmp_path):
-    # windows-arnold's window batches and theoremA-par's sampling slot and
-    # sweep blocks go through cli._Pool.map
+def _digests_by_workers(name, tmp_path):
+    """CSV digests of the workload's call at ``--workers`` 1 and 2."""
     inputs = tmp_path / "in"
     inputs.mkdir()
     wl = workloads.generate(name, SEED, str(inputs))
@@ -53,4 +51,19 @@ def test_pooled_windows_equal_serial(name, tmp_path):
         argv = wl.argv[:at] + [workers] + wl.argv[at + 1:]
         assert cli.main(argv + ["--out", out]) == 0
         digests.append(workloads.csv_digests(out))
+    return digests
+
+
+@pytest.mark.parametrize("name", ["windows-arnold", "theoremA-par"])
+def test_pooled_windows_equal_serial(name, tmp_path, small_blocks):
+    # windows-arnold's window batches and theoremA-par's sweep blocks, cut
+    # at any size, go through cli._Pool.map
+    digests = _digests_by_workers(name, tmp_path)
+    assert digests[0] == digests[1]
+
+
+def test_small_pooled_theoremA_forks_nothing(tmp_path, no_pools):
+    # theoremA-par's sweeps (300 and 400 values) and its one sampling slot
+    # are too small to split, so two workers start no pool
+    digests = _digests_by_workers("theoremA-par", tmp_path)
     assert digests[0] == digests[1]

@@ -197,23 +197,23 @@ class TestClassifyBatch:
             assert got.estimate == pytest.approx(ref.estimate, abs=1e-12)
 
     @pytest.mark.parametrize("workers, sizes", [(1, [7]), (3, [3, 2, 2]), (9, [1] * 7)])
+    @pytest.mark.usefixtures("small_blocks")
     def test_one_block_per_worker(self, workers, sizes):
         # a map_fn with a worker count gets one block per worker, never an
         # empty one; the plain map sweeps one block
-        seen = []
-
-        class Pool:
-            def __call__(self, fn, blocks):
-                blocks = list(blocks)
-                # a block is its pieces, (group, fam, ts, rate) each
-                seen.extend(sum(ts.size for _, _, ts, _ in b) for b in blocks)
-                return map(fn, blocks)
-
-        pool = Pool()
-        pool.workers = workers
+        pool = BlockSizes(workers)
         fam, ts = arnold_family(0.1), np.linspace(0.0, 1.0, 7)
         assert classify_batch(fam, ts, q_max=6, map_fn=pool) == classify_batch(fam, ts, q_max=6)
-        assert seen == sizes
+        assert pool.sizes == sizes
+
+    @pytest.mark.parametrize("extra, blocks", [(-1, 1), (0, 2)])
+    def test_no_block_below_min_block(self, extra, blocks):
+        # two workers get two blocks only once each can hold MIN_BLOCK values
+        pool, total = BlockSizes(2), 2 * rotation.MIN_BLOCK + extra
+        ts = np.linspace(0.0, 1.0, total)
+        counted = rotation.classify_groups([(arnold_family(0.1), ts)], q_max=3, n_iter=64,
+                                           map_fn=pool, reduce=lambda part: sum(1 for _ in part))
+        assert pool.sizes == [total // blocks] * blocks and counted == [pool.sizes]
 
 
 def two_harmonic_family():
@@ -651,6 +651,20 @@ class TestLargeParameter:
         assert res[1].classification == UNRESOLVED
 
 
+class BlockSizes:
+    """A serial map_fn with a worker count that records the number of
+    values in each block it maps."""
+
+    def __init__(self, workers):
+        self.workers, self.sizes = workers, []
+
+    def __call__(self, fn, blocks):
+        blocks = list(blocks)
+        # a block is its pieces, (group, fam, ts, rate) each
+        self.sizes.extend(sum(ts.size for _, _, ts, _ in b) for b in blocks)
+        return map(fn, blocks)
+
+
 class TwoBlocks:
     """A serial map_fn that asks for two worker blocks."""
 
@@ -747,6 +761,7 @@ class TestRetiringSweep:
         assert 0 < sum(want) < len(want)
 
     @pytest.mark.parametrize("name", ["arnold", "three-stage"])
+    @pytest.mark.usefixtures("small_blocks")
     def test_two_blocks_equal_one(self, name):
         fam = RETIRE_FAMILIES[name]()
         ts = np.random.default_rng(7).random(200)
@@ -777,6 +792,7 @@ def merged_groups():
     return groups + [(fast, np.random.default_rng(44).random(40))]
 
 
+@pytest.mark.usefixtures("small_blocks")
 class TestMergedSweep:
     """``classify_groups`` sweeps several families at once; every value is
     classified as ``classify_batch`` classifies it on its own family."""

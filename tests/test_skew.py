@@ -30,10 +30,9 @@ from circledyn.skew import (
     quasi_search,
     restricted_family,
     restricted_norm,
-    skew_apply,
-    winding_check,
 )
 from snapshot import central_derivatives, deriv_tuple, snapshot
+from torus import skew_apply, winding_check
 
 TAU = 2 * math.pi
 GOLDEN = (math.sqrt(5) - 1) / 2
