@@ -85,8 +85,8 @@ def intersection_measure(families, t_samples: int, q_max: int = 30, seed: int = 
     ``classify_batch`` decides each value as it would alone.  Its sweep
     retires the samples whose error bars rule out every candidate early
     (``retire``), so ``n_iter`` is a cap.  ``map_fn`` splits each family's
-    samples into blocks, one per worker but none of fewer than
-    ``rotation.MIN_BLOCK`` samples (see ``classify_batch``).
+    samples into blocks, one per worker once a sweep is large enough to
+    pay for the split (see ``classify_batch``).
 
     Raises HypothesisViolation when any family norm reaches 1; a
     non-increasing winding sequence is recorded (``windings_increasing``)

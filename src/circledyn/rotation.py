@@ -58,10 +58,11 @@ RETIRE_CHECKPOINTS = (256, 512, 1024, 2048)
 # each ran 22% slower merged into sweeps of 2^18 than one at a time, and
 # within 5% in sweeps of 2^14 (numpy 2.4.6, 2-core VM).
 SWEEP_PAIRS = 2 ** 14
-# Fewest values a pooled block of classify_groups holds.  A 4096-step sweep
-# of few values is bound by numpy's per-call cost, which each extra block
-# repeats, and a cold pool's forks come on top.  Fresh `theoremA --workers
-# 2` calls whose sweeps split into two blocks of B values, against
+# classify_groups splits a sweep across workers only if it holds the work
+# of two blocks of MIN_BLOCK values at CLASSIFY_N_ITER steps.  A 4096-step
+# sweep of few values is bound by numpy's per-call cost, which each extra
+# block repeats, and a cold pool's forks come on top.  Fresh `theoremA
+# --workers 2` calls whose sweeps split into two blocks of B values, against
 # `--workers 1`, median paired wall-time ratio (2-core VM): B = 256 1.02,
 # 512 0.88 and 1.04 on two inputs, 1024 0.81 and 0.80 (10 of 11 and 9 of 9
 # pairs won).
@@ -449,13 +450,15 @@ def classify_groups(groups, q_max: int = 30, n_iter: int = CLASSIFY_N_ITER, map_
     their families' harmonic counts per stage, so that a block merges
     families of like counts and ``merge_phases`` pads few of them.  They go
     out in blocks of equal size, one per worker of ``map_fn`` (its
-    ``workers`` attribute, see ``classify_batch``) but at most one per
-    ``MIN_BLOCK`` values, or more where a block would exceed
-    ``SWEEP_PAIRS`` values; each block is one sweep.  Returns
-    per group, in the order of ``groups``, the values of its pieces (its
-    values within one block), in order: each piece's list of results, or
-    ``reduce`` of an iterator over them, applied where the sweep ran, so
-    that a caller that only counts gets counts back from the workers.
+    ``workers`` attribute, see ``classify_batch``) if the sweep holds the
+    work of two ``MIN_BLOCK``-value blocks at ``CLASSIFY_N_ITER`` steps
+    (values times ``n_iter``, a cap when retiring), else one, and more
+    where a block would exceed ``SWEEP_PAIRS`` values; each block is one
+    sweep.  Returns per group, in the order of ``groups``, the values of
+    its pieces (its values within one block), in order: each piece's list
+    of results, or ``reduce`` of an iterator over them, applied where the
+    sweep ran, so that a caller that only counts gets counts back from the
+    workers.
     """
     groups = [(fam, np.asarray(ts, dtype=float)) for fam, ts in groups]
     if len({len(fam.stack) for fam, _ in groups}) > 1:
@@ -464,7 +467,8 @@ def classify_groups(groups, q_max: int = 30, n_iter: int = CLASSIFY_N_ITER, map_
     groups = [(fam, ts, _rounding_rate(fam, fam.dtheta_lift_bound())
                if np.all((ts >= 0.0) & (ts <= 1.0)) else None) for fam, ts in groups]
     total = sum(ts.size for _, ts, _ in groups)
-    blocks = max(1, min(getattr(map_fn, "workers", 1), total // MIN_BLOCK),
+    split = total * n_iter >= 2 * MIN_BLOCK * CLASSIFY_N_ITER
+    blocks = max(1, min(getattr(map_fn, "workers", 1), total) if split else 1,
                  -(-total // SWEEP_PAIRS))
     each, extra = divmod(total, blocks)  # block sizes as np.array_split's
     cuts = [k * each + min(k, extra) for k in range(blocks + 1)]
@@ -507,10 +511,10 @@ def classify_batch(fam, ts, q_max: int = 30, n_iter: int = CLASSIFY_N_ITER, map_
 
     ``map_fn`` lets a caller substitute a worker pool.  The values go out
     in one block per worker, the pool's ``workers`` attribute (one block
-    for a ``map_fn`` without it, such as the plain ``map``), but in no
-    block of fewer than ``MIN_BLOCK`` values, so a small sweep is one
-    block.  Every value is classified as it would be alone, so the results
-    do not depend on the blocks.
+    for a ``map_fn`` without it, such as the plain ``map``), but a sweep
+    with less work than two blocks of ``MIN_BLOCK`` values at
+    ``CLASSIFY_N_ITER`` steps is one block.  Every value is classified as
+    it would be alone, so the results do not depend on the blocks.
     """
     pieces = classify_groups([(fam, ts)], q_max, n_iter, map_fn, retire)[0]
     return [r for piece in pieces for r in piece]

@@ -12,11 +12,11 @@ os.environ["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, os.environ.get("PYTH
 
 @pytest.fixture
 def small_blocks(monkeypatch):
-    """Pooled sweeps cut into blocks of any size (``rotation.MIN_BLOCK`` 1),
+    """Pooled sweeps split whatever their size (``rotation.MIN_BLOCK`` 0),
     so that the few values of a test still go out one block per worker."""
     from circledyn import rotation
 
-    monkeypatch.setattr(rotation, "MIN_BLOCK", 1)
+    monkeypatch.setattr(rotation, "MIN_BLOCK", 0)
 
 
 @pytest.fixture

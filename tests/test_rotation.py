@@ -11,8 +11,10 @@ from circledyn.circle_map import CircleFamily, StageStack, TPoly
 from circledyn.experiments import sample_family
 from circledyn.gallery import arnold_family, arnold_skew, c3_scaled_amplitude, rigid_family
 from circledyn.rotation import (
+    CLASSIFY_N_ITER,
     IRRATIONAL_CANDIDATE,
     LOCKED,
+    MIN_BLOCK,
     NOT_LOCKED,
     UNRESOLVED,
     classify,
@@ -206,13 +208,17 @@ class TestClassifyBatch:
         assert classify_batch(fam, ts, q_max=6, map_fn=pool) == classify_batch(fam, ts, q_max=6)
         assert pool.sizes == sizes
 
-    @pytest.mark.parametrize("extra, blocks", [(-1, 1), (0, 2)])
-    def test_no_block_below_min_block(self, extra, blocks):
-        # two workers get two blocks only once each can hold MIN_BLOCK values
-        pool, total = BlockSizes(2), 2 * rotation.MIN_BLOCK + extra
-        ts = np.linspace(0.0, 1.0, total)
-        counted = rotation.classify_groups([(arnold_family(0.1), ts)], q_max=3, n_iter=64,
-                                           map_fn=pool, reduce=lambda part: sum(1 for _ in part))
+    @pytest.mark.parametrize("workers, total, n_iter, blocks", [
+        (2, 2 * MIN_BLOCK - 1, CLASSIFY_N_ITER, 1), (2, 2 * MIN_BLOCK, CLASSIFY_N_ITER, 2),
+        (2, MIN_BLOCK, 2 * CLASSIFY_N_ITER - 1, 1), (2, MIN_BLOCK, 2 * CLASSIFY_N_ITER, 2),
+        (4, 2 * MIN_BLOCK, CLASSIFY_N_ITER, 4)])
+    def test_split_needs_two_min_blocks_of_work(self, workers, total, n_iter, blocks):
+        # a sweep splits, one block per worker, once its values times its
+        # steps reach two MIN_BLOCKs at CLASSIFY_N_ITER steps
+        pool, ts = BlockSizes(workers), np.linspace(0.0, 1.0, total)
+        counted = rotation.classify_groups([(arnold_family(0.1), ts)], q_max=3, n_iter=n_iter,
+                                           map_fn=pool, retire=True,
+                                           reduce=lambda part: sum(1 for _ in part))
         assert pool.sizes == [total // blocks] * blocks and counted == [pool.sizes]
 
 
