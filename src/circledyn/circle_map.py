@@ -362,6 +362,7 @@ class StageStack:
             dev += max(ub - w, w - lb) if i + 1 < len(self.stack) else dtp
         return dev
 
+    @np.errstate(all="ignore")  # an overflow ends in inf
     def c3_sup(self, t_grid: int, y_grid: int) -> float:
         """Max over ``t_grid`` values of t in [0, 1] of the C3(y) norm of
         lift - (y + winding t): the max over orders 0..3 of the sup over y.
@@ -371,7 +372,8 @@ class StageStack:
         spacing times the composed coefficient bound of the next
         derivative at that t.  Between the t values nothing is certified;
         ``family_norm`` adds a t margin.  The grid runs in blocks of about
-        4096 (t, y) points.
+        4096 (t, y) points.  A sup or margin that is not finite, as on an
+        overflowing grid, makes the result inf.
         """
         max_j = max((j for _, _, harm in self.stack for j, _, _ in harm), default=0)
         y_grid = _grid_for(max_j, y_grid)
@@ -387,7 +389,10 @@ class StageStack:
         # per t: the bounds (s1, l2, l3, l4) of every stage, as Python floats
         for i, stages in enumerate(np.array(bounds).transpose(2, 0, 1).tolist()):
             margins = composed_deriv_bounds(stages)
-            out = max(out, *(float(s) + m / y_grid for s, m in zip(sups[:, i], margins)))
+            sizes = [float(s) + m / y_grid for s, m in zip(sups[:, i], margins)]
+            if not all(map(math.isfinite, sizes)):  # max() would pass over a nan
+                return math.inf
+            out = max(out, *sizes)
         return out
 
     def c3_bound(self) -> float:
@@ -429,8 +434,10 @@ class StageStack:
 
     # -- validity -----------------------------------------------------------
 
+    @np.errstate(all="ignore")  # an overflow fails the scan
     def check_diffeo(self):
-        """Raise ``degenerate`` when 1 + d/dy p_i <= 0 is witnessed for a stage.
+        """Raise ``degenerate`` when 1 + d/dy p_i <= 0 is witnessed for a
+        stage, or is not finite (an overflow, which settles nothing).
 
         A coefficient bound < 1 over [0, 1] certifies every stage outright.
         Otherwise, at each of DEFAULT_T_GRID values of t, every stage whose
@@ -452,8 +459,11 @@ class StageStack:
                 if certified[i]:
                     continue
                 p1 = _stage_derivs(const, harm, ts[i:i + 1, None], xs, 2, trig)[1]
-                if float(np.min(1.0 + p1)) <= 0.0:
-                    raise self.degenerate(f"stage {stage + 1} is not a diffeomorphism"
+                low = float(np.min(1.0 + p1))  # nan if any derivative is
+                if not low > 0.0:
+                    what = ("is not a diffeomorphism" if low <= 0.0
+                            else "has a derivative grid that is not finite")
+                    raise self.degenerate(f"stage {stage + 1} {what}"
                                           f" at t={float(t):.6g} of {self.label!r}")
 
 

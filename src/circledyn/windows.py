@@ -20,9 +20,11 @@ are evaluated first, and where monotonicity is certified every other
 midpoint takes its sign from the tightest evaluated bracket.  One grid
 point settles B_plus(t) > 0 or B_minus(t) <= 0, so the cell end that
 should have that sign is evaluated on the predicted branches alone, and
-on the whole grid only when they do not settle it.  A window then costs
-about four full-grid evaluations of B, where plain bisection takes about
-twenty per edge, and the windows are bit-identical to plain bisection's.
+on the whole grid only when they do not settle it.  The first bracket
+ends, seed -+ r, take their signs from one step's bound, as r is chosen to
+allow.  A window then costs about two full-grid evaluations of B, where
+plain bisection takes about twenty per edge, and the windows are
+bit-identical to plain bisection's.
 
 The windows of a batch are solved together: every edge's solver runs up
 to its prediction, and the predictions of all of them run in lockstep,
@@ -256,6 +258,25 @@ def _predict_roots(fam, requests, tol):
     return out
 
 
+def _step_sign(fam, t, q, p):
+    """The sign of D(theta, t) = lift_t^q(theta) - theta - p on [0, 1) that
+    one step's bound certifies, -1 or 1, else 0; the kernel's float D has
+    it too.  On ``phase_data(t)``, the kernel's floats, D lies within q
+    sum_i (drift_i +- sum_j R_ij) - p, and a sign must clear the rounding
+    of D (``rotation._lock_rounding``) and the bound's own: each R within
+    an ulp of its hypot, an ulp per summed term.  An inf or nan clears
+    nothing."""
+    data = fam.phase_data(t)
+    drift = [d for d, _ in data]
+    amp = [sum(r for _, _, r in phased) for _, phased in data]
+    terms, moved = len(data) + sum(len(phased) for _, phased in data), sum(map(abs, drift))
+    slack = ((terms + 4) * EPS * (q * (moved + sum(amp)) + abs(p))
+             + rotation._lock_rounding(fam, q, p, fam.dtheta_lift_bound(t), moved))
+    if q * sum(d + a for d, a in zip(drift, amp)) - p < -slack:
+        return -1
+    return 1 if q * sum(d - a for d, a in zip(drift, amp)) - p > slack else 0
+
+
 def _edge_root(fam, p, q, edge, t_seed, radius0, tol, thetas, extremes):
     """Root of B_plus (edge='lo') or B_minus (edge='hi'), bracketed by
     geometric expansion around t_seed and then bisected to radius <= tol.
@@ -268,6 +289,9 @@ def _edge_root(fam, p, q, edge, t_seed, radius0, tol, thetas, extremes):
     estimate and the branches that may hold the root (or None).  Returns
     the root and its bracket radius; raises CircledynError when the radius
     cannot reach tol.
+
+    A bracket end whose sign :func:`_step_sign` certifies, the sign its
+    evaluation would give, is not evaluated.
 
     B is strictly increasing in t when the t-derivative bound is below the
     winding.  The bisection then evaluates B only at midpoints strictly
@@ -285,28 +309,31 @@ def _edge_root(fam, p, q, edge, t_seed, radius0, tol, thetas, extremes):
     def B(t, idx=None):
         return extremes(t, idx)[0 if lo else 1]
 
+    def end(t, sign):  # B at a bracket end, or the sign the step bound certifies
+        return sign if _step_sign(fam, t, q, p) == sign else B(t)
+
     r = max(radius0, 4.0 * tol)
     u, v = t_seed - r, t_seed + r
-    fu, fv = B(u), B(v)
+    fu, fv = end(u, -1.0), end(v, 1.0)
     for _ in range(64):
         if fu < 0.0:
             break
         r *= 2.0
         u = t_seed - r
-        fu = B(u)
+        fu = end(u, -1.0)
     for _ in range(64):
         if fv > 0.0:
             break
         r *= 2.0
         v = t_seed + r
-        fv = B(v)
+        fv = end(v, 1.0)
     if fu >= 0.0 or fv <= 0.0:
         raise NoLockInBracket(
             f"could not bracket the {edge} edge of the {p}/{q} window near t={t_seed:g}"
         )
 
     monotone = fam.dt_sup_bound() < fam.winding
-    ends = [u, v]  # tightest evaluated bracket: B <= 0 at ends[0], B > 0 at ends[1]
+    ends = [u, v]  # tightest known bracket: B <= 0 at ends[0], B > 0 at ends[1]
 
     def positive(t, branches=None):
         if monotone and not ends[0] < t < ends[1]:
@@ -345,7 +372,8 @@ def _edge_solvers(fam, p, q, tol, thetas):
     2^k, and B_plus and B_minus are the max and the min of one displacement
     array D(theta_i, t).  So the edges share their evaluations: each t is
     evaluated on the whole grid once per window, and only its extremes are
-    kept."""
+    kept.  With r >= sup |lift - theta - N t| / N + 4 tol, one step's bound
+    usually certifies seed -+ r, a margin of about 4 q N tol."""
     radius0 = fam.g_sup_bound() / fam.winding + 4.0 * tol
     evals = {}
 
@@ -478,8 +506,9 @@ def _window_locked(fam, ts, windows, q_max: int, n_iter: int, grid=None):
 
     Why the sweep locks such a t at p/q (p + k q N for a shift by k): B
     increases in t where ``dt_sup_bound() < winding``, and the edge solver
-    evaluated B_plus > 0 on the lock grid at some t <= t_lo + r and B_minus
-    <= 0 at some t >= t_hi - r.  So on that grid max D > -rho and min D <
+    found B_plus > 0 on the lock grid at some t <= t_lo + r and B_minus <= 0
+    at some t >= t_hi - r, by evaluation or by the step bound's certificate
+    of the same float sign.  So on that grid max D > -rho and min D <
     rho at t, rho the rounding of D at two points
     (``rotation._lock_rounding``), no coarse grid clears the margin, and
     ``is_locked`` locks where rho <= ``LOCK_TOL``.  p/q lies in every error

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import sympy
 from circledyn.circle_map import CircleFamily, TPoly, family_norm
 from circledyn.errors import DegenerateFamily
 from circledyn.gallery import arnold_family, rigid_family
+from circledyn.skew import PeriodicCircle, RestrictedFamily
 from snapshot import ComposedCircleMap, TrigPoly, deriv_tuple
 
 TAU = 2 * math.pi
@@ -203,6 +205,25 @@ class TestFamilyNorm:
     def test_degenerate_family_raises(self):
         with pytest.raises(DegenerateFamily):
             family_norm(arnold_family(0.2))  # 0.2 * 2 pi > 1
+
+    def test_non_finite_derivative_grid_raises(self):
+        # 2 pi 1e308 overflows, so the derivative grid is inf - inf = nan in
+        # places: a check that settles nothing, not a diffeomorphism
+        huge = CircleFamily(1, TPoly((0.0,)), ((1, TPoly((1e308,)), TPoly((1e308,))),))
+        with pytest.raises(DegenerateFamily, match="derivative grid that is not finite"):
+            huge.check_diffeo()
+
+    def test_unchecked_norm_of_an_overflowing_grid_is_inf(self):
+        # the grid overflows to inf and nan, quietly (warnings are errors here)
+        huge = CircleFamily(1, TPoly((0.0,)), ((1, TPoly((1e308,)), TPoly((1e308,))),))
+        assert family_norm(huge, check=False).c3_g == math.inf
+
+    def test_nan_grid_sup_is_inf(self):
+        # the second stage runs on the nan values of the first, so every row
+        # of the grid is nan; max(0.0, nan) would keep 0.0
+        stage = (TPoly((0.0,)), ((1, TPoly((1e308,)), TPoly((1e308,))),))
+        rf = RestrictedFamily(PeriodicCircle(1, 2, Fraction(1, 3)), (stage, stage))
+        assert rf.c3_sup(8, 64) == math.inf
 
     def test_repeated_harmonic_index_is_merged(self):
         # j = 1 listed twice: the bounds and the orbits are those of the

@@ -160,6 +160,24 @@ class TestExitCodes:
                      "--qmax", "2", "--out", str(tmp_path / "x"),
                      "--workers", "1"]) == 3
 
+    @pytest.mark.parametrize("cmd", ["windows", "rho", "skew"])
+    def test_non_finite_derivative_grid_exit_3(self, cmd, tmp_path, capsys):
+        # 2 pi 1e308 overflows: the diffeomorphism scan sees nan, which must
+        # fail it (warnings are errors here, so none may escape either)
+        huge = {"a": [1e308], "b": [1e308]}
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(
+            {"label": "huge", "m": 2, "harmonics": [{"jx": 0, "jy": 1, **huge}]} if cmd == "skew"
+            else {"label": "huge", "winding": 1, "harmonics": [{"j": 1, **huge}]}))
+        out = tmp_path / "o"
+        argv = {"windows": ["--qmax", "2", "--samples", "10"], "rho": ["--t", "0.3"],
+                "skew": ["--nmax", "2", "--t", "0.3"]}[cmd]
+        assert main([cmd, "--input", str(path), "--out", str(out), "--workers", "1"]
+                    + argv) == 3
+        err = capsys.readouterr().err
+        assert "derivative grid that is not finite" in err and "Warning" not in err
+        assert not out.exists() or not any(out.glob("*.csv"))
+
     def test_hypothesis_violation_exit_4(self, tmp_path):
         fat = tmp_path / "fat.json"
         fat.write_text(json.dumps({

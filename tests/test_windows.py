@@ -149,11 +149,27 @@ def count_grid_evals(m):
     return calls
 
 
-def edge_windows(monkeypatch, fam, q_max, tol, edge_root=None, predict=None):
+def record_step_signs(m, signs):
+    """Append to ``signs`` the (p, q, t, sign) of each ``windows._step_sign``
+    call once ``m`` has patched it."""
+    real = windows._step_sign
+
+    def recording(fam, t, q, p):
+        sign = real(fam, t, q, p)
+        signs.append((p, q, float(t), sign))
+        return sign
+
+    m.setattr(windows, "_step_sign", recording)
+
+
+def edge_windows(monkeypatch, fam, q_max, tol, edge_root=None, predict=None, signs=None):
     """Windows of every p/q with q <= q_max, and the (p, q, t) of the
-    full-grid B evaluations they took."""
+    full-grid B evaluations they took; ``signs``, a list, receives the
+    step-bound certificates asked for (:func:`record_step_signs`)."""
     with monkeypatch.context() as m:
         calls = count_grid_evals(m)
+        if signs is not None:
+            record_step_signs(m, signs)
         if edge_root is not None:
             m.setattr(windows, "_edge_root", edge_root)
         if predict is not None:
@@ -189,16 +205,21 @@ class TestEdgeReplay:
                              + [(name, 1e-9) for name in EDGE_FAMILIES])
     def test_bit_identical_to_plain_bisection(self, monkeypatch, name, tol):
         fam, q_max = EDGE_FAMILIES[name]
-        new, new_calls = edge_windows(monkeypatch, fam, q_max, tol)
+        signs = []
+        new, new_calls = edge_windows(monkeypatch, fam, q_max, tol, signs=signs)
         old, old_calls = edge_windows(monkeypatch, fam, q_max, tol, edge_root=plain_edge_root)
         assert as_bits(new) == as_bits(old)
         if name == "uncertified":
-            # the same t are evaluated, each once per window: plain bisection
-            # evaluates seed +- r in both edges, at least
+            # the same t are evaluated, each once per window, except the
+            # bracket ends whose sign the step bound certifies: plain
+            # bisection evaluates seed +- r in both edges, at least
             shared = len(old_calls) - len(set(old_calls))
             assert shared >= 2 * len(new)
-            assert set(new_calls) == set(old_calls)
-            assert len(new_calls) == len(old_calls) - shared
+            certified = {(p, q, t) for p, q, t, sign in signs if sign}
+            assert len(certified) == 2 * len(new)  # seed +- r of every window
+            assert not certified & set(new_calls)
+            assert set(new_calls) | certified == set(old_calls)
+            assert len(new_calls) + len(certified) == len(old_calls) - shared
         if name == "rigid":
             assert all(w.width == 0.0 for w in new)
 
@@ -225,7 +246,62 @@ class TestEdgeReplay:
         calls = count_grid_evals(monkeypatch)
         ws = enumerate_windows(arnold_family(0.1), 8, tol=1e-7)
         per_edge = len(calls) / (2 * len(ws))
-        assert per_edge <= 6.0, f"{per_edge:.2f} full-grid evaluations per edge"
+        assert per_edge <= 1.0, f"{per_edge:.2f} full-grid evaluations per edge"
+
+    @pytest.mark.parametrize("p,q", [(0, 1), (1, 3), (2, 7), (5, 12)])
+    def test_step_sign_is_sound(self, p, q):
+        # a rigid rotation attains the step bound, so D = q t - p up to its
+        # rounding: k ulps from p/q the certificate must leave that rounding
+        # to the evaluation, and farther out agree with it
+        fam = rigid_family()
+        thetas = np.arange(rotation.lock_grid_size(q)) / rotation.lock_grid_size(q)
+        ulp = math.ulp(p / q)
+        # every k up to 64, then doubling out to 1e-3
+        offsets = [k * ulp for k in range(1, 65)]
+        while offsets[-1] < 5e-4:
+            offsets.append(2.0 * offsets[-1])
+        claims = []
+        for side in (-1.0, 1.0):
+            for off in offsets:
+                t = p / q + side * off
+                sign = windows._step_sign(fam, t, q, p)
+                if sign:
+                    disp = rotation._lift_q_displacement(fam, t, q, p, thetas)
+                    assert (np.max(disp) < 0.0) if sign < 0 else (np.min(disp) > 0.0), t
+                claims.append(sign)
+        n = len(offsets)
+        assert claims[0] == claims[n] == 0  # one ulp each side
+        assert claims[n - 1] == -1 and claims[-1] == 1
+
+    @pytest.mark.parametrize("fam,p,q,tol", [
+        # 4 q N tol below the rounding of D: the edges stay as evaluation leaves them
+        (arnold_family(0.1), 0, 1, 1e-17),
+        (arnold_family(0.1), 1, 2, 1e-17),
+        # drifts of inf at the bracket ends, and a rounding bound of inf
+        (CircleFamily(1, TPoly((1e308,)), ((1, TPoly((0.0,)), TPoly((0.1,))),)), 0, 1, 1e-6),
+        (CircleFamily(1, TPoly((0.0,)), ((1, TPoly((0.0,)), TPoly((1e307,))),)), 0, 1, 1e-6),
+    ], ids=["tiny-tol", "tiny-tol-raises", "inf-drift", "inf-rounding"])
+    def test_step_sign_declines(self, monkeypatch, fam, p, q, tol):
+        def solve(edge_root=None):
+            with monkeypatch.context() as m:
+                if edge_root is not None:
+                    m.setattr(windows, "_edge_root", edge_root)
+                try:
+                    return as_bits([window_for_rational(fam, p, q, tol)])
+                except CircledynError as e:
+                    return f"{type(e).__name__}: {e}"
+
+        signs = []
+        with monkeypatch.context() as m:
+            record_step_signs(m, signs)
+            new = solve()
+        assert signs and all(sign == 0 for *_, sign in signs)
+        old = solve(plain_edge_root)  # which takes no tol check of its own
+        if isinstance(new, str):
+            radius = old[0][-1]
+            assert radius > tol and f"keeps a bracket radius of {radius:.3g} after" in new
+        else:
+            assert new == old
 
 
 @pytest.fixture(scope="module")
@@ -277,13 +353,13 @@ class TestLockstep:
         assert rounds == [2 * len(ws)]
         assert len(kernel) <= 2 * windows.PREDICT_STEPS + 2
 
-    def test_at_most_four_full_grid_evaluations_per_window(self, monkeypatch):
+    def test_at_most_two_full_grid_evaluations_per_window(self, monkeypatch):
         calls = count_grid_evals(monkeypatch)
         ws = enumerate_windows(arnold_family(0.1), 8)
         per_window = {(w.p, w.q): 0 for w in ws}
         for p, q, _ in calls:
             per_window[(p, q)] += 1
-        assert max(per_window.values()) <= 4, per_window
+        assert max(per_window.values()) <= 2, per_window
 
     @pytest.mark.parametrize("name", sorted(EDGE_FAMILIES))
     def test_branch_values_equal_the_full_grid(self, monkeypatch, name):
